@@ -1,8 +1,9 @@
 """Tunables of the Eternal mechanisms (and ablation switches).
 
-The two ``sync_*`` flags exist for the ablation benchmarks: disabling them
-reproduces the failure modes the paper uses to motivate ORB/POA-level state
-synchronization (Figure 4's request_id mismatch, §4.2.2's lost handshake).
+The two ``sync_*`` flags (``sync_orb_request_ids``, ``sync_handshake``)
+exist for the ablation benchmarks: disabling them reproduces the failure
+modes the paper uses to motivate ORB/POA-level state synchronization
+(Figure 4's request_id mismatch, §4.2.2's lost handshake).
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class EternalConfig:
     """Store and replay the client-server handshake message into a new
     server replica's ORB (§4.2.2).  Disabling reproduces the discarded
     requests failure."""
-
-    sync_infra_state: bool = True
-    """Piggyback infrastructure-level state (duplicate filters, outstanding
-    invocations) during recovery (§4.3)."""
 
     delta_state_transfer: bool = True
     """Ship ``set_state()`` bodies as page-level deltas against the

@@ -17,12 +17,17 @@ Implements, per node:
 * **failover** — promotion of a backup, cold launch if necessary, state
   restoration from the logged checkpoint, and replay of the logged
   messages, all concurrent with normal operation of other objects.
+
+Whatever its source — network transfer, promoted backup's log, cold seed's
+journal, periodic checkpoint — state reaches a replica one way: committed as
+the binding's ``CheckpointRecord``, then :meth:`RecoveryMechanisms._install`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.core.bulk import BulkLane, build_manifest, decode_manifest, \
     encode_manifest
@@ -40,6 +45,7 @@ from repro.core.identifiers import OpKind
 from repro.core.infra_state import InfraState
 from repro.core.msglog import CheckpointRecord
 from repro.core.orb_state import OrbStateTracker
+from repro.core.replication import Phase
 from repro.core.statedelta import (
     DeltaMismatch,
     apply_delta,
@@ -56,8 +62,26 @@ from repro.obs.spans import SpanEmitter
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replication import ReplicaBinding, ReplicationMechanisms
 
-STATUS_OPERATIONAL = "operational"
-STATUS_RECOVERING = "recovering"
+
+class _Source(NamedTuple):
+    """Where an install's ``CheckpointRecord`` came from.  The source
+    decides which spans and events time the install — nothing else."""
+
+    root_span: str
+    begin_event: Optional[str]      # "recovery" event opening a log install
+    restore_span: str               # set_state; ends where the next begins
+    assign_span: Optional[str]      # ORB/POA + infrastructure, on its own
+    replay_span: Optional[str]
+    replay_event: Optional[Tuple[str, str]]
+
+
+_NETWORK = _Source("recovery.total", None, "recovery.apply",
+                   "recovery.assign", None, None)
+_FAILOVER = _Source("failover.total", "failover_begin", "failover.restore",
+                    None, "failover.replay", ("recovery", "failover_replay"))
+_COLD_SEED = _Source("recovery.coldboot", "cold_seed_restore",
+                     "recovery.store.restore", None, "recovery.store.replay",
+                     ("store", "seed_replay"))
 
 
 class BoundedIdSet:
@@ -74,7 +98,7 @@ class BoundedIdSet:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
         self._seen: set = set()
-        self._order: list = []
+        self._order: deque = deque()
 
     def add(self, item: str) -> bool:
         """Record ``item``; returns True if it was new."""
@@ -83,8 +107,7 @@ class BoundedIdSet:
         self._seen.add(item)
         self._order.append(item)
         if len(self._order) > self._capacity:
-            oldest = self._order.pop(0)
-            self._seen.discard(oldest)
+            self._seen.discard(self._order.popleft())
         return True
 
     def __contains__(self, item: str) -> bool:
@@ -112,7 +135,9 @@ class RecoveryMechanisms:
                              mechanisms.config, mechanisms.tracer,
                              mechanisms.node_id)
         self._transfer_counter = itertools.count(1)
-        self._pending_checkpoints: Set[str] = set()
+        # Checkpoint this node initiated and whose capture has not yet
+        # completed, per group (at most one in flight): group -> transfer.
+        self._pending_checkpoints: Dict[str, str] = {}
         # Groups for which this node has asked for a full re-checkpoint
         # after failing to apply a delta-encoded one (cleared on commit).
         self._resync_requested: Set[str] = set()
@@ -212,19 +237,17 @@ class RecoveryMechanisms:
         ``with_bulk=False`` suppresses the out-of-band bulk lane, forcing
         the bytes through the total order (the last-resort fallback after
         a failed bulk session)."""
-        if binding.pending_transfer is not None:
-            # A superseded attempt may still hold an out-of-band session.
-            self.bulk.abort_session(binding.pending_transfer)
+        self._supersede(binding, "superseded")
         transfer_id = self._new_transfer_id("rec", binding.group_id)
         binding.pending_transfer = transfer_id
-        binding.sync_point_seen = False
+        if binding.phase is Phase.SYNCING:
+            # The superseded attempt's sync point is void: drop again until
+            # the new GET.
+            binding.set_phase(Phase.JOINING)
         binding.active_span = transfer_id
-        self.spans.start("recovery.total", span_id=transfer_id,
+        self.spans.start(_NETWORK.root_span, span_id=transfer_id,
                          node=self.node_id, group=binding.group_id)
-        self.spans.start("recovery.announce",
-                         span_id=f"{transfer_id}/announce",
-                         parent=transfer_id, node=self.node_id,
-                         group=binding.group_id)
+        self._open(binding, "recovery.announce")
         self.tracer.emit("recovery", "join_announced", node=self.node_id,
                          group=binding.group_id, transfer=transfer_id)
         base_digest = ""
@@ -241,18 +264,43 @@ class RecoveryMechanisms:
 
     def _arm_retry(self, binding: "ReplicaBinding", transfer_id: str) -> None:
         def retry() -> None:
-            if (binding.status == STATUS_RECOVERING
-                    and binding.pending_transfer == transfer_id
-                    and self.mechanisms.bindings.get(binding.group_id) is binding):
+            if self._still_recovering(binding, transfer_id):
                 self.tracer.emit("recovery", "retry", node=self.node_id,
                                  group=binding.group_id)
-                # Close the superseded attempt's spans before re-announcing.
-                self.spans.end(f"{transfer_id}/announce", outcome="retry")
-                self.spans.end(transfer_id, outcome="retry")
+                self._supersede(binding, "retry")
                 self.announce_join(binding)
         self.mechanisms.process.call_after(
             self.config.recovery_retry_timeout, retry
         )
+
+    def _still_recovering(self, binding: "ReplicaBinding",
+                          transfer_id: Optional[str] = None) -> bool:
+        """Is ``binding`` still this node's current replica of its group,
+        still being recovered — and, given a transfer id, still by that
+        attempt?  Every deferred recovery step asks before acting."""
+        return (not binding.operational
+                and self.mechanisms.bindings.get(binding.group_id) is binding
+                and (transfer_id is None
+                     or binding.pending_transfer == transfer_id))
+
+    def _supersede(self, binding: "ReplicaBinding", outcome: str) -> None:
+        """Close whatever the in-flight attempt still holds open (its spans,
+        an out-of-band session) before another one replaces it."""
+        transfer_id = binding.pending_transfer
+        if transfer_id is not None:
+            self.bulk.abort_session(transfer_id)
+            self.spans.end(f"{transfer_id}/announce", outcome=outcome)
+            self.spans.end(transfer_id, outcome=outcome)
+
+    def _reannounce(self, binding: "ReplicaBinding", outcome: str,
+                    **without: bool) -> None:
+        """The transfer's body could not be used (delta base diverged, bulk
+        fetch failed): restart the protocol one rung further down."""
+        self.tracer.emit("recovery", f"{outcome}_reannounce",
+                         node=self.node_id, group=binding.group_id,
+                         transfer=binding.pending_transfer)
+        self._supersede(binding, outcome)
+        self.announce_join(binding, **without)
 
     def handle_replica_join(self, envelope: ReplicaJoin) -> None:
         """All nodes see the join; operational responders fabricate the
@@ -299,7 +347,7 @@ class RecoveryMechanisms:
     def _maybe_arm_cold_window(self, info: GroupInfo,
                                binding: "ReplicaBinding") -> None:
         if (binding.store is None
-                or binding.status != STATUS_RECOVERING
+                or binding.operational
                 or self._has_responder(info)
                 or binding.group_id in self._cold_windows):
             return
@@ -316,10 +364,8 @@ class RecoveryMechanisms:
         group_id = binding.group_id
         self._cold_windows.discard(group_id)
         info = self.mechanisms.groups.get(group_id)
-        if (info is None
-                or self.mechanisms.bindings.get(group_id) is not binding
-                or binding.status != STATUS_RECOVERING
-                or binding.store is None):
+        if (info is None or binding.store is None
+                or not self._still_recovering(binding)):
             return
         if self._has_responder(info):
             return  # a live responder appeared; the normal ladder proceeds
@@ -376,7 +422,7 @@ class RecoveryMechanisms:
         self.mechanisms.notify_cold_seed(envelope.group_id,
                                          envelope.node_id)
         if (envelope.node_id == self.node_id and binding is not None
-                and binding.status == STATUS_RECOVERING):
+                and not binding.operational):
             self._begin_seed_restore(info, binding, envelope)
         else:
             self.mechanisms.notify_member_operational(envelope.group_id,
@@ -388,96 +434,13 @@ class RecoveryMechanisms:
                             envelope: ColdSeed) -> None:
         """The seed restores itself from its own journal: newest durable
         checkpoint, then local log replay — no network rung at all."""
-        if binding.pending_transfer is not None:
-            # Supersede the (unanswerable) network transfer in flight.
-            self.bulk.abort_session(binding.pending_transfer)
-            self.spans.end(f"{binding.pending_transfer}/announce",
-                           outcome="cold_seed")
-            self.spans.end(binding.pending_transfer, outcome="cold_seed")
+        # The network transfer in flight, if any, can never be answered.
+        self._supersede(binding, "cold_seed")
         binding.pending_transfer = envelope.transfer_id
-        binding.sync_point_seen = True      # enqueue everything from now on
-        binding.active_span = envelope.transfer_id
-        # Opens the auditor's quiesced window: the journal restore applies
-        # set_state (and replays executions) with no network transfer.
-        self.tracer.emit("recovery", "cold_seed_restore", node=self.node_id,
-                         group=binding.group_id,
-                         transfer=envelope.transfer_id)
-        self.spans.start("recovery.coldboot", span_id=envelope.transfer_id,
-                         node=self.node_id, group=binding.group_id,
-                         style=info.style.value,
-                         has_checkpoint=binding.log.checkpoint is not None)
-        self.spans.start("recovery.store.restore",
-                         span_id=f"{envelope.transfer_id}/restore",
-                         parent=envelope.transfer_id, node=self.node_id,
-                         group=binding.group_id,
-                         messages=binding.log.log_length)
-        if info.style.is_passive:
-            binding.infra.role = ROLE_PRIMARY
-        if not binding.container.instantiated:
-            # Cold passive: launch the backup process first (§3.3).
-            servant = self.mechanisms.factory.create_object(
-                info.type_id, info.app_version
-            )
-            self.mechanisms.process.call_after(
-                self.config.cold_start_delay,
-                self._seed_with_servant, binding, servant,
-            )
-            return
-        self._seed_restore(binding)
-
-    def _seed_with_servant(self, binding: "ReplicaBinding",
-                           servant) -> None:
-        binding.container.install_servant(servant)
-        self._seed_restore(binding)
-
-    def _seed_restore(self, binding: "ReplicaBinding") -> None:
-        checkpoint = binding.log.checkpoint
-        if checkpoint is None:
-            # The group died before any durable checkpoint: re-run the
-            # application from its deterministic initial state and replay
-            # the whole journaled log over it.
-            binding.container.start_application()
-            self._seed_replay(binding)
-            return
-        binding.container.submit_set_state(
-            checkpoint.app_state,
-            lambda: self._seed_apply_piggyback(binding, checkpoint),
-        )
-
-    def _seed_apply_piggyback(self, binding: "ReplicaBinding",
-                              checkpoint: CheckpointRecord) -> None:
-        infra = InfraState.decode(checkpoint.infra_state)
-        self._apply_orb_state(binding, checkpoint.orb_state, infra)
-        if self.config.sync_infra_state:
-            binding.infra.adopt(infra, keep_role=True)
-        binding.container.resume_application()
-        self._seed_replay(binding)
-
-    def _seed_replay(self, binding: "ReplicaBinding") -> None:
-        """Replay the journaled messages past the checkpoint, then go
-        operational — the group is alive again, and every other replica
-        recovers from this one over the ordinary network ladder."""
-        replayed = binding.log.messages_since_checkpoint()
-        root_span = binding.active_span
-        replay_span = None
-        if root_span is not None:
-            self.spans.end(f"{root_span}/restore")
-            replay_span = self.spans.start(
-                "recovery.store.replay", span_id=f"{root_span}/replay",
-                parent=root_span, node=self.node_id,
-                group=binding.group_id, messages=len(replayed),
-            )
-        self.tracer.emit("store", "seed_replay", node=self.node_id,
-                         group=binding.group_id, messages=len(replayed))
-        for envelope in replayed:
-            if envelope.kind is OpKind.REQUEST:
-                binding.container.submit_request(envelope.connection,
-                                                 envelope.iiop_bytes)
-            else:
-                self.mechanisms._deliver_reply(binding, envelope)
-        if replay_span is not None:
-            self.spans.end(replay_span)
-        self._become_operational(binding, resume=False)
+        # Once operational the group is alive again, and every other
+        # replica recovers from this one over the ordinary network ladder.
+        self._install_from_log(info, binding, envelope.transfer_id,
+                               _COLD_SEED)
 
     # ------------------------------------------------------------------
     # get_state (§5.1 steps i-iii)
@@ -496,10 +459,10 @@ class RecoveryMechanisms:
                                       binding.delivery_position)
         if (envelope.purpose is TransferPurpose.RECOVERY
                 and envelope.target_node == self.node_id
-                and binding.status == STATUS_RECOVERING):
+                and not binding.operational):
             # Step (i) at the new replica: the logged get_state() marks the
             # synchronization point; normal messages enqueue from here on.
-            binding.sync_point_seen = True
+            binding.set_phase(Phase.SYNCING)
             binding.pending_transfer = envelope.transfer_id
             self.spans.end(f"{envelope.transfer_id}/announce")
             self.tracer.emit("recovery", "sync_point", node=self.node_id,
@@ -532,9 +495,17 @@ class RecoveryMechanisms:
                 lambda transfer_id, app_state, app_digest, e=envelope:
                     self._complete_get(e, app_state, app_digest),
             )
+        else:
+            # No capture will complete here: if this GET was the node's own
+            # checkpoint, it is out of flight.
+            self.forget_pending_checkpoint(envelope.group_id,
+                                           envelope.transfer_id)
 
     def _complete_get(self, envelope: StateGet, app_state: bytes,
                       app_digest: str) -> None:
+        # Captured or abandoned, this node's checkpoint is out of flight.
+        self.forget_pending_checkpoint(envelope.group_id,
+                                       envelope.transfer_id)
         binding = self.mechanisms.bindings.get(envelope.group_id)
         if binding is None or not binding.operational:
             return
@@ -600,8 +571,6 @@ class RecoveryMechanisms:
             app_delta=app_delta,
             app_manifest=app_manifest,
         ))
-        if envelope.purpose is TransferPurpose.CHECKPOINT:
-            self._pending_checkpoints.discard(envelope.transfer_id)
 
     def _encode_app_state(self, binding: "ReplicaBinding",
                           envelope: StateGet,
@@ -657,59 +626,45 @@ class RecoveryMechanisms:
         if info is None:
             return
         binding = self.mechanisms.bindings.get(envelope.group_id)
-        if envelope.app_manifest:
-            self._handle_manifest_set(info, binding, envelope)
-            return
-        full_app = self._reconstruct_app_state(binding, envelope)
-        if envelope.purpose is TransferPurpose.CHECKPOINT:
-            self._handle_checkpoint_set(info, binding, envelope, full_app)
-            return
-        # RECOVERY: the SET's delivery position is the logical point at
-        # which the group regards the target as synchronized.
-        info.mark_operational(envelope.target_node)
-        if envelope.target_node == self.node_id and binding is not None \
-                and binding.status == STATUS_RECOVERING:
-            if full_app is None:
-                # The delta's base no longer matches this node's checkpoint
-                # (e.g. a checkpoint landed between announce and SET):
-                # restart the protocol asking for a full snapshot.
-                self.tracer.emit("recovery", "delta_fallback_reannounce",
-                                 node=self.node_id,
-                                 group=envelope.group_id,
-                                 transfer=envelope.transfer_id)
-                self.spans.end(envelope.transfer_id,
-                               outcome="delta_fallback")
-                self.announce_join(binding, with_base=False)
-                return
-            self._apply_recovery_set(binding, envelope, full_app)
-        else:
-            if binding is not None and full_app is not None:
-                self._align_checkpoint(binding, envelope, full_app)
-            self.mechanisms.notify_member_operational(
-                envelope.group_id, envelope.target_node
-            )
-
-    def _handle_manifest_set(self, info, binding, envelope: StateSet) -> None:
-        """A ``set_state()`` whose body is a page manifest: the sync-point
-        semantics are unchanged (the SET's delivery position is where the
-        group regards the target as synchronized) but the bytes travel
-        out-of-band, so only the target — which fetches and verifies them
-        — applies state or commits a checkpoint."""
-        if envelope.purpose is not TransferPurpose.RECOVERY:
+        is_checkpoint = envelope.purpose is TransferPurpose.CHECKPOINT
+        if envelope.app_manifest and is_checkpoint:
             # The bulk lane never engages for checkpoints; a manifest
             # checkpoint is a protocol error from a newer/foreign sender.
             self.tracer.emit("bulk", "manifest_ignored", node=self.node_id,
                              group=envelope.group_id,
                              transfer=envelope.transfer_id)
             return
+        # A manifest's bytes travel out-of-band, so only the target — which
+        # fetches and verifies them — ever holds the full snapshot.
+        full_app = (None if envelope.app_manifest
+                    else self._reconstruct_app_state(binding, envelope))
+        if is_checkpoint:
+            self._handle_checkpoint_set(info, binding, envelope, full_app)
+            return
+        # RECOVERY: the SET's delivery position is the logical point at
+        # which the group regards the target as synchronized.
         info.mark_operational(envelope.target_node)
         if envelope.target_node == self.node_id and binding is not None \
-                and binding.status == STATUS_RECOVERING:
-            self._begin_bulk_fetch(info, binding, envelope)
-        else:
-            self.mechanisms.notify_member_operational(
-                envelope.group_id, envelope.target_node
-            )
+                and not binding.operational:
+            if envelope.app_manifest:
+                self._begin_bulk_fetch(info, binding, envelope)
+            elif full_app is None:
+                # The delta's base no longer matches this node's checkpoint
+                # (e.g. a checkpoint landed between announce and SET):
+                # restart the protocol asking for a full snapshot.
+                self._reannounce(binding, "delta_fallback", with_base=False)
+            else:
+                self._apply_recovery_set(binding, envelope, full_app)
+            return
+        if binding is not None and full_app is not None:
+            # Every node holding the binding logs the same record, so all
+            # delta bases in the group stay aligned after a recovery — and
+            # the next failover restores from this fresher checkpoint.
+            self._commit_checkpoint(binding, envelope, full_app,
+                                    "checkpoint_aligned")
+        self.mechanisms.notify_member_operational(
+            envelope.group_id, envelope.target_node
+        )
 
     def _begin_bulk_fetch(self, info, binding: "ReplicaBinding",
                           envelope: StateSet) -> None:
@@ -722,18 +677,13 @@ class RecoveryMechanisms:
                              group=envelope.group_id,
                              transfer=envelope.transfer_id,
                              reason=type(exc).__name__)
-            self.spans.end(envelope.transfer_id, outcome="bulk_fallback")
-            self.announce_join(binding, with_bulk=False)
+            self._reannounce(binding, "bulk_fallback", with_bulk=False)
             return
         sponsors = [node for node in info.member_nodes
                     if node != self.node_id
                     and info.responds_to_recovery(node)]
-        self.spans.start(
-            "recovery.bulk", span_id=f"{envelope.transfer_id}/bulk",
-            parent=envelope.transfer_id, node=self.node_id,
-            group=envelope.group_id, pages=manifest.page_count,
-            app_bytes=manifest.total_length, sponsors=len(sponsors),
-        )
+        self._open(binding, "recovery.bulk", pages=manifest.page_count,
+                   app_bytes=manifest.total_length, sponsors=len(sponsors))
         self.bulk.start_session(
             envelope.transfer_id, envelope.group_id, manifest, sponsors,
             lambda blob, b=binding, e=envelope:
@@ -744,21 +694,13 @@ class RecoveryMechanisms:
                          envelope: StateSet, full_app) -> None:
         """The out-of-band session finished (every page verified) or
         failed (sponsors exhausted / digest mismatch)."""
-        if (binding.status != STATUS_RECOVERING
-                or binding.pending_transfer != envelope.transfer_id
-                or self.mechanisms.bindings.get(binding.group_id)
-                is not binding):
+        if not self._still_recovering(binding, envelope.transfer_id):
             return      # superseded by a retry or re-announce
         if full_app is None:
-            self.spans.end(f"{envelope.transfer_id}/bulk", outcome="failed")
-            self.tracer.emit("recovery", "bulk_fallback_reannounce",
-                             node=self.node_id, group=envelope.group_id,
-                             transfer=envelope.transfer_id)
-            self.spans.end(envelope.transfer_id, outcome="bulk_fallback")
-            self.announce_join(binding, with_bulk=False)
+            self._close(binding, "recovery.bulk", outcome="failed")
+            self._reannounce(binding, "bulk_fallback", with_bulk=False)
             return
-        self.spans.end(f"{envelope.transfer_id}/bulk",
-                       app_bytes=len(full_app))
+        self._close(binding, "recovery.bulk", app_bytes=len(full_app))
         self._apply_recovery_set(binding, envelope, full_app)
 
     def _reconstruct_app_state(self, binding, envelope: StateSet):
@@ -794,38 +736,29 @@ class RecoveryMechanisms:
                          full_bytes=len(full_app))
         return full_app
 
-    def _align_checkpoint(self, binding: "ReplicaBinding",
-                          envelope: StateSet, full_app: bytes) -> None:
-        """Commit a recovery transfer's state as this node's checkpoint.
-
-        Every node holding the binding logs the reconstructed snapshot (plus
-        the piggybacked blobs) under the transfer id, so all delta bases in
-        the group stay aligned after a recovery — and the next failover
-        restores from this fresher checkpoint.  The audit digest is emitted
-        under the same ``<transfer>/commit`` key at every committing node;
-        the records are identical by construction."""
+    def _commit_checkpoint(self, binding: "ReplicaBinding",
+                           envelope: StateSet, full_app: bytes,
+                           event: str) -> None:
+        """Commit a transfer's three kinds of state as this node's
+        ``CheckpointRecord``, journal it, and publish its digest — under
+        the same ``<transfer>/commit`` key at every committing node (the
+        records are identical by construction), apart from the responders'
+        app-state-only capture digests."""
         committed = binding.log.commit_checkpoint(
             envelope.transfer_id, full_app,
             envelope.orb_state, envelope.infra_state,
         )
-        self._persist_checkpoint(binding, committed)
-        self.tracer.emit("recovery", "checkpoint_aligned",
-                         node=self.node_id, group=envelope.group_id,
-                         app_bytes=len(full_app))
+        if binding.store is not None:
+            # Let the store reclaim the messages the checkpoint covers.
+            binding.store.commit_checkpoint(committed)
+            binding.store_position = max(binding.store_position,
+                                         committed.position, 0)
+        self.tracer.emit("recovery", event, node=self.node_id,
+                         group=envelope.group_id, app_bytes=len(full_app))
         self.tracer.emit("audit", "state_digest", node=self.node_id,
                          group=envelope.group_id,
                          transfer=f"{envelope.transfer_id}/commit",
                          role="checkpoint", digest=committed.digest)
-
-    def _persist_checkpoint(self, binding: "ReplicaBinding",
-                            record: CheckpointRecord) -> None:
-        """Journal a committed checkpoint (and let the store reclaim the
-        messages it covers)."""
-        if binding.store is None:
-            return
-        binding.store.commit_checkpoint(record)
-        binding.store_position = max(binding.store_position,
-                                     record.position, 0)
 
     def _handle_checkpoint_set(self, info, binding, envelope: StateSet,
                                full_app) -> None:
@@ -836,33 +769,16 @@ class RecoveryMechanisms:
             # group for a fresh full checkpoint so this node regains a base.
             self._request_checkpoint_resync(envelope.group_id)
             return
-        committed = binding.log.commit_checkpoint(
-            envelope.transfer_id, full_app,
-            envelope.orb_state, envelope.infra_state,
-        )
-        self._persist_checkpoint(binding, committed)
+        self._commit_checkpoint(binding, envelope, full_app,
+                                "checkpoint_logged")
         self._resync_requested.discard(envelope.group_id)
-        self.tracer.emit("recovery", "checkpoint_logged", node=self.node_id,
-                         group=envelope.group_id,
-                         app_bytes=len(full_app))
-        # All nodes log the same checkpoint: compare the committed records
-        # (all three state blobs) under their own key, separate from the
-        # responders' app-state-only capture digests.
-        committed = binding.log.checkpoint
-        if committed is not None:
-            self.tracer.emit("audit", "state_digest", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=f"{envelope.transfer_id}/commit",
-                             role="checkpoint", digest=committed.digest)
-        # Warm backups synchronize to every checkpoint (§3).
+        # Warm backups synchronize to every checkpoint (§3): the same
+        # install, with nothing to replay and no phase to change.
         if (info.style is ReplicationStyle.WARM_PASSIVE
                 and info.role_of(self.node_id) == ROLE_BACKUP
-                and binding.status == STATUS_OPERATIONAL
+                and binding.operational
                 and binding.container.instantiated):
-            binding.container.submit_set_state(
-                full_app,
-                lambda b=binding, e=envelope: self._apply_piggyback(b, e),
-            )
+            self._install(binding, None)
 
     def _request_checkpoint_resync(self, group_id: str) -> None:
         """Multicast a full-snapshot checkpoint GET for the whole group
@@ -892,49 +808,142 @@ class RecoveryMechanisms:
                          group=binding.group_id,
                          transfer=envelope.transfer_id, role="target",
                          digest=state_digest(full_app))
-        apply_span = self.spans.start(
-            "recovery.apply", span_id=f"{envelope.transfer_id}/apply",
-            parent=envelope.transfer_id, node=self.node_id,
-            group=binding.group_id, app_bytes=len(full_app),
-        )
+        self._open(binding, _NETWORK.restore_span, app_bytes=len(full_app))
         if not binding.container.instantiated:
             # A new cold-passive backup: its "state" is the logged
             # checkpoint; it will be launched only at failover.
             binding.log.mark_get_position(envelope.transfer_id, 0)
-            self._align_checkpoint(binding, envelope, full_app)
-            self.spans.end(apply_span, checkpoint_only=True)
-            self._become_operational(binding, resume=False)
-            return
-        self._align_checkpoint(binding, envelope, full_app)
-        binding.container.submit_set_state(
-            full_app,
-            lambda: self._finish_recovery(binding, envelope),
-        )
+        # A recovering replica logged nothing, and a journal tail restored
+        # from disk sits at or before the GET: past this commit the log is
+        # empty, so a network recovery is a failover with nothing to replay.
+        self._commit_checkpoint(binding, envelope, full_app,
+                                "checkpoint_aligned")
+        if binding.container.instantiated:
+            self._install(binding, _NETWORK)
+        else:
+            self._close(binding, _NETWORK.restore_span, checkpoint_only=True)
+            self._go_operational(binding)
 
-    def _finish_recovery(self, binding: "ReplicaBinding",
-                         envelope: StateSet) -> None:
+    # ------------------------------------------------------------------
+    # Install: the one path from a CheckpointRecord to an operational replica
+    # ------------------------------------------------------------------
+
+    def _install_from_log(self, info: GroupInfo, binding: "ReplicaBinding",
+                          root_id: str, source: _Source) -> None:
+        """A promoted backup and a cold seed alike install from their own
+        log, with no network transfer: enqueue everything from now on."""
+        binding.set_phase(Phase.SYNCING)
+        binding.active_span = root_id
+        has_checkpoint = binding.log.checkpoint is not None
+        self.spans.start(source.root_span, span_id=root_id,
+                         node=self.node_id, group=binding.group_id,
+                         style=info.style.value,
+                         has_checkpoint=has_checkpoint)
+        self._open(binding, source.restore_span,
+                   has_checkpoint=has_checkpoint,
+                   messages=binding.log.log_length)
+        # Opens the auditor's quiesced window: the restore applies
+        # set_state (and replays executions) outside any network transfer.
+        self.tracer.emit("recovery", source.begin_event, node=self.node_id,
+                         group=binding.group_id, transfer=root_id,
+                         style=info.style.value,
+                         log_length=binding.log.log_length,
+                         has_checkpoint=has_checkpoint)
+        if info.style.is_passive:
+            binding.infra.role = ROLE_PRIMARY
+        self._install(binding, source)
+
+    def _install(self, binding: "ReplicaBinding",
+                 source: Optional[_Source]) -> None:
+        """Install ``binding.log.checkpoint`` (``None`` = the deterministic
+        initial state) into the replica, wherever it came from; then, for
+        every ``source`` but a warm backup's checkpoint sync (``None``),
+        replay the log past it and go operational."""
+        if not binding.container.instantiated:
+            # Cold passive: launch the backup process first (§3.3).
+            info = self.mechanisms.groups[binding.group_id]
+            servant = self.mechanisms.factory.create_object(
+                info.type_id, info.app_version
+            )
+
+            def launched() -> None:
+                binding.container.install_servant(servant)
+                self._install(binding, source)
+            self.mechanisms.process.call_after(self.config.cold_start_delay,
+                                               launched)
+        elif binding.log.checkpoint is None:
+            # The group failed before any checkpoint was logged: the fresh
+            # servant is at the deterministic initial state; re-run the
+            # application from the start and replay the whole log over it.
+            binding.container.start_application()
+            self._replay(binding, source)
+        else:
+            checkpoint = binding.log.checkpoint
+            binding.container.submit_set_state(
+                checkpoint.app_state,
+                lambda: self._assign_piggyback(binding, checkpoint, source),
+            )
+
+    def _assign_piggyback(self, binding: "ReplicaBinding",
+                          checkpoint: CheckpointRecord,
+                          source: Optional[_Source]) -> None:
         # Assignment order per §4.3: application state is already in (the
         # set_state just completed); now ORB/POA-level, then infrastructure.
-        self.spans.end(f"{envelope.transfer_id}/apply")
-        assign_span = self.spans.start(
-            "recovery.assign", span_id=f"{envelope.transfer_id}/assign",
-            parent=envelope.transfer_id, node=self.node_id,
-            group=binding.group_id,
-        )
-        infra = InfraState.decode(envelope.infra_state)
-        self._apply_orb_state(binding, envelope.orb_state, infra)
-        if self.config.sync_infra_state:
-            binding.infra.adopt(infra, keep_role=True)
-        self.spans.end(assign_span)
-        self._become_operational(binding, resume=True)
+        self._note_install(binding, "app")
+        timed = source is not None and source.assign_span is not None
+        if timed:
+            self._close(binding, source.restore_span)
+            self._open(binding, source.assign_span)
+        infra = InfraState.decode(checkpoint.infra_state)
+        self._apply_orb_state(binding, checkpoint.orb_state, infra)
+        self._note_install(binding, "orb")
+        binding.infra.adopt(infra, keep_role=True)
+        self._note_install(binding, "infra")
+        if timed:
+            self._close(binding, source.assign_span)
+        if source is not None:
+            binding.container.resume_application()
+            self._replay(binding, source)
 
-    def _apply_piggyback(self, binding: "ReplicaBinding",
-                         envelope: StateSet) -> None:
-        """Warm backup: absorb the checkpoint's piggybacked state."""
-        infra = InfraState.decode(envelope.infra_state)
-        self._apply_orb_state(binding, envelope.orb_state, infra)
-        if self.config.sync_infra_state:
-            binding.infra.adopt(infra, keep_role=True)
+    def _replay(self, binding: "ReplicaBinding", source: _Source) -> None:
+        """Deliver the logged messages past the checkpoint to the replica
+        before allowing it to become operational (§3.3)."""
+        replayed = binding.log.messages_since_checkpoint()
+        if source.replay_span is not None:
+            self._close(binding, source.restore_span)
+            self._open(binding, source.replay_span, messages=len(replayed))
+            category, event = source.replay_event
+            self.tracer.emit(category, event, node=self.node_id,
+                             group=binding.group_id, messages=len(replayed))
+        for envelope in replayed:
+            if envelope.kind is OpKind.REQUEST:
+                binding.container.submit_request(envelope.connection,
+                                                 envelope.iiop_bytes)
+            else:
+                self.mechanisms._deliver_reply(binding, envelope)
+        self._note_install(binding, "replay", messages=len(replayed))
+        if source.replay_span is not None:
+            self._close(binding, source.replay_span)
+        self._go_operational(binding)
+
+    def _note_install(self, binding: "ReplicaBinding", step: str,
+                      **fields) -> None:
+        """One trace record per completed install step, so the §4.3 order
+        can be read off the trace whatever the state's source."""
+        self.tracer.emit("recovery", "install", node=self.node_id,
+                         group=binding.group_id, step=step, **fields)
+
+    def _open(self, binding: "ReplicaBinding", name: str, **attrs) -> None:
+        """Start a child span of the binding's in-flight recovery; its id
+        is the root's plus the span name's last word."""
+        root = binding.active_span
+        self.spans.start(name, span_id=f"{root}/{name.rsplit('.', 1)[1]}",
+                         parent=root, node=self.node_id,
+                         group=binding.group_id, **attrs)
+
+    def _close(self, binding: "ReplicaBinding", name: str, **attrs) -> None:
+        self.spans.end(f"{binding.active_span}/{name.rsplit('.', 1)[1]}",
+                       **attrs)
 
     def _apply_orb_state(self, binding: "ReplicaBinding", orb_blob: bytes,
                          infra: InfraState) -> None:
@@ -961,26 +970,19 @@ class RecoveryMechanisms:
                                  node=self.node_id, group=binding.group_id,
                                  conn=conn.as_str())
 
-    def _become_operational(self, binding: "ReplicaBinding",
-                            *, resume: bool) -> None:
-        binding.status = STATUS_OPERATIONAL
-        binding.sync_point_seen = False
+    def _go_operational(self, binding: "ReplicaBinding") -> None:
+        binding.set_phase(Phase.OPERATIONAL)
         binding.pending_transfer = None
-        root_span = binding.active_span
+        self._note_install(binding, "operational")
+        self._open(binding, "recovery.drain", drained=len(binding.enqueued))
+        # Step (vi): deliver the enqueued messages, in order.
+        while binding.enqueued:
+            position, envelope = binding.enqueued.popleft()
+            self.mechanisms.route_iiop(binding, envelope, position)
+        self._note_install(binding, "drain")
+        self._close(binding, "recovery.drain")
+        self.spans.end(binding.active_span, outcome="operational")
         binding.active_span = None
-        if resume:
-            binding.container.resume_application()
-        drain_span = None
-        if root_span is not None:
-            drain_span = self.spans.start(
-                "recovery.drain", span_id=f"{root_span}/drain",
-                parent=root_span, node=self.node_id,
-                group=binding.group_id, drained=len(binding.enqueued),
-            )
-        self._drain(binding)
-        if drain_span is not None:
-            self.spans.end(drain_span)
-            self.spans.end(root_span, outcome="operational")
         self.tracer.emit("recovery", "recovered", node=self.node_id,
                          group=binding.group_id)
         info = self.mechanisms.groups.get(binding.group_id)
@@ -989,12 +991,6 @@ class RecoveryMechanisms:
             self.mechanisms._sync_checkpoint_timer(info)
         self.mechanisms.notify_member_operational(binding.group_id,
                                                   self.node_id)
-
-    def _drain(self, binding: "ReplicaBinding") -> None:
-        """Step (vi): deliver the enqueued messages, in order."""
-        while binding.enqueued:
-            position, envelope = binding.enqueued.pop(0)
-            self.mechanisms.route_iiop(binding, envelope, position)
 
     # ------------------------------------------------------------------
     # Periodic checkpointing (§3.3)
@@ -1025,12 +1021,10 @@ class RecoveryMechanisms:
             return
         if self.checkpoint_initiator(info) != self.node_id:
             return
-        pending = [t for t in self._pending_checkpoints
-                   if t.startswith(f"ckpt:{group_id}:")]
-        if pending:
+        if group_id in self._pending_checkpoints:
             return
         transfer_id = self._new_transfer_id("ckpt", group_id)
-        self._pending_checkpoints.add(transfer_id)
+        self._pending_checkpoints[group_id] = transfer_id
         # Name the previous checkpoint as the delta base: every node holding
         # the binding committed an identical record, so the responder can
         # ship only the pages that changed since the last checkpoint.
@@ -1047,6 +1041,13 @@ class RecoveryMechanisms:
             base_digest=base_digest,
         ))
 
+    def forget_pending_checkpoint(self, group_id: str,
+                                  transfer_id: Optional[str] = None) -> None:
+        """This node's in-flight checkpoint of the group (``transfer_id``, or
+        whichever it is) was captured, or can no longer be captured here."""
+        if transfer_id in (None, self._pending_checkpoints.get(group_id)):
+            self._pending_checkpoints.pop(group_id, None)
+
     # ------------------------------------------------------------------
     # Failover (§3.2, §3.3)
     # ------------------------------------------------------------------
@@ -1058,86 +1059,6 @@ class RecoveryMechanisms:
         binding = self.mechanisms.bindings.get(group_id)
         if info is None or binding is None:
             return
-        binding.infra.role = ROLE_PRIMARY
-        binding.status = STATUS_RECOVERING
-        binding.sync_point_seen = True      # enqueue everything from now on
-        failover_id = self._new_transfer_id("fo", group_id)
-        binding.active_span = failover_id
-        self.spans.start("failover.total", span_id=failover_id,
-                         node=self.node_id, group=group_id,
-                         style=info.style.value)
-        self.spans.start("failover.restore",
-                         span_id=f"{failover_id}/restore",
-                         parent=failover_id, node=self.node_id,
-                         group=group_id,
-                         has_checkpoint=binding.log.checkpoint is not None)
-        self.tracer.emit("recovery", "failover_begin", node=self.node_id,
-                         group=group_id,
-                         style=info.style.value,
-                         log_length=binding.log.log_length,
-                         has_checkpoint=binding.log.checkpoint is not None)
-        if not binding.container.instantiated:
-            # Cold passive: launch the backup process first (§3.3).
-            servant = self.mechanisms.factory.create_object(
-                info.type_id, info.app_version
-            )
-            self.mechanisms.process.call_after(
-                self.config.cold_start_delay,
-                self._failover_with_servant, binding, servant,
-            )
-            return
-        self._failover_restore(binding)
-
-    def _failover_with_servant(self, binding: "ReplicaBinding",
-                               servant) -> None:
-        binding.container.install_servant(servant)
-        self._failover_restore(binding)
-
-    def _failover_restore(self, binding: "ReplicaBinding") -> None:
-        checkpoint = binding.log.checkpoint
-        if checkpoint is None:
-            # The primary failed before the first checkpoint: the fresh
-            # servant is at the deterministic initial state; re-run the
-            # application from the start and replay the whole log.
-            binding.container.start_application()
-            self._failover_replay(binding)
-            return
-        binding.container.submit_set_state(
-            checkpoint.app_state,
-            lambda: self._failover_apply_piggyback(binding, checkpoint),
-        )
-
-    def _failover_apply_piggyback(self, binding: "ReplicaBinding",
-                                  checkpoint: CheckpointRecord) -> None:
-        infra = InfraState.decode(checkpoint.infra_state)
-        self._apply_orb_state(binding, checkpoint.orb_state, infra)
-        if self.config.sync_infra_state:
-            binding.infra.adopt(infra, keep_role=True)
-        binding.infra.role = ROLE_PRIMARY
-        binding.container.resume_application()
-        self._failover_replay(binding)
-
-    def _failover_replay(self, binding: "ReplicaBinding") -> None:
-        """Deliver the logged messages (since the checkpoint) to the new
-        primary before allowing it to become operational (§3.3)."""
-        replayed = binding.log.messages_since_checkpoint()
-        root_span = binding.active_span
-        replay_span = None
-        if root_span is not None:
-            self.spans.end(f"{root_span}/restore")
-            replay_span = self.spans.start(
-                "failover.replay", span_id=f"{root_span}/replay",
-                parent=root_span, node=self.node_id,
-                group=binding.group_id, messages=len(replayed),
-            )
-        self.tracer.emit("recovery", "failover_replay", node=self.node_id,
-                         group=binding.group_id, messages=len(replayed))
-        for envelope in replayed:
-            if envelope.kind is OpKind.REQUEST:
-                binding.container.submit_request(envelope.connection,
-                                                 envelope.iiop_bytes)
-            else:
-                self.mechanisms._deliver_reply(binding, envelope)
-        if replay_span is not None:
-            self.spans.end(replay_span)
-        self._become_operational(binding, resume=False)
+        self._install_from_log(info, binding,
+                               self._new_transfer_id("fo", group_id),
+                               _FAILOVER)

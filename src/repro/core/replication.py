@@ -17,8 +17,10 @@ replica containers above.  They
 
 from __future__ import annotations
 
+import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import EternalConfig
 from repro.core.container import ReplicaContainer
@@ -55,9 +57,30 @@ from repro.runtime.trace import NULL_TRACER, Tracer
 from repro.store.base import DurableStore, GroupStore
 from repro.totem.member import TotemMember, View
 
-# Replica status values
-STATUS_OPERATIONAL = "operational"
-STATUS_RECOVERING = "recovering"
+
+class Phase(enum.Enum):
+    """Where a local replica stands in the §5.1 protocol — which is to say,
+    what happens to a normal message delivered to it."""
+
+    JOINING = "joining"          # dropped: the state to come covers it
+    SYNCING = "syncing"          # enqueued: ordered after the sync point
+    OPERATIONAL = "operational"  # routed to the replica
+
+
+# Bound once for the per-delivery checks (_handle_iiop, ``operational``):
+# looking a member up on the enum class costs several times the comparison.
+_OPERATIONAL = Phase.OPERATIONAL
+
+# Every allowed phase change and who makes it.  PROTOCOL.md §3.2 renders
+# this table; tests/unit/core/test_phase_table.py keeps the two identical.
+PHASE_TRANSITIONS = frozenset({
+    (Phase.JOINING, Phase.OPERATIONAL),   # group create: a founding member
+    (Phase.JOINING, Phase.SYNCING),       # the recovery GET (sync point),
+                                          # a cold-seed claim, a promotion
+    (Phase.SYNCING, Phase.JOINING),       # re-announce: old sync point void
+    (Phase.SYNCING, Phase.OPERATIONAL),   # state installed, tail replayed
+    (Phase.OPERATIONAL, Phase.SYNCING),   # failover of a promoted backup
+})
 
 
 @dataclass
@@ -70,10 +93,9 @@ class ReplicaBinding:
     infra: InfraState
     orb_state: OrbStateTracker
     log: MessageLog
-    status: str = STATUS_RECOVERING
+    phase: Phase = Phase.JOINING
     delivery_position: int = 0
-    enqueued: List[Tuple[int, IiopEnvelope]] = field(default_factory=list)
-    sync_point_seen: bool = False      # the recovery get_state() passed by
+    enqueued: Deque[Tuple[int, IiopEnvelope]] = field(default_factory=deque)
     pending_transfer: Optional[str] = None
     active_span: Optional[str] = None  # root span of the in-flight recovery
     store: Optional[GroupStore] = None  # durable journal (repro.store)
@@ -81,7 +103,18 @@ class ReplicaBinding:
 
     @property
     def operational(self) -> bool:
-        return self.status == STATUS_OPERATIONAL
+        return self.phase is _OPERATIONAL
+
+    def set_phase(self, phase: Phase) -> None:
+        """The only writer of ``phase``; re-entering the current phase is
+        not a change."""
+        if phase is self.phase:
+            return
+        if (self.phase, phase) not in PHASE_TRANSITIONS:
+            raise ReplicationError(
+                f"replica of {self.group_id}: illegal phase change "
+                f"{self.phase.value} -> {phase.value}")
+        self.phase = phase
 
 
 class ReplicationMechanisms:
@@ -227,12 +260,12 @@ class ReplicationMechanisms:
                 self.gateway.on_unplaced_iiop(envelope, self)
             return
         binding.delivery_position += 1
-        if binding.status == STATUS_RECOVERING:
+        if binding.phase is not _OPERATIONAL:
             # §5.1: before the sync point the new replica's state transfer
             # will already include these messages' effects — drop them; from
             # the get_state() marker onwards, enqueue for delivery after
             # set_state() completes.
-            if binding.sync_point_seen:
+            if binding.phase is Phase.SYNCING:
                 # The delivery position rides along so the post-recovery
                 # drain journals each message at its true position.
                 binding.enqueued.append((binding.delivery_position,
@@ -371,7 +404,7 @@ class ReplicationMechanisms:
                     self.store.reset_group(envelope.group_id)
                 binding = self._create_binding(info, local_role,
                                                envelope.app_version)
-                binding.status = STATUS_OPERATIONAL
+                binding.set_phase(Phase.OPERATIONAL)
                 if info.executes(self.node_id):
                     self.process.call_after(
                         0.0, binding.container.start_application
@@ -382,7 +415,6 @@ class ReplicationMechanisms:
                     info, info.role_of(self.node_id) or ROLE_BACKUP,
                     envelope.app_version,
                 )
-                binding.status = STATUS_RECOVERING
                 # Disk rung of the recovery ladder: adopt the durable
                 # checkpoint + message tail before asking the network.
                 self.recovery.prepare_from_store(binding)
@@ -504,6 +536,7 @@ class ReplicationMechanisms:
 
     def _destroy_binding(self, group_id: str) -> None:
         binding = self.bindings.pop(group_id, None)
+        self.recovery.forget_pending_checkpoint(group_id)
         if binding is not None:
             self.tracer.emit("replication", "binding_destroyed",
                              node=self.node_id, group=group_id)

@@ -10,7 +10,7 @@ from repro import EternalSystem, FTProperties, ReplicationStyle
 from repro.apps.kvstore import KvStoreServant, make_kvstore_factory
 from repro.core.config import EternalConfig
 from repro.core.envelope import ReplicaJoin
-from repro.core.recovery import STATUS_RECOVERING
+from repro.core.replication import Phase
 
 KVSTORE = "IDL:repro/KvStore:1.0"
 PAYLOAD = 40_000        # ~40 pages of bulk state
@@ -92,7 +92,7 @@ def test_recovery_transfer_uses_delta_against_checkpoint():
     binding = mechanisms.bindings["g"]
     # Put the backup (which holds the aligned checkpoint) back through the
     # §5.1 protocol: the announcement names its checkpoint as delta base.
-    binding.status = STATUS_RECOVERING
+    binding.phase = Phase.JOINING
     mechanisms.recovery.announce_join(binding)
     assert system.wait_for(lambda: binding.operational, timeout=5.0)
     assert system.tracer.count("delta.delta_sent") >= 1

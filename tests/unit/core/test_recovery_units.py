@@ -108,3 +108,44 @@ def test_transfer_ids_are_unique_per_announcement():
         recovery.announce_join(binding)
         ids.add(binding.pending_transfer)
     assert len(ids) == 5
+
+
+def test_pending_checkpoint_of_one_group_does_not_block_a_prefix_named_one():
+    """The in-flight guard is per group: ``a:b``'s pending checkpoint used
+    to match ``a``'s id prefix and silently block it."""
+    system = make_system(style=ReplicationStyle.WARM_PASSIVE)
+    for group_id in ("a", "a:b"):
+        system.create_group(
+            group_id, COUNTER,
+            FTProperties(replication_style=ReplicationStyle.WARM_PASSIVE,
+                         initial_replicas=2, min_replicas=1,
+                         checkpoint_interval=60.0),
+            nodes=["n1", "n2"],
+        )
+    system.run_for(0.05)
+    groups = system.mechanisms("m").groups
+    primary = groups["a"].primary_node
+    assert groups["a:b"].primary_node == primary
+    recovery = system.mechanisms(primary).recovery
+    recovery.initiate_checkpoint("a:b")
+    assert system.tracer.count("recovery.checkpoint_initiated") == 1
+    recovery.initiate_checkpoint("a")
+    assert system.tracer.count("recovery.checkpoint_initiated") == 2
+
+
+def test_checkpoint_guard_released_when_binding_is_gone_at_capture():
+    """If the binding is destroyed while the capture is queued, the node
+    must still be able to initiate the group's next checkpoint."""
+    system = make_system(style=ReplicationStyle.WARM_PASSIVE)
+    info = system.mechanisms("m").groups["g"]
+    mechanisms = system.mechanisms(info.primary_node)
+    recovery = mechanisms.recovery
+    binding = mechanisms.bindings["g"]
+    recovery.initiate_checkpoint("g")
+    # The GET has been delivered (filter snapshot taken), capture queued.
+    assert system.wait_for(lambda: recovery._filter_snapshots, timeout=1.0)
+    mechanisms._destroy_binding("g")
+    system.run_for(0.1)             # capture completes against no binding
+    mechanisms.bindings["g"] = binding
+    recovery.initiate_checkpoint("g")
+    assert system.tracer.count("recovery.checkpoint_initiated") == 2

@@ -11,7 +11,7 @@ from repro import EternalSystem, FTProperties, ReplicationStyle
 from repro.apps.counter import CounterServant
 from repro.core.envelope import GroupUpdate, IiopEnvelope
 from repro.core.identifiers import ConnectionKey, OpKind
-from repro.core.replication import STATUS_OPERATIONAL, STATUS_RECOVERING
+from repro.core.replication import Phase
 
 COUNTER = "IDL:repro/Counter:1.0"
 
@@ -30,7 +30,7 @@ def test_group_update_create_builds_operational_bindings():
     system.run_for(0.05)
     for node in ("n1", "n2"):
         binding = system.mechanisms(node).bindings["g"]
-        assert binding.status == STATUS_OPERATIONAL
+        assert binding.phase is Phase.OPERATIONAL
     # non-members track the view but host nothing
     assert "g" not in system.mechanisms("m").bindings
     assert "g" in system.mechanisms("m").groups
@@ -104,17 +104,16 @@ def test_recovering_binding_drops_pre_sync_and_queues_post_sync():
     system.run_for(0.05)
     mechanisms = system.mechanisms("n1")
     binding = mechanisms.bindings["g"]
-    binding.status = STATUS_RECOVERING
-    binding.sync_point_seen = False
+    binding.phase = Phase.JOINING
     envelope = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 0,
                             "other", b"bytes")
     mechanisms._handle_iiop(envelope)
-    assert binding.enqueued == []            # pre-sync-point: dropped
-    binding.sync_point_seen = True
+    assert not binding.enqueued              # pre-sync-point: dropped
+    binding.phase = Phase.SYNCING
     envelope2 = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 1,
                              "other", b"bytes")
     mechanisms._handle_iiop(envelope2)
-    assert binding.enqueued == [(2, envelope2)]  # post-sync-point: enqueued
+    assert list(binding.enqueued) == [(2, envelope2)]  # post-sync-point
 
 
 def test_backup_logs_but_does_not_execute():
