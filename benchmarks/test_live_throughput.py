@@ -6,9 +6,9 @@ arm probing the batched transport (see :mod:`repro.bench.livebench`).
 
 Gates:
 
-* the read-lease arm at least doubles the total-order arm's closed-loop
-  ops/s (the leaseholder answers ``get`` point-to-point instead of
-  waiting out a token rotation),
+* the read-lease arm reaches at least 1.5x the total-order arm's
+  closed-loop ops/s (the leaseholder answers ``get`` point-to-point
+  instead of waiting out a token rotation),
 * the saturation arm's drain loop averages > 1.5 datagrams per socket
   wakeup (recvmmsg / drain-to-EAGAIN batching actually batches),
 * every arm finishes with a clean consistency audit (enforced inside
@@ -23,7 +23,12 @@ from repro.bench.reporting import print_table
 
 pytestmark = pytest.mark.live
 
-MIN_SPEEDUP = 2.0
+# Both arms are CPU-bound since the token stopped sleeping on an active
+# ring: ~760 ordered vs ~1540 leased acks/s here, about 2.0x run after
+# run (1.96-2.26x over eight).  The old 2.0 gate sat on a 2.6x that was a
+# ratio over a sleeping denominator (166 vs 433 acks/s when recorded;
+# 202 vs 442 on this host just before the change).
+MIN_SPEEDUP = 1.5
 MIN_DATAGRAMS_PER_WAKEUP = 1.5
 
 

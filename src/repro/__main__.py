@@ -1266,9 +1266,11 @@ def main(argv=None) -> int:
     live_tp.add_argument("--uvloop", action="store_true",
                          help="drive all arms with uvloop's event loop "
                               "(requires the optional extra)")
-    live_tp.add_argument("--min-speedup", type=float, default=2.0,
+    # ~760 ordered vs ~1540 leased acks/s, about 2.0x with neither arm
+    # asleep (see MIN_SPEEDUP in benchmarks/test_live_throughput.py).
+    live_tp.add_argument("--min-speedup", type=float, default=1.5,
                          help="required read-lease over total-order "
-                              "throughput ratio (default 2; exit 1 "
+                              "throughput ratio (default 1.5; exit 1 "
                               "under)")
     shard = sub.add_parser(
         "shard-scale",

@@ -46,12 +46,20 @@ def new_event_loop(use_uvloop: bool = False) -> asyncio.AbstractEventLoop:
     return uvloop.new_event_loop()
 
 
+#: Delays shorter than this run on the next loop pass instead of as a
+#: timer: the stock selector loop rounds every timeout *up* to its 1 ms
+#: granularity, so a modelled 10–100 µs CPU cost would sleep a whole
+#: millisecond.  Half the granularity is round-to-nearest — what uvloop's
+#: ``call_later`` already does, so both loops run the same program.
+SUB_GRANULARITY = 0.0005
+
+
 class LiveTimerHandle(TimerHandle):
-    """Wraps an :class:`asyncio.TimerHandle`."""
+    """Wraps an :class:`asyncio.Handle` (timer or next-pass callback)."""
 
     __slots__ = ("_handle",)
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
+    def __init__(self, handle: asyncio.Handle) -> None:
         self._handle = handle
 
     def cancel(self) -> None:
@@ -64,7 +72,9 @@ class LiveScheduler(Scheduler):
     Unlike the simulator — where scheduling in the past is a programming
     error and raises — a live substrate can observe "late" times simply
     because wall time moved while code ran; past deadlines are clamped to
-    "as soon as possible".
+    "as soon as possible".  ``call_after`` resolves to the nearest
+    millisecond (see :data:`SUB_GRANULARITY` and the contract on
+    :meth:`repro.runtime.Scheduler.call_after`).
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
@@ -87,5 +97,6 @@ class LiveScheduler(Scheduler):
 
     def call_after(self, delay: float, fn: Callable[..., Any],
                    *args: Any) -> TimerHandle:
-        return LiveTimerHandle(
-            self._loop.call_later(max(0.0, delay), fn, *args))
+        if delay < SUB_GRANULARITY:
+            return LiveTimerHandle(self._loop.call_soon(fn, *args))
+        return LiveTimerHandle(self._loop.call_later(delay, fn, *args))

@@ -33,11 +33,14 @@ from repro.runtime.interfaces import Host
 from repro.totem.config import TotemConfig
 
 #: Totem tuned for wall-clock time on a shared loopback host.  The
-#: simulator's defaults assume ideal 100 Mbps latencies (20 µs token
-#: hold, 20 ms token loss timeout); under asyncio scheduling jitter and
-#: CI-grade machines those would misdiagnose slow timers as token loss
-#: and churn the ring.  These values keep the same ordering
-#: (hold ≪ timeout, join < gather) with two orders of magnitude of slack.
+#: simulator's defaults assume ideal 100 Mbps latencies (20 ms token
+#: loss timeout); under asyncio scheduling jitter and CI-grade machines
+#: those would misdiagnose slow timers as token loss and churn the ring.
+#: These values keep the same ordering (hold ≪ timeout, join < gather)
+#: with two orders of magnitude of slack.  ``token_hold`` is the
+#: quiet-ring hold — what keeps an idle ring from spinning the one event
+#: loop (~790 visits/s) — and the batching window of a member with a
+#: backlog; a ring carrying traffic does not wait for it.
 LIVE_TOTEM_CONFIG = TotemConfig(
     token_hold=0.001,
     token_timeout=0.25,

@@ -55,7 +55,16 @@ class Scheduler(Clock):
     @abc.abstractmethod
     def call_after(self, delay: float, fn: Callable[..., Any],
                    *args: Any) -> TimerHandle:
-        """Schedule ``fn(*args)`` after ``delay`` seconds."""
+        """Schedule ``fn(*args)`` after ``delay`` seconds; never runs
+        synchronously, and equal deadlines run in submission order.
+
+        Resolution is the substrate's.  The simulator is exact.  The live
+        scheduler resolves to the nearest millisecond, the granularity of
+        the selector it sleeps in: a delay under half of it (the modelled
+        CPU costs carried over from the simulator — 10–100 µs) or a
+        negative one runs on the next loop pass, still cancellable, in
+        submission order; any longer delay is a real timer and never
+        fires early."""
 
     def cancel(self, handle: "TimerHandle | None") -> None:
         """Cancel a previously scheduled callback (``None`` is a no-op)."""

@@ -17,7 +17,12 @@ class TotemConfig:
     """
 
     token_hold: float = 20e-6
-    """Local processing delay before forwarding the token."""
+    """How long a member keeps the token on a quiet ring (a full rotation
+    carried and requested nothing) and while it is draining a backlog of
+    its own, where the hold is the batching window.  An active ring
+    forwards after the modelled processing time instead
+    (``member.TOKEN_PROCESSING_TIME``, equal to this default — so only a
+    larger value, like the live runtime's 1 ms, makes the two differ)."""
 
     token_timeout: float = 0.02
     """Silence on the token this long ⇒ suspect failure, start gather."""

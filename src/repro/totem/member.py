@@ -36,9 +36,10 @@ re-queued at the front of the send queue and rebroadcast in the new ring.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, replace
 from zlib import crc32
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NotInRing, TotemError
 from repro.obs.spans import SpanEmitter
@@ -53,6 +54,11 @@ from repro.totem.messages import (DATA_HEADER, PACKED_SUBHEADER, DataMsg,
 DeliverFn = Callable[[str, bytes], None]
 ViewFn = Callable[["View"], None]
 
+#: Modelled CPU time to process a token visit: what a member waits before
+#: forwarding while the ring is carrying traffic (see _on_token_frame,
+#: step 6).  Equal to the simulator's default ``TotemConfig.token_hold``,
+#: so simulated runs never see the difference.
+TOKEN_PROCESSING_TIME = 20e-6
 
 
 class MemberState(enum.Enum):
@@ -102,6 +108,7 @@ class TotemMember:
         self.fresh = True
         self.delivered_aru = 0          # highest contiguously delivered seq
         self._held: Dict[int, DataMsg] = {}
+        self._held_low = 1              # no sequence below this is held
         # Rolling hash over the delivered frame sequence: members of one
         # ring configuration must agree at every publication point (the
         # total-order guarantee, verified online by the auditor).  Keyed
@@ -115,7 +122,7 @@ class TotemMember:
         max_chunk = endpoint.mtu_payload - DATA_HEADER
         self._fragmenter = Fragmenter(self.node_id, max_chunk)
         self._reassembler = Reassembler(observer=self._on_reassembly)
-        self._send_queue: List[tuple] = []
+        self._send_queue: Deque[tuple] = deque()
         self._inflight: Dict[Tuple[Tuple[str, int], int], tuple] = {}
 
         # Membership bookkeeping
@@ -132,6 +139,7 @@ class TotemMember:
         self._sent_token: Optional[Tuple[Token, str]] = None
         self._token_retx: Optional[TimerHandle] = None
         self._last_token_rot = -1
+        self._prev_token_seq = 0        # token.seq as received last visit
         self._gather_deadline: Optional[TimerHandle] = None
         self._join_timer: Optional[TimerHandle] = None
         self._token_timer: Optional[TimerHandle] = None
@@ -215,10 +223,18 @@ class TotemMember:
                 return
         elif msg.ring_id != self.ring_id:
             return  # stale traffic from a superseded ring
-        self._held[msg.seq] = msg
+        self._retain(msg)
         self._try_deliver()
         if self.state is MemberState.RECOVERY:
             self._maybe_install()
+
+    def _retain(self, msg) -> None:
+        """Hold ``msg`` until it is safe, keeping ``_held_low`` a lower
+        bound on the held sequence numbers (step 5 of a token visit
+        collects forward from it)."""
+        if not self._held or msg.seq < self._held_low:
+            self._held_low = msg.seq
+        self._held[msg.seq] = msg
 
     @staticmethod
     def _payload_entries(
@@ -290,6 +306,11 @@ class TotemMember:
         self._reset_token_timer()
         self.tracer.emit("totem", "token", node=self.node_id, seq=token.seq,
                          aru=token.aru, src=src)
+        # What the ring did since our previous visit decides how long we
+        # keep the token (step 6) and how far we trust our gaps (step 3).
+        prev_seq, self._prev_token_seq = self._prev_token_seq, token.seq
+        busy = (token.seq != prev_seq or token.aru < token.seq
+                or bool(token.rtr))
 
         # 1. Service retransmission requests we can satisfy.
         unresolved: List[int] = []
@@ -308,19 +329,26 @@ class TotemMember:
         # sender retains its own frame directly (real-Totem semantics): a
         # lost loopback copy must not stall delivery or leave nobody able
         # to service a retransmission request for the sequence number.
+        queued = len(self._send_queue)
         sent_frames = 0
         while sent_frames < self.config.max_burst and self._send_queue:
             token.seq += 1
             msg = self._next_frame(token.seq)
-            self._held[token.seq] = msg
+            self._retain(msg)
             self._broadcast_frame(msg)
             sent_frames += 1
+        popped = queued - len(self._send_queue)
         if sent_frames:
             self._try_deliver()
 
-        # 3. Request retransmission of our genuine gaps.
+        # 3. Request retransmission of our genuine gaps — those at or below
+        # the sequence the token carried on our previous visit.  Anything
+        # newer gets one rotation of grace: a token can overtake the data
+        # it sequences (on the live segment data takes the dispatcher hop,
+        # the token goes direct), and asking at once would have every
+        # frame rebroadcast.
         budget = 64
-        for seq in range(self.delivered_aru + 1, token.seq + 1):
+        for seq in range(self.delivered_aru + 1, prev_seq + 1):
             if budget == 0:
                 break
             if seq not in self._held and seq not in token.rtr:
@@ -340,9 +368,11 @@ class TotemMember:
 
         # 5. Garbage-collect messages that are safe at all members.
         threshold = token.aru - self.config.retain_safe_slack
-        if threshold > 0:
-            for seq in [s for s in self._held if s <= threshold]:
-                del self._held[seq]
+        low = self._held_low
+        while low <= threshold:
+            self._held.pop(low, None)
+            low += 1
+        self._held_low = low
 
         if self.members and self.node_id == self.members[0]:
             # One span per full token rotation, bracketed by consecutive
@@ -362,13 +392,16 @@ class TotemMember:
                 probe = ProbeMsg(self.ring_id, self.node_id, self.members)
                 self.endpoint.broadcast(probe, probe.size_bytes)
 
-        # 6. Forward to the ring successor after the hold time.
-        successor = self._successor()
-        forwarded = Token(token.ring_id, token.seq, token.aru, token.aru_id,
-                          list(token.rtr), token.rotations, token.ring_key)
+        # 6. Forward to the ring successor.  While the ring carries or
+        # requests traffic the token moves on after the modelled processing
+        # time; ``token_hold`` paces a ring whose last rotation was quiet,
+        # and a member draining a backlog (several payloads popped, or more
+        # still queued), for whom the hold is the batching window.
+        hold = self.config.token_hold
+        if (busy or sent_frames) and popped <= 1 and not self._send_queue:
+            hold = min(hold, TOKEN_PROCESSING_TIME)
         self.endpoint.process.call_after(
-            self.config.token_hold,
-            self._forward_token, forwarded, successor,
+            hold, self._forward_token, token, self._successor(),
         )
 
     def _forward_token(self, token: Token, successor: str) -> None:
@@ -447,7 +480,7 @@ class TotemMember:
         full-MTU fragment (or a lone fragment) travels as a classic
         :class:`DataMsg` — the sub-header would only add overhead.
         """
-        first = self._send_queue.pop(0)
+        first = self._send_queue.popleft()
         self._inflight[(first[0], first[1])] = first
         entries = [first]
         if self.config.frame_packing:
@@ -457,7 +490,7 @@ class TotemMember:
                 added = PACKED_SUBHEADER + len(nxt[3])
                 if size + added > self.endpoint.mtu_payload:
                     break
-                self._send_queue.pop(0)
+                self._send_queue.popleft()
                 self._inflight[(nxt[0], nxt[1])] = nxt
                 entries.append(nxt)
                 size += added
@@ -761,6 +794,7 @@ class TotemMember:
             self.delivered_aru = max(self.delivered_aru, form.base_seq)
             self._held = {s: m for s, m in self._held.items()
                           if s > self.delivered_aru}
+            self._held_low = self.delivered_aru + 1
         if self.delivered_aru < form.flush_seq:
             return
         # Flushed.  Installation additionally requires the commit rotation:
@@ -885,6 +919,7 @@ class TotemMember:
         self._ring_kicked = False
         self._sent_token = None
         self._last_token_rot = -1
+        self._prev_token_seq = self.delivered_aru
         if self._recovery_deadline is not None:
             self._recovery_deadline.cancel()
         self.ring_id = form.ring_id
@@ -910,9 +945,10 @@ class TotemMember:
         # Re-queue our orphaned fragments: broadcast but never sequenced
         # into the surviving history, so no member delivered them.
         if self._inflight:
-            orphans = [self._inflight[k] for k in sorted(self._inflight)]
+            self._send_queue.extendleft(
+                self._inflight[k] for k in sorted(self._inflight,
+                                                  reverse=True))
             self._inflight.clear()
-            self._send_queue = orphans + self._send_queue
         # Partial reassemblies from members that left the ring can never
         # complete; evict them instead of leaking them forever.
         evicted = self._reassembler.evict_absent_origins(form.members)

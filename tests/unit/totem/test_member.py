@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NotInRing, TotemError
+from repro.runtime.trace import Tracer
 from repro.simnet.endpoint import Endpoint
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import Network
@@ -10,6 +11,7 @@ from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
 from repro.totem.config import TotemConfig
 from repro.totem.member import MemberState, TotemMember
+from repro.totem.messages import DataMsg, Token
 
 
 class Ring:
@@ -258,3 +260,150 @@ def test_no_spurious_retransmissions_in_steady_state():
         ring.members["A"].multicast(bytes([i]))
     ring.run(0.5)
     assert tracer.count("totem.retransmit") == 0
+
+
+def test_rejoined_member_collects_safe_messages_from_its_join_point():
+    """Collection pops forward from a lower bound on the held sequence
+    numbers; a fresh member's bound starts where it joined, not at 1."""
+    config = TotemConfig(retain_safe_slack=8, frame_packing=False)
+    ring = Ring(config=config)
+    ring.run(0.1)
+    for i in range(100):
+        ring.members["A"].multicast(bytes([i]))
+    ring.run(0.3)
+    ring.faults.crash("C")
+    ring.run(0.2)
+    rejoined = ring.respawn("C")
+    ring.delivered["C"].clear()
+    ring.run(0.3)
+    assert rejoined._held_low > 100
+    for i in range(100):
+        ring.members["B"].multicast(bytes([i]))
+    ring.run(0.5)
+    assert len(ring.delivered["C"]) == 100
+    for member in ring.members.values():
+        assert len(member._held) <= 8 + config.max_burst + 4
+        assert min(member._held) >= member._held_low
+
+
+# ----------------------------------------------------------------------
+# Token pacing: how long a visit keeps the token, and the retransmission
+# grace that fast forwarding needs (PROTOCOL.md, "Token pacing")
+# ----------------------------------------------------------------------
+
+PACED = TotemConfig(token_hold=1e-3, token_timeout=0.25)
+
+
+def _paced_ring():
+    """A formed, quiet three-member ring with the live runtime's 1 ms hold,
+    every member tracing into one record-keeping tracer."""
+    ring = Ring(config=PACED)
+    tracer = Tracer()
+    tracer.bind_clock(lambda: ring.scheduler.now)
+    for member in ring.members.values():
+        member.tracer = tracer
+    ring.run(0.2)
+    assert ring.all_operational()
+    return ring, tracer
+
+
+def _idle_hop(ring):
+    """Seconds between consecutive token visits on a quiet ring."""
+    net = ring.network.config
+    return (ring.config.token_hold + net.frame_time(Token(0, 0, 0).size_bytes)
+            + net.propagation_delay + net.per_frame_cpu)
+
+
+def _times(tracer, event, since=0.0, **fields):
+    return [r.time for r in tracer.find("totem", event)
+            if r.time >= since
+            and all(r.fields[k] == v for k, v in fields.items())]
+
+
+def test_quiet_ring_keeps_the_configured_hold():
+    ring, tracer = _paced_ring()
+    before = tracer.count("totem.token")
+    ring.run(1.0)
+    visits = tracer.count("totem.token") - before
+    assert abs(visits - 1.0 / _idle_hop(ring)) <= 1
+
+
+def test_traffic_speeds_the_token_and_quiet_slows_it_again():
+    ring, tracer = _paced_ring()
+    hop = _idle_hop(ring)
+    queued_at = ring.scheduler.now
+    ring.members["B"].multicast(b"x")
+    ring.run(0.05)
+    sent_at, = _times(tracer, "frame", since=queued_at)
+    delivered = _times(tracer, "deliver", since=queued_at)
+    assert len(delivered) == 3
+    assert max(delivered) - sent_at < 3 * hop
+    visits = _times(tracer, "token", since=sent_at)
+    gaps = [b - a for a, b in zip(visits, visits[1:])]
+    # A full rotation after the send moves at the processing time ...
+    assert all(gap < 0.2e-3 for gap in gaps[:3])
+    # ... and two quiet rotations later every hop waits token_hold again.
+    assert all(gap == pytest.approx(hop) for gap in gaps[6:])
+    assert len(gaps) > 12
+
+
+def test_member_draining_a_backlog_keeps_the_hold():
+    ring, tracer = _paced_ring()
+    queued_at = ring.scheduler.now
+    ring.members["B"].multicast(b"one")
+    ring.members["B"].multicast(b"two")
+    ring.run(0.05)
+    sent_at, = _times(tracer, "frame", since=queued_at)     # one packed frame
+    after = [t for t in _times(tracer, "token", since=queued_at)
+             if t > sent_at]
+    assert after[0] - sent_at == pytest.approx(_idle_hop(ring))
+    assert after[1] - after[0] < 0.2e-3     # the next member has no backlog
+
+
+def _divert_first_frame_to(ring, node_id):
+    """Drop the first original data frame addressed to ``node_id``; the
+    caught frame is returned through the list."""
+    caught = []
+
+    def divert(src, dst, payload, size):
+        if dst == node_id and isinstance(payload, DataMsg) and not caught:
+            caught.append(payload)
+            return True
+        return False
+
+    ring.network.add_filter(divert)
+    return caught
+
+
+def test_token_ahead_of_its_frame_requests_no_retransmission():
+    ring, tracer = _paced_ring()
+    caught = _divert_first_frame_to(ring, "B")
+
+    def frame_arrives_late(record):
+        # B has just been visited by the token that sequenced the frame.
+        if (caught and record.event == "token"
+                and record.fields["node"] == "B"
+                and record.fields["seq"] == caught[0].seq):
+            ring.scheduler.call_after(
+                30e-6, ring.members["B"].endpoint.deliver, "A", caught[0])
+
+    tracer.subscribe(frame_arrives_late)
+    ring.members["A"].multicast(b"late")
+    ring.run(0.05)
+    assert ring.delivered["B"] == [("A", b"late")]
+    assert tracer.count("totem.retransmit") == 0
+
+
+def test_dropped_frame_is_recovered_on_the_next_visit():
+    ring, tracer = _paced_ring()
+    queued_at = ring.scheduler.now
+    _divert_first_frame_to(ring, "B")
+    ring.members["A"].multicast(b"lost")
+    ring.run(0.05)
+    assert ring.delivered["B"] == [("A", b"lost")]
+    assert tracer.count("totem.retransmit") == 1
+    # One rotation of grace, asked on the next visit, served by the next
+    # holder — all at the processing time, well inside one idle rotation.
+    sent_at = min(_times(tracer, "frame", since=queued_at))
+    recovered_at, = _times(tracer, "deliver", since=queued_at, node="B")
+    assert recovered_at - sent_at < 3 * _idle_hop(ring)
