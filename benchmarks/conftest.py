@@ -24,7 +24,7 @@ def strict_audit(monkeypatch):
     """Hard-fail consistency auditing (same contract as the test suite's
     fixture): every EternalSystem built while active gets an online
     auditor; any finding raises at teardown."""
-    from repro.core.system import EternalSystem
+    from repro.simnet.system import EternalSystem
 
     auditors = []
     original_init = EternalSystem.__init__

@@ -34,8 +34,9 @@ of the paper's evaluation.
 """
 
 from repro.core.config import EternalConfig
-from repro.core.system import EternalSystem, GroupHandle
+from repro.core.system import GroupHandle
 from repro.scenarios import Scenario
+from repro.simnet.system import EternalSystem
 from repro.ftcorba.checkpointable import (
     Checkpointable,
     InvalidState,

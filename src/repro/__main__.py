@@ -645,25 +645,10 @@ def _cmd_fig6(args) -> int:
         points[str(size)] = recovery_ms
         registries.append(deployment.system.metrics)
 
-    footer = None
-    comparison = None
-    record = None
-    if args.record or args.compare:
-        from repro.bench.regression import (BenchRecord,
-                                            compare_bench_records)
-        record = BenchRecord.from_points("fig6", "recovery_ms", "ms",
-                                         points)
-    if args.compare:
-        try:
-            baseline = BenchRecord.load(args.compare)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot load baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_bench_records(baseline, record,
-                                           tolerance=args.tolerance)
-        footer = comparison.verdict
-
+    footer, code = _record_and_compare(args, "fig6", "recovery_ms", "ms",
+                                       points)
+    if code == 2:
+        return 2
     print_table("Figure 6 — recovery time vs application-level state size",
                 ["state_bytes", "recovery_ms"], rows,
                 paper_note="flat below one Ethernet frame, then linear in "
@@ -675,9 +660,8 @@ def _cmd_fig6(args) -> int:
                               unit="ms"))
     _finish_profile_session(session, args)
     if args.record:
-        record.write(args.record)
         print(f"\nwrote bench record to {args.record}")
-    return 0 if comparison is None or comparison.ok else 1
+    return code
 
 
 def _cmd_recovery_scale(args) -> int:
@@ -710,25 +694,10 @@ def _cmd_recovery_scale(args) -> int:
         ])
         points[str(size)] = recovery_ms
 
-    footer = None
-    comparison = None
-    record = None
-    if args.record or args.compare:
-        from repro.bench.regression import (BenchRecord,
-                                            compare_bench_records)
-        record = BenchRecord.from_points("recovery_scale", "recovery_ms",
-                                         "ms", points)
-    if args.compare:
-        try:
-            baseline = BenchRecord.load(args.compare)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot load baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_bench_records(baseline, record,
-                                           tolerance=args.tolerance)
-        footer = comparison.verdict
-
+    footer, code = _record_and_compare(args, "recovery_scale", "recovery_ms",
+                                       "ms", points)
+    if code == 2:
+        return 2
     mode = ("in-order ablation (--no-bulk-lane)" if args.no_bulk_lane
             else "out-of-band bulk lane")
     print_table(
@@ -744,9 +713,8 @@ def _cmd_recovery_scale(args) -> int:
     )
     _finish_profile_session(session, args)
     if args.record:
-        record.write(args.record)
         print(f"\nwrote bench record to {args.record}")
-    return 0 if comparison is None or comparison.ok else 1
+    return code
 
 
 def _cmd_cold_restart(args) -> int:

@@ -21,7 +21,7 @@ from repro.simnet.endpoint import Endpoint
 from repro.simnet.network import Network
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
-from repro.simnet.trace import NULL_TRACER, Tracer
+from repro.runtime.trace import NULL_TRACER, Tracer
 
 BASELINE_PORT = 2809
 

@@ -14,10 +14,11 @@ from typing import List, Optional
 from repro.apps.kvstore import KvStoreServant, make_kvstore_factory
 from repro.apps.packet_driver import PacketDriverServant
 from repro.core.config import EternalConfig
-from repro.core.system import EternalSystem, GroupHandle
+from repro.core.system import GroupHandle
 from repro.ftcorba.properties import FTProperties, ReplicationStyle
 from repro.orb.servant import operation
 from repro.simnet.network import ETHERNET_100MBPS, NetworkConfig
+from repro.simnet.system import EternalSystem
 from repro.totem.config import TotemConfig
 
 KVSTORE_TYPE = "IDL:repro/KvStore:1.0"

@@ -18,11 +18,13 @@ This package is the paper's contribution.  Per node it runs:
 
 System-wide (hosted on a manager node) run the **Replication Manager**,
 **Resource Manager**, and **Evolution Manager** (:mod:`repro.core.managers`).
-The :class:`~repro.core.system.EternalSystem` facade assembles a whole
-simulated deployment.
+A substrate facade — :class:`repro.simnet.system.EternalSystem`
+(simulated) or :class:`repro.live.system.LiveSystem` (UDP) — assembles a
+whole deployment on :class:`~repro.core.system.SystemCore`; N of them sit
+behind one :class:`~repro.core.sharded.ShardedCore`.
 """
 
-from repro.core.system import EternalSystem, GroupHandle, NodeStack
+from repro.core.system import GroupHandle, NodeStack
 from repro.core.config import EternalConfig
 
-__all__ = ["EternalSystem", "GroupHandle", "NodeStack", "EternalConfig"]
+__all__ = ["GroupHandle", "NodeStack", "EternalConfig"]

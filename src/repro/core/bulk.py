@@ -43,6 +43,15 @@ from repro.totem.wire import BulkFetch, BulkNack, BulkPage
 #: Wire-format version of the encoded manifest body (bump on layout change).
 MANIFEST_VERSION = 1
 
+#: Pause between a sponsor's page bursts (seconds): paces the live
+#: transport's socket buffers; the simulator's link serializes regardless.
+BURST_INTERVAL = 0.0005
+
+#: How long a sponsor retains a stashed snapshot (and the pending marker
+#: of a capture still in flight) for out-of-band serving after announcing
+#: its manifest (seconds).
+STORE_TTL = 5.0
+
 
 # ---------------------------------------------------------------------------
 # Page manifest: the only state-transfer payload left in the total order
@@ -145,7 +154,7 @@ class BulkStore:
 
     A snapshot is stashed under its transfer id the moment the responder's
     in-order manifest is multicast, and expires after
-    ``bulk_store_ttl`` — by then the target has either fetched it or
+    :data:`STORE_TTL` — by then the target has either fetched it or
     fallen back to the in-order path.  Fetches for a transfer the store
     only knows as *pending* (capture still in flight behind quiescence)
     are NACKed ``"pending"`` so the target's watchdog retries instead of
@@ -166,7 +175,7 @@ class BulkStore:
         if session_id in self._entries or session_id in self._pending:
             return
         self._pending[session_id] = self.lane.host.call_after(
-            self.lane.config.bulk_store_ttl, self._expire_pending, session_id,
+            STORE_TTL, self._expire_pending, session_id,
         )
 
     def _expire_pending(self, session_id: str) -> None:
@@ -187,7 +196,7 @@ class BulkStore:
             crcs=page_digests(blob, page_size),
         )
         entry.expiry = self.lane.host.call_after(
-            self.lane.config.bulk_store_ttl, self._expire, session_id,
+            STORE_TTL, self._expire, session_id,
         )
         self._entries[session_id] = entry
         self.lane.tracer.emit("bulk", "stash", node=self.lane.node_id,
@@ -252,7 +261,7 @@ class BulkStore:
                               bytes=sent_bytes)
         if burst_end < last:
             self.lane.host.call_after(
-                self.lane.config.bulk_burst_interval,
+                BURST_INTERVAL,
                 self._send_burst, session_id, dst, burst_end + 1, last,
             )
 

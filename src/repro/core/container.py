@@ -44,6 +44,14 @@ from repro.runtime.trace import NULL_TRACER, Tracer
 # Produced replies are handed here: (connection, reply_bytes)
 ReplySink = Callable[[ConnectionKey, bytes], None]
 
+#: Simulated client-side cost of processing one delivered reply (seconds).
+REPLY_PROCESSING_DELAY = 10e-6
+
+#: Simulated get_state/set_state serialization rate (bytes/second):
+#: capturing or assigning S bytes of state costs S / rate seconds of
+#: replica CPU time, in addition to the operation's base duration.
+STATE_CAPTURE_BPS = 400e6
+
 _RECOVERY_CONN = "eternal-recovery"
 
 
@@ -237,7 +245,7 @@ class ReplicaContainer:
 
     def _run_reply(self, server_group: str, port: int, iiop_bytes: bytes,
                    on_executed: Optional[Callable[[], None]]) -> None:
-        delay = self.config.reply_processing_delay
+        delay = REPLY_PROCESSING_DELAY
         self.quiescence.begin_operation(self.process.scheduler.now + delay)
         self.process.call_after(delay, self._complete_reply, server_group,
                                 port, iiop_bytes, on_executed)
@@ -254,7 +262,7 @@ class ReplicaContainer:
         self._finish()
 
     def _state_duration(self, payload_len: int) -> float:
-        return STATE_OP_BASE_DURATION + payload_len / self.config.state_capture_bps
+        return STATE_OP_BASE_DURATION + payload_len / STATE_CAPTURE_BPS
 
     def _run_get_state(self, transfer_id: str,
                        done: Callable[[str, bytes], None]) -> None:

@@ -73,22 +73,19 @@ class GatewayBridge:
     suppression (see the module docstring)."""
 
     def __init__(self, resolve_ring: Callable[[str], Optional[str]],
+                 systems: Dict[str, "SystemCore"],
                  *, tracer: Tracer = NULL_TRACER) -> None:
         self.resolve_ring = resolve_ring
         self.tracer = tracer
-        self._systems: Dict[str, "SystemCore"] = {}
+        # The facade's own ring table (name -> sub-system), shared rather
+        # than copied: a ring's port exists before the ring does.
+        self._systems = systems
         # One filter per *target* ring, keyed on the interceptor's
         # operation ids.  It lives at the bridge — not on any node — so
         # it survives gateway-node churn within the source ring.
         self._filters: Dict[str, DuplicateFilter] = {}
         self.forwarded = 0
         self.duplicates = 0
-
-    def register_ring(self, ring_name: str,
-                      system: "SystemCore") -> RingGatewayPort:
-        """Admit one ring; returns the port its stacks should install."""
-        self._systems[ring_name] = system
-        return RingGatewayPort(self, ring_name)
 
     def _injector(self, ring_name: str) -> Optional["ReplicationMechanisms"]:
         """A live stack of the target ring to multicast through (lowest

@@ -54,6 +54,11 @@ from repro.totem.wire import (
     ReadFastRequest,
 )
 
+#: Client-side fallback: a fast-path read unanswered for this long is
+#: re-issued through the total order (idempotent — read_only operations
+#: may execute twice).  Seconds.
+READ_LEASE_TIMEOUT = 0.25
+
 #: Client-side pending fast read: fallback timer + the captured envelope
 #: (re-multicast through the total order if the fast path goes quiet).
 _Fetch = Tuple[Optional[TimerHandle], IiopEnvelope]
@@ -69,7 +74,6 @@ class ReadFastCoordinator:
         self.endpoint = mechanisms.endpoint
         self.process = mechanisms.process
         self.node_id = mechanisms.node_id
-        self.config = mechanisms.config
         self.tracer = mechanisms.tracer
         # (connection, wire request_id) -> (fallback timer, envelope)
         self._pending_fetch: Dict[Tuple[ConnectionKey, int], _Fetch] = {}
@@ -106,7 +110,7 @@ class ReadFastCoordinator:
         if request.size_bytes > self.endpoint.mtu_payload:
             return False
         timer = self.process.call_after(
-            self.config.read_lease_timeout,
+            READ_LEASE_TIMEOUT,
             self._fallback, connection, wire_id, "timeout",
         )
         self._pending_fetch[(connection, wire_id)] = (timer, envelope)

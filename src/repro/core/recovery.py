@@ -47,6 +47,7 @@ from repro.core.msglog import CheckpointRecord
 from repro.core.orb_state import OrbStateTracker
 from repro.core.replication import Phase
 from repro.core.statedelta import (
+    PAGE_SIZE,
     DeltaMismatch,
     apply_delta,
     compute_delta,
@@ -61,6 +62,25 @@ from repro.obs.spans import SpanEmitter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replication import ReplicaBinding, ReplicationMechanisms
+
+#: Simulated process-launch time for a cold-passive backup (seconds).
+COLD_START_DELAY = 0.020
+
+#: A joining replica re-announces itself if not synchronized within this
+#: long (seconds).
+RECOVERY_RETRY_TIMEOUT = 1.0
+
+#: How long a restarting replica with a durable store waits for a live
+#: responder (or a better-covered peer) before claiming the cold-boot seed
+#: role for its group (see :class:`repro.core.envelope.ColdSeed`).  Trades
+#: restart latency against the chance of seeding from a journal that
+#: misses a peer's longer tail.  Seconds.
+COLD_BOOT_WINDOW = 0.5
+
+#: Smallest full-snapshot recovery transfer that engages the bulk lane;
+#: smaller states (and page deltas) stay in the total order, where one
+#: small message is cheaper than a fetch round-trip.
+BULK_MIN_BYTES = 64 * 1024
 
 
 class _Source(NamedTuple):
@@ -269,9 +289,7 @@ class RecoveryMechanisms:
                                  group=binding.group_id)
                 self._supersede(binding, "retry")
                 self.announce_join(binding)
-        self.mechanisms.process.call_after(
-            self.config.recovery_retry_timeout, retry
-        )
+        self.mechanisms.process.call_after(RECOVERY_RETRY_TIMEOUT, retry)
 
     def _still_recovering(self, binding: "ReplicaBinding",
                           transfer_id: Optional[str] = None) -> bool:
@@ -356,8 +374,7 @@ class RecoveryMechanisms:
                          group=binding.group_id,
                          store_position=binding.store_position)
         self.mechanisms.process.call_after(
-            self.config.cold_boot_window,
-            self._cold_window_expired, binding,
+            COLD_BOOT_WINDOW, self._cold_window_expired, binding,
         )
 
     def _cold_window_expired(self, binding: "ReplicaBinding") -> None:
@@ -374,8 +391,7 @@ class RecoveryMechanisms:
         # covers two full announce-retry rounds, so any live candidate has
         # re-announced (and re-bid) within it.
         now = self.mechanisms.process.scheduler.now
-        horizon = 2 * (self.config.cold_boot_window
-                       + self.config.recovery_retry_timeout)
+        horizon = 2 * (COLD_BOOT_WINDOW + RECOVERY_RETRY_TIMEOUT)
         fresh = {node: position
                  for node, (position, seen)
                  in self._cold_bids.get(group_id, {}).items()
@@ -529,15 +545,14 @@ class RecoveryMechanisms:
         if (envelope.purpose is TransferPurpose.RECOVERY
                 and envelope.bulk_ok and self.config.bulk_lane
                 and not app_delta
-                and len(wire_state) >= self.config.bulk_min_bytes):
+                and len(wire_state) >= BULK_MIN_BYTES):
             # Large full snapshot for a bulk-capable joiner: keep only the
             # page manifest in the total order, stash the bytes for
             # out-of-band serving.  (Deltas and small snapshots stay
             # in-order — one small message beats a fetch round-trip.)
-            page_size = self.config.delta_page_size
             self.bulk.store.stash(envelope.transfer_id, envelope.group_id,
-                                  wire_state, page_size)
-            manifest = build_manifest(wire_state, page_size)
+                                  wire_state, PAGE_SIZE)
+            manifest = build_manifest(wire_state, PAGE_SIZE)
             wire_state = encode_manifest(manifest)
             app_manifest = True
             self.tracer.emit("bulk", "manifest_sent", node=self.node_id,
@@ -589,8 +604,7 @@ class RecoveryMechanisms:
                              reason="base_mismatch",
                              full_bytes=len(app_state))
             return app_state, False
-        delta = compute_delta(checkpoint.app_state, app_state,
-                              self.config.delta_page_size)
+        delta = compute_delta(checkpoint.app_state, app_state)
         encoded = encode_delta(delta)
         if len(encoded) >= len(app_state):
             self.tracer.emit("delta", "full_sent", node=self.node_id,
@@ -869,8 +883,7 @@ class RecoveryMechanisms:
             def launched() -> None:
                 binding.container.install_servant(servant)
                 self._install(binding, source)
-            self.mechanisms.process.call_after(self.config.cold_start_delay,
-                                               launched)
+            self.mechanisms.process.call_after(COLD_START_DELAY, launched)
         elif binding.log.checkpoint is None:
             # The group failed before any checkpoint was logged: the fresh
             # servant is at the deterministic initial state; re-run the

@@ -57,6 +57,15 @@ from repro.runtime.trace import NULL_TRACER, Tracer
 from repro.store.base import DurableStore, GroupStore
 from repro.totem.member import TotemMember, View
 
+#: How often a client-side replica re-multicasts a two-way request that is
+#: still awaiting its reply (seconds).  A request ordered while its target
+#: group had no live members (the window a cold boot recovers from) is
+#: dropped by everyone and would otherwise hang a reply-clocked client
+#: forever; the retransmission is idempotent because delivered duplicates
+#: are suppressed by every replica's duplicate filter.  A request is only
+#: re-sent once it has been outstanding for two consecutive ticks.
+REQUEST_RETRANSMIT_INTERVAL = 0.5
+
 
 class Phase(enum.Enum):
     """Where a local replica stands in the §5.1 protocol — which is to say,
@@ -452,8 +461,7 @@ class ReplicationMechanisms:
             log=MessageLog(info.group_id),
         )
         if self.store is not None:
-            binding.store = self.store.group(
-                info.group_id, page_size=self.config.delta_page_size)
+            binding.store = self.store.group(info.group_id)
             binding.store_position = 0
         interceptor = Interceptor(
             self.node_id, info.group_id,
@@ -485,11 +493,10 @@ class ReplicationMechanisms:
     # ------------------------------------------------------------------
 
     def _ensure_retransmit_timer(self) -> None:
-        if (self._retransmit_timer is not None
-                or self.config.request_retransmit_interval <= 0):
+        if self._retransmit_timer is not None:
             return
         self._retransmit_timer = PeriodicTimer(
-            self.process.scheduler, self.config.request_retransmit_interval,
+            self.process.scheduler, REQUEST_RETRANSMIT_INTERVAL,
             self._retransmit_tick,
         )
 

@@ -6,9 +6,13 @@ a designated manager node, without committing to a substrate.  Two
 subclasses provide the world the stacks run in:
 
 * :class:`repro.simnet.system.EternalSystem` — the deterministic
-  discrete-event simulator (re-exported here for compatibility);
+  discrete-event simulator;
 * :class:`repro.live.system.LiveSystem` — asyncio over real UDP sockets
   and the wall clock.
+
+Several such systems, one per Totem ring, sit behind one
+:class:`repro.core.sharded.ShardedCore`; what a ring and that facade
+share — the observability plane — is :class:`ObservedSystem`.
 
 Typical use::
 
@@ -24,7 +28,6 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import EternalConfig
@@ -50,21 +53,83 @@ from repro.totem.config import TotemConfig
 from repro.totem.member import TotemMember
 
 
-@dataclass(frozen=True)
-class SharedObservability:
-    """One observability plane shared by the rings of a sharded facade.
+class ObservedSystem:
+    """One observability plane on one scheduler: what a single-ring
+    :class:`SystemCore` and a multi-ring
+    :class:`~repro.core.sharded.ShardedCore` have in common.
 
-    A multi-ring deployment runs one tracer, one metrics registry, one
-    telemetry plane, and one profiler for the whole cluster; each ring's
-    :class:`SystemCore` adopts the bundle (scoping its tracer view with
-    ``ring=<name>``) instead of constructing its own.  The facade owns
-    the bundle's lifecycle: clock binding, sampler start, teardown.
+    The subclass constructor sets ``self.scheduler`` before calling
+    :meth:`_init_plane`, so the sampler can start immediately.  A ring of
+    a sharded facade builds no plane of its own: it adopts the facade's
+    (``_init_core(shared_observability=facade)``), and the facade keeps
+    the lifecycle — clock binding, sampler start, teardown.
     """
 
-    tracer: Tracer
-    metrics: MetricsRegistry
-    telemetry: TelemetryPlane
-    profiler: SpanResourceProfiler
+    auditor = None    # set by attach_auditor()
+
+    def _init_plane(self, *, keep_trace_records: bool,
+                    telemetry: Optional[TelemetryConfig] = None,
+                    profiling: Optional[ProfilingConfig] = None) -> None:
+        self.tracer = Tracer(keep_records=keep_trace_records)
+        self.tracer.bind_clock(lambda: self.now)
+        # The metrics registry rides the trace stream: every completed
+        # span becomes a latency sample, with or without record
+        # retention.
+        self.metrics = MetricsRegistry()
+        self.metrics.bind(self.tracer)
+        # The telemetry plane (flight recorder + metrics history) rides
+        # the same stream and polls ``self.stacks``.
+        self.telemetry = TelemetryPlane(
+            telemetry or TelemetryConfig(),
+            tracer=self.tracer, metrics=self.metrics,
+            clock=lambda: self.now,
+        )
+        self.telemetry.bind_system(self)
+        if self.telemetry.enabled:
+            self.telemetry.start_sampler(self.scheduler)
+        # Span-scoped resource attribution (CPU/alloc per phase) is a
+        # third subscriber on the same stream; inert — never
+        # subscribed — unless its config enables it, so the default
+        # hot path pays nothing.
+        self.profiler = SpanResourceProfiler(
+            profiling or ProfilingConfig(), metrics=self.metrics,
+        ).attach(self.tracer)
+
+    @property
+    def now(self) -> float:
+        return self.scheduler.now
+
+    def attach_auditor(self, auditor=None):
+        """Subscribe an online consistency auditor to this system's trace
+        stream (see :mod:`repro.obs.audit`).  Creates one bound to the
+        system's metrics registry unless an instance is supplied.  On a
+        sharded facade it is one auditor for the whole cluster: records
+        carry ``ring=`` labels, so its shadow state (and findings) are
+        ring-scoped."""
+        if auditor is None:
+            from repro.obs.audit import ConsistencyAuditor
+            auditor = ConsistencyAuditor(metrics=self.metrics)
+        self.auditor = auditor.bind(self.tracer)
+        if self.telemetry.enabled:
+            # A consistency violation is exactly when the recent past
+            # matters: findings trigger a flight-recorder dump.
+            self.auditor.on_finding = self.telemetry.flight.record_finding
+        return self.auditor
+
+    def export_trace(self, path: str, *, fmt: str = "chrome") -> int:
+        """Export the retained trace to ``path``.
+
+        ``fmt="chrome"`` writes Chrome ``trace_event`` JSON (open in
+        ``chrome://tracing`` or Perfetto); ``fmt="jsonl"`` writes one JSON
+        object per record.  Returns the number of events/records written
+        (requires the system to have been built with
+        ``keep_trace_records=True``).
+        """
+        if fmt == "chrome":
+            return export_chrome_trace(self.tracer.records, path)
+        if fmt == "jsonl":
+            return export_jsonl(self.tracer.records, path)
+        raise ValueError(f"unknown trace format {fmt!r}")
 
 
 class NodeStack:
@@ -188,7 +253,7 @@ class GroupHandle:
         )
 
 
-class SystemCore:
+class SystemCore(ObservedSystem):
     """A complete deployment of the Eternal system over some substrate.
 
     Subclasses own the substrate (clock, hosts, transports, fault
@@ -197,7 +262,7 @@ class SystemCore:
     trace export — is shared.
     """
 
-    # Subclasses must define: ``now`` (property), ``_make_transport``,
+    # Subclasses must define: ``scheduler``, ``_make_transport``,
     # ``kill_node``, ``restart_node``, and a way to advance time
     # (``run_for``/``wait_for`` — synchronous in the simulator, ``async``
     # in the live runtime).
@@ -213,8 +278,9 @@ class SystemCore:
         telemetry: Optional[TelemetryConfig] = None,
         profiling: Optional[ProfilingConfig] = None,
         store_factory: Optional[Callable[[str], "DurableStore"]] = None,
-        shared_observability: Optional[SharedObservability] = None,
+        shared_observability: Optional[ObservedSystem] = None,
         ring_name: str = "",
+        gateway_port=None,
     ) -> None:
         if not node_ids:
             raise SimulationError("need at least one node")
@@ -224,9 +290,7 @@ class SystemCore:
         self.ring_name = ring_name
         if shared_observability is not None:
             # A ring of a sharded facade: adopt the facade's plane.  The
-            # scoped tracer stamps every record with this ring's name;
-            # clock binding, sampler start, and teardown stay with the
-            # facade, which owns the bundle.
+            # scoped tracer stamps every record with this ring's name.
             shared = shared_observability
             self.tracer = (shared.tracer.scoped(ring=ring_name)
                            if ring_name else shared.tracer)
@@ -234,32 +298,8 @@ class SystemCore:
             self.telemetry = shared.telemetry
             self.profiler = shared.profiler
         else:
-            self.tracer = Tracer(keep_records=keep_trace_records)
-            self.tracer.bind_clock(lambda: self.now)
-            # The metrics registry rides the trace stream: every completed
-            # span becomes a latency sample, with or without record
-            # retention.
-            self.metrics = MetricsRegistry()
-            self.metrics.bind(self.tracer)
-            # The telemetry plane (flight recorder + metrics history) rides
-            # the same stream; the subclass constructor sets
-            # ``self.scheduler`` before calling _init_core, so the sampler
-            # can start immediately.
-            self.telemetry = TelemetryPlane(
-                telemetry or TelemetryConfig(),
-                tracer=self.tracer, metrics=self.metrics,
-                clock=lambda: self.now,
-            )
-            self.telemetry.bind_system(self)
-            if self.telemetry.enabled:
-                self.telemetry.start_sampler(self.scheduler)
-            # Span-scoped resource attribution (CPU/alloc per phase) is a
-            # third subscriber on the same stream; inert — never
-            # subscribed — unless its config enables it, so the default
-            # hot path pays nothing.
-            self.profiler = SpanResourceProfiler(
-                profiling or ProfilingConfig(), metrics=self.metrics,
-            ).attach(self.tracer)
+            self._init_plane(keep_trace_records=keep_trace_records,
+                             telemetry=telemetry, profiling=profiling)
         self.totem_config = totem_config or TotemConfig()
         self.eternal_config = eternal_config or EternalConfig()
         self.factories = FactoryRegistry()
@@ -268,11 +308,10 @@ class SystemCore:
         self.replication_manager: Optional[ReplicationManager] = None
         self.evolution_manager: Optional[EvolutionManager] = None
         self.resource_manager = ResourceManager(self.factories)
-        self.auditor = None    # set by attach_auditor()
-        # Cross-ring gateway port (sharded facades set this right after
-        # construction; NodeStack.build installs it on every mechanisms
-        # instance, including rebuilds after a restart).
-        self.gateway_port = None
+        # Cross-ring gateway port of a ring of a sharded facade;
+        # NodeStack.build installs it on every mechanisms instance,
+        # including rebuilds after a restart.
+        self.gateway_port = gateway_port
         # Durable stores persist at the system level — a node's journal
         # survives any number of kill/restart cycles of its process, the
         # way a disk survives a power cycle.  ``store_factory(node_id)``
@@ -346,10 +385,6 @@ class SystemCore:
     # Time and faults (substrate-specific)
     # ------------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
-
     def kill_node(self, node_id: str) -> None:
         raise NotImplementedError
 
@@ -373,20 +408,6 @@ class SystemCore:
     # Introspection
     # ------------------------------------------------------------------
 
-    def attach_auditor(self, auditor=None):
-        """Subscribe an online consistency auditor to this system's trace
-        stream (see :mod:`repro.obs.audit`).  Creates one bound to the
-        system's metrics registry unless an instance is supplied."""
-        if auditor is None:
-            from repro.obs.audit import ConsistencyAuditor
-            auditor = ConsistencyAuditor(metrics=self.metrics)
-        self.auditor = auditor.bind(self.tracer)
-        if self.telemetry.enabled:
-            # A consistency violation is exactly when the recent past
-            # matters: findings trigger a flight-recorder dump.
-            self.auditor.on_finding = self.telemetry.flight.record_finding
-        return self.auditor
-
     def stack(self, node_id: str) -> NodeStack:
         try:
             return self.stacks[node_id]
@@ -395,21 +416,6 @@ class SystemCore:
 
     def mechanisms(self, node_id: str) -> ReplicationMechanisms:
         return self.stack(node_id).mechanisms
-
-    def export_trace(self, path: str, *, fmt: str = "chrome") -> int:
-        """Export the retained trace to ``path``.
-
-        ``fmt="chrome"`` writes Chrome ``trace_event`` JSON (open in
-        ``chrome://tracing`` or Perfetto); ``fmt="jsonl"`` writes one JSON
-        object per record.  Returns the number of events/records written
-        (requires the system to have been built with
-        ``keep_trace_records=True``).
-        """
-        if fmt == "chrome":
-            return export_chrome_trace(self.tracer.records, path)
-        if fmt == "jsonl":
-            return export_jsonl(self.tracer.records, path)
-        raise ValueError(f"unknown trace format {fmt!r}")
 
     def ring_formed(self) -> bool:
         """True when every live node's ring member is operational in the
@@ -422,14 +428,3 @@ class SystemCore:
                 and all(s.totem.operational for s in live)
                 and all(set(s.totem.members) ==
                         {t.node_id for t in live} for s in live))
-
-
-def __getattr__(name):
-    # Lazy re-export: EternalSystem moved to repro.simnet.system, but a lot
-    # of call sites (and the strict_audit fixture) import it from here.
-    # Importing it eagerly would be circular (simnet.system imports this
-    # module), hence PEP 562.
-    if name == "EternalSystem":
-        from repro.simnet.system import EternalSystem
-        return EternalSystem
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,13 +1,10 @@
 """Sharded live deployments: many UDP Totem rings on one asyncio loop.
 
-The wall-clock counterpart of
-:class:`repro.simnet.sharded.ShardedEternalSystem`: N independent
-:class:`~repro.live.system.LiveSystem` sub-systems — each with its own
+:class:`LiveShardedSystem` is :class:`repro.core.sharded.ShardedCore`
+(placement, cross-ring gateway, one shared observability plane) over N
+:class:`~repro.live.system.LiveSystem` rings — each with its own
 :class:`~repro.live.transport.SegmentDispatcher` (own multicast segment,
-own ephemeral UDP ports) and its own token rotation — behind the same
-placement layer (:class:`repro.core.placement.HashRing` + explicit
-pins), the same cross-ring :class:`~repro.core.gateway.GatewayBridge`,
-and one shared observability plane.
+own ephemeral UDP ports) and its own token rotation.
 
 Because every ring runs real sockets on the one loop, aggregate
 throughput scales with rings until the host's cores or the loop itself
@@ -26,26 +23,18 @@ Typical use (inside a running loop)::
 from __future__ import annotations
 
 import asyncio
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import EternalConfig
-from repro.core.gateway import GatewayBridge
-from repro.core.placement import HashRing
-from repro.core.system import GroupHandle, SharedObservability
-from repro.errors import SimulationError, UnknownNode
-from repro.ftcorba.properties import FTProperties
+from repro.core.sharded import DEFAULT_NODE_TEMPLATE, ShardedCore
 from repro.live.clock import LiveScheduler
-from repro.live.system import LIVE_TOTEM_CONFIG, LiveSystem
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import ProfilingConfig, SpanResourceProfiler
-from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
-from repro.runtime.trace import Tracer
-from repro.simnet.sharded import DEFAULT_NODE_TEMPLATE, ring_label
+from repro.live.system import LIVE_TOTEM_CONFIG, LiveSystem, WallClockTime
+from repro.obs.profiling import ProfilingConfig
+from repro.obs.telemetry import TelemetryConfig
 from repro.totem.config import TotemConfig
 
 
-class LiveShardedSystem:
+class LiveShardedSystem(WallClockTime, ShardedCore):
     """N independent live rings behind one placement + routing layer."""
 
     def __init__(
@@ -61,180 +50,28 @@ class LiveShardedSystem:
         store_dir: Optional[str] = None,
         store_fsync: str = "checkpoint",
         loop: Optional[asyncio.AbstractEventLoop] = None,
-        virtual_nodes: int = 64,
     ) -> None:
-        if rings < 1:
-            raise SimulationError("need at least one ring")
-        if not node_template:
-            raise SimulationError("need at least one node per ring")
         if loop is None:
             loop = asyncio.get_event_loop()
         self.loop = loop
         self.scheduler = LiveScheduler(loop)
-        # One observability plane for the whole cluster (see the simnet
-        # facade for the rationale); the facade owns its lifecycle, so the
-        # sub-systems' close() must not stop it (LiveSystem checks).
-        self.tracer = Tracer(keep_records=keep_trace_records)
-        self.tracer.bind_clock(lambda: self.scheduler.now)
-        self.metrics = MetricsRegistry()
-        self.metrics.bind(self.tracer)
-        self.telemetry = TelemetryPlane(
-            telemetry or TelemetryConfig(),
-            tracer=self.tracer, metrics=self.metrics,
-            clock=lambda: self.scheduler.now,
-        )
-        self.telemetry.bind_system(self)
-        if self.telemetry.enabled:
-            self.telemetry.start_sampler(self.scheduler)
-        self.profiler = SpanResourceProfiler(
-            profiling or ProfilingConfig(), metrics=self.metrics,
-        ).attach(self.tracer)
-        shared = SharedObservability(
-            tracer=self.tracer, metrics=self.metrics,
-            telemetry=self.telemetry, profiler=self.profiler,
-        )
-        self.auditor = None
-        self.placement = HashRing(virtual_nodes=virtual_nodes)
-        self._pinned: Dict[str, str] = {}
-        self.bridge = GatewayBridge(self.resolve_ring, tracer=self.tracer)
-        self.rings: Dict[str, LiveSystem] = {}
-        base_totem = totem_config or LIVE_TOTEM_CONFIG
-        for index in range(rings):
-            name = ring_label(index)
-            sub = LiveSystem(
-                [f"{name}.{suffix}" for suffix in node_template],
-                totem_config=replace(base_totem, ring_name=name),
-                eternal_config=eternal_config,
-                # Node ids are globally unique, so all rings can share one
-                # store root: each node keeps its own journal directory.
-                store_dir=store_dir,
-                store_fsync=store_fsync,
-                loop=loop,
-                shared_observability=shared,
-                ring_name=name,
-            )
-            port = self.bridge.register_ring(name, sub)
-            sub.gateway_port = port
-            for stack in sub.stacks.values():
-                stack.mechanisms.gateway = port
-            self.placement.add_shard(name)
-            self.rings[name] = sub
 
-    # ------------------------------------------------------------------
-    # Placement and routing (same contract as the simnet facade)
-    # ------------------------------------------------------------------
+        def build_ring(index, node_ids, **ring) -> LiveSystem:
+            # Node ids are globally unique, so all rings can share one
+            # store root: each node keeps its own journal directory.
+            return LiveSystem(
+                node_ids, eternal_config=eternal_config,
+                store_dir=store_dir, store_fsync=store_fsync, loop=loop,
+                **ring)
 
-    def resolve_ring(self, group_id: str) -> Optional[str]:
-        pinned = self._pinned.get(group_id)
-        if pinned is not None:
-            return pinned
-        return self.placement.owner_of(group_id)
-
-    def ring(self, name: str) -> LiveSystem:
-        try:
-            return self.rings[name]
-        except KeyError:
-            raise SimulationError(f"no ring named {name!r}") from None
-
-    def ring_of_node(self, node_id: str) -> LiveSystem:
-        for sub in self.rings.values():
-            if node_id in sub.stacks:
-                return sub
-        raise UnknownNode(node_id)
-
-    # ------------------------------------------------------------------
-    # Deployment
-    # ------------------------------------------------------------------
-
-    def register_factory(self, type_id: str, factory: Callable,
-                         *, version: int = 0,
-                         ring: Optional[str] = None) -> None:
-        targets = [self.ring(ring)] if ring else self.rings.values()
-        for sub in targets:
-            sub.register_factory(type_id, factory, version=version)
-
-    def create_group(self, group_id: str, type_id: str,
-                     properties: Optional[FTProperties] = None,
-                     nodes: Optional[List[str]] = None,
-                     ring: Optional[str] = None) -> GroupHandle:
-        if ring is None and nodes:
-            ring = self.ring_of_node(nodes[0]).ring_name
-        if ring is None:
-            ring = self.placement.owner_of(group_id)
-        sub = self.ring(ring)
-        if nodes is not None:
-            for node_id in nodes:
-                if node_id not in sub.stacks:
-                    raise SimulationError(
-                        f"node {node_id!r} is not in ring {ring!r}; groups "
-                        f"cannot span rings"
-                    )
-        self._pinned[group_id] = ring
-        return sub.create_group(group_id, type_id, properties, nodes)
-
-    # ------------------------------------------------------------------
-    # Running (time passes by awaiting)
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    async def run_for(self, duration: float) -> None:
-        await asyncio.sleep(duration)
-
-    async def wait_for(self, predicate: Callable[[], bool],
-                       timeout: float = 10.0, *,
-                       poll_interval: float = 0.005) -> bool:
-        deadline = self.loop.time() + timeout
-        while True:
-            if predicate():
-                return True
-            if self.loop.time() >= deadline:
-                return bool(predicate())
-            await asyncio.sleep(poll_interval)
-
-    def ring_formed(self) -> bool:
-        return all(sub.ring_formed() for sub in self.rings.values())
-
-    # ------------------------------------------------------------------
-    # Faults and introspection
-    # ------------------------------------------------------------------
-
-    def kill_node(self, node_id: str) -> None:
-        self.ring_of_node(node_id).kill_node(node_id)
-
-    def restart_node(self, node_id: str) -> None:
-        self.ring_of_node(node_id).restart_node(node_id)
-
-    @property
-    def stacks(self) -> Dict[str, "object"]:
-        merged = {}
-        for sub in self.rings.values():
-            merged.update(sub.stacks)
-        return merged
-
-    def stack(self, node_id: str):
-        return self.ring_of_node(node_id).stack(node_id)
-
-    def mechanisms(self, node_id: str):
-        return self.ring_of_node(node_id).mechanisms(node_id)
-
-    def attach_auditor(self, auditor=None):
-        if auditor is None:
-            from repro.obs.audit import ConsistencyAuditor
-            auditor = ConsistencyAuditor(metrics=self.metrics)
-        self.auditor = auditor.bind(self.tracer)
-        if self.telemetry.enabled:
-            self.auditor.on_finding = self.telemetry.flight.record_finding
-        return self.auditor
-
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
+        self._init_sharded(
+            rings, node_template, build_ring, totem_config or LIVE_TOTEM_CONFIG,
+            keep_trace_records=keep_trace_records,
+            telemetry=telemetry, profiling=profiling)
 
     def close(self) -> None:
-        """Tear every ring down, then stop the shared plane."""
+        """Stop the shared plane (the rings adopted it, so their own
+        ``close()`` leaves it alone), then tear every ring down."""
         self.telemetry.stop()
         self.profiler.release()
         for sub in self.rings.values():

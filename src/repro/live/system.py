@@ -57,7 +57,29 @@ LIVE_TOTEM_CONFIG = TotemConfig(
 LIVE_TRACE_MUTE = frozenset({"totem.deliver", "replication.duplicate"})
 
 
-class LiveSystem(SystemCore):
+class WallClockTime:
+    """Letting wall-clock time pass on a deployment's ``loop``: a single
+    ring and a sharded facade (:mod:`repro.live.sharded`) both await."""
+
+    loop: asyncio.AbstractEventLoop
+
+    async def run_for(self, duration: float) -> None:
+        await asyncio.sleep(duration)
+
+    async def wait_for(self, predicate: Callable[[], bool],
+                       timeout: float = 10.0, *,
+                       poll_interval: float = 0.005) -> bool:
+        """Poll ``predicate`` until true; False on wall-clock timeout."""
+        deadline = self.loop.time() + timeout
+        while True:
+            if predicate():
+                return True
+            if self.loop.time() >= deadline:
+                return bool(predicate())
+            await asyncio.sleep(poll_interval)
+
+
+class LiveSystem(WallClockTime, SystemCore):
     """A complete live (loopback-UDP, wall-clock) Eternal deployment.
 
     Must be constructed while an asyncio event loop is available (pass
@@ -79,6 +101,7 @@ class LiveSystem(SystemCore):
         loop: Optional[asyncio.AbstractEventLoop] = None,
         shared_observability=None,
         ring_name: str = "",
+        gateway_port=None,
     ) -> None:
         if loop is None:
             loop = asyncio.get_event_loop()
@@ -106,6 +129,7 @@ class LiveSystem(SystemCore):
             store_factory=store_factory,
             shared_observability=shared_observability,
             ring_name=ring_name,
+            gateway_port=gateway_port,
         )
         # A ring of a sharded facade adopts the facade's plane and must not
         # tear it down in close(); the facade owns that lifecycle.
@@ -146,29 +170,6 @@ class LiveSystem(SystemCore):
 
     def _make_transport(self, process: Host) -> UdpTransport:
         return self.nodes[process.node_id].make_transport()
-
-    # ------------------------------------------------------------------
-    # Running (time passes by awaiting)
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    async def run_for(self, duration: float) -> None:
-        await asyncio.sleep(duration)
-
-    async def wait_for(self, predicate: Callable[[], bool],
-                       timeout: float = 10.0, *,
-                       poll_interval: float = 0.005) -> bool:
-        """Poll ``predicate`` until true; False on wall-clock timeout."""
-        deadline = self.loop.time() + timeout
-        while True:
-            if predicate():
-                return True
-            if self.loop.time() >= deadline:
-                return bool(predicate())
-            await asyncio.sleep(poll_interval)
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -1,4 +1,4 @@
-"""A declarative fault-scenario DSL over :class:`~repro.core.system.EternalSystem`.
+"""A declarative fault-scenario DSL over :class:`~repro.simnet.system.EternalSystem`.
 
 Reliability tests read better as schedules than as imperative driving
 code::

@@ -13,24 +13,22 @@ Public surface:
 * :class:`~repro.simnet.network.Network` / :class:`~repro.simnet.network.NetworkConfig`
   — the shared-medium network model.
 * :class:`~repro.simnet.faults.FaultInjector` — crashes, partitions, loss.
-* :class:`~repro.simnet.trace.Tracer` — structured event trace and counters.
+
+The tracer and the periodic timer are substrate-independent and live in
+:mod:`repro.runtime.trace` / :mod:`repro.runtime.timers`.
 """
 
-from repro.simnet.clock import PeriodicTimer
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import Network, NetworkConfig, ETHERNET_100MBPS
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Event, Scheduler
-from repro.simnet.trace import Tracer
 
 __all__ = [
     "Event",
     "Scheduler",
-    "PeriodicTimer",
     "Process",
     "Network",
     "NetworkConfig",
     "ETHERNET_100MBPS",
     "FaultInjector",
-    "Tracer",
 ]

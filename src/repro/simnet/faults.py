@@ -13,7 +13,7 @@ from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.simnet.network import Network
-from repro.simnet.trace import NULL_TRACER, Tracer
+from repro.runtime.trace import NULL_TRACER, Tracer
 
 
 class FaultInjector:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List
 from repro.errors import NetworkError, UnknownNode
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
-from repro.simnet.trace import NULL_TRACER, Tracer
+from repro.runtime.trace import NULL_TRACER, Tracer
 
 # A filter sees (src, dst, payload, size_bytes) and returns True to DROP.
 DropFilter = Callable[[str, str, Any, int], bool]

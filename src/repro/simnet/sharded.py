@@ -1,22 +1,9 @@
-"""Sharded simulated deployments: many Totem rings, one facade.
+"""Sharded simulated deployments: many Totem rings on one simulated clock.
 
-One Totem ring serialises all of its traffic through one token
-rotation, so aggregate throughput is bounded no matter how many nodes
-join.  :class:`ShardedEternalSystem` breaks that bound by running N
-independent :class:`~repro.simnet.system.EternalSystem` sub-systems —
-each with its own simulated Ethernet segment, its own token rotation,
-its own managers — on one shared scheduler, behind:
-
-* a consistent-hashing placement layer
-  (:class:`repro.core.placement.HashRing`) mapping object groups to
-  rings, with explicit pins taking precedence, so clients resolve
-  placement *before* dispatch and the common case never crosses rings;
-* a cross-ring :class:`~repro.core.gateway.GatewayBridge` for the
-  uncommon case, with per-target-ring duplicate suppression keyed on
-  the interceptor's operation ids;
-* one shared observability plane (tracer, metrics, telemetry,
-  profiler) whose records carry ``ring=<name>`` labels, so per-ring
-  health and audit scoping fall out of the trace stream.
+:class:`ShardedEternalSystem` is :class:`repro.core.sharded.ShardedCore`
+(placement, cross-ring gateway, one shared observability plane) over N
+:class:`~repro.simnet.system.EternalSystem` rings, each with its own
+simulated Ethernet segment.
 
 Typical use::
 
@@ -30,43 +17,21 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import EternalConfig
-from repro.core.gateway import GatewayBridge
-from repro.core.placement import HashRing
-from repro.core.system import GroupHandle, SharedObservability
-from repro.errors import SimulationError, UnknownNode
-from repro.ftcorba.properties import FTProperties
-from repro.obs.exporters import export_chrome_trace, export_jsonl
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import ProfilingConfig, SpanResourceProfiler
-from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
-from repro.runtime.trace import Tracer
+from repro.core.sharded import DEFAULT_NODE_TEMPLATE, ShardedCore
+from repro.obs.profiling import ProfilingConfig
+from repro.obs.telemetry import TelemetryConfig
 from repro.simnet.network import ETHERNET_100MBPS, NetworkConfig
 from repro.simnet.scheduler import Scheduler
-from repro.simnet.system import EternalSystem
+from repro.simnet.system import EternalSystem, SimulatedTime
 from repro.totem.config import TotemConfig
 
-#: Default node layout inside each ring: one manager + two servers.
-DEFAULT_NODE_TEMPLATE: Sequence[str] = ("m", "s1", "s2")
 
-
-def ring_label(index: int) -> str:
-    """The canonical shard name for ring ``index`` (``r0``, ``r1``, ...)."""
-    return f"r{index}"
-
-
-class ShardedEternalSystem:
-    """N independent simulated rings behind one placement + routing layer.
-
-    Every ring gets the node ids ``<ring>.<suffix>`` for each suffix in
-    ``node_template`` (the first suffix hosts that ring's managers), a
-    per-ring seed (``seed + index``), and a :class:`TotemConfig` whose
-    ``ring_name`` namespaces its order digests and rotation spans in the
-    shared trace stream.
-    """
+class ShardedEternalSystem(SimulatedTime, ShardedCore):
+    """N independent simulated rings behind one placement + routing
+    layer; ring ``index`` draws its faults from ``seed + index``."""
 
     def __init__(
         self,
@@ -81,198 +46,19 @@ class ShardedEternalSystem:
         telemetry: Optional[TelemetryConfig] = None,
         profiling: Optional[ProfilingConfig] = None,
         store_factory=None,
-        virtual_nodes: int = 64,
     ) -> None:
-        if rings < 1:
-            raise SimulationError("need at least one ring")
-        if not node_template:
-            raise SimulationError("need at least one node per ring")
         # One scheduler: every ring's events interleave on one simulated
         # clock, so rotations genuinely proceed in parallel wall-clock-wise
         # while staying deterministic.
         self.scheduler = Scheduler()
-        # One observability plane for the whole cluster.  Each ring adopts
-        # it through a scoped tracer view stamping ``ring=<name>``.
-        self.tracer = Tracer(keep_records=keep_trace_records)
-        self.tracer.bind_clock(lambda: self.scheduler.now)
-        self.metrics = MetricsRegistry()
-        self.metrics.bind(self.tracer)
-        self.telemetry = TelemetryPlane(
-            telemetry or TelemetryConfig(),
-            tracer=self.tracer, metrics=self.metrics,
-            clock=lambda: self.scheduler.now,
-        )
-        self.telemetry.bind_system(self)
-        if self.telemetry.enabled:
-            self.telemetry.start_sampler(self.scheduler)
-        self.profiler = SpanResourceProfiler(
-            profiling or ProfilingConfig(), metrics=self.metrics,
-        ).attach(self.tracer)
-        shared = SharedObservability(
-            tracer=self.tracer, metrics=self.metrics,
-            telemetry=self.telemetry, profiler=self.profiler,
-        )
-        self.auditor = None
-        # Placement: hash by default, explicit pins win.  Both sides of the
-        # resolver are deterministic, so every client routes identically.
-        self.placement = HashRing(virtual_nodes=virtual_nodes)
-        self._pinned: Dict[str, str] = {}
-        self.bridge = GatewayBridge(self.resolve_ring, tracer=self.tracer)
-        self.rings: Dict[str, EternalSystem] = {}
-        base_totem = totem_config or TotemConfig()
-        for index in range(rings):
-            name = ring_label(index)
-            sub = EternalSystem(
-                [f"{name}.{suffix}" for suffix in node_template],
-                seed=seed + index,
-                network_config=network_config,
-                totem_config=replace(base_totem, ring_name=name),
-                eternal_config=eternal_config,
-                store_factory=store_factory,
-                scheduler=self.scheduler,
-                shared_observability=shared,
-                ring_name=name,
-            )
-            port = self.bridge.register_ring(name, sub)
-            # The initial stacks were built before the port existed;
-            # install it directly.  ``gateway_port`` covers every rebuild
-            # after a restart (see NodeStack.build).
-            sub.gateway_port = port
-            for stack in sub.stacks.values():
-                stack.mechanisms.gateway = port
-            self.placement.add_shard(name)
-            self.rings[name] = sub
 
-    # ------------------------------------------------------------------
-    # Placement and routing
-    # ------------------------------------------------------------------
+        def build_ring(index, node_ids, **ring) -> EternalSystem:
+            return EternalSystem(
+                node_ids, seed=seed + index, network_config=network_config,
+                eternal_config=eternal_config, store_factory=store_factory,
+                scheduler=self.scheduler, **ring)
 
-    def resolve_ring(self, group_id: str) -> Optional[str]:
-        """The ring owning ``group_id``: its pin if deployed explicitly,
-        else the consistent-hash owner."""
-        pinned = self._pinned.get(group_id)
-        if pinned is not None:
-            return pinned
-        return self.placement.owner_of(group_id)
-
-    def ring(self, name: str) -> EternalSystem:
-        try:
-            return self.rings[name]
-        except KeyError:
-            raise SimulationError(f"no ring named {name!r}") from None
-
-    def ring_of_node(self, node_id: str) -> EternalSystem:
-        for sub in self.rings.values():
-            if node_id in sub.stacks:
-                return sub
-        raise UnknownNode(node_id)
-
-    # ------------------------------------------------------------------
-    # Deployment
-    # ------------------------------------------------------------------
-
-    def register_factory(self, type_id: str, factory: Callable,
-                         *, version: int = 0,
-                         ring: Optional[str] = None) -> None:
-        """Register a servant factory on every ring (or just one)."""
-        targets = [self.ring(ring)] if ring else self.rings.values()
-        for sub in targets:
-            sub.register_factory(type_id, factory, version=version)
-
-    def create_group(self, group_id: str, type_id: str,
-                     properties: Optional[FTProperties] = None,
-                     nodes: Optional[List[str]] = None,
-                     ring: Optional[str] = None) -> GroupHandle:
-        """Deploy a group onto its placement-resolved ring (or pin it to
-        ``ring`` / the ring hosting ``nodes``).  The returned handle is
-        bound to the owning sub-system, so all introspection stays
-        ring-scoped."""
-        if ring is None and nodes:
-            ring = self.ring_of_node(nodes[0]).ring_name
-        if ring is None:
-            ring = self.placement.owner_of(group_id)
-        sub = self.ring(ring)
-        if nodes is not None:
-            for node_id in nodes:
-                if node_id not in sub.stacks:
-                    raise SimulationError(
-                        f"node {node_id!r} is not in ring {ring!r}; groups "
-                        f"cannot span rings"
-                    )
-        self._pinned[group_id] = ring
-        return sub.create_group(group_id, type_id, properties, nodes)
-
-    # ------------------------------------------------------------------
-    # Running (one shared clock)
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    def run_until(self, time: float) -> None:
-        self.scheduler.run_until(time)
-
-    def run_for(self, duration: float) -> None:
-        self.scheduler.run_until(self.scheduler.now + duration)
-
-    def wait_for(self, predicate: Callable[[], bool],
-                 timeout: float = 10.0) -> bool:
-        """Run until ``predicate()`` is true; False on timeout."""
-        return self.scheduler.run_while(lambda: not predicate(), timeout)
-
-    def ring_formed(self) -> bool:
-        """True when every ring has formed (all live members operational
-        in one view, per ring)."""
-        return all(sub.ring_formed() for sub in self.rings.values())
-
-    # ------------------------------------------------------------------
-    # Faults (routed to the owning ring)
-    # ------------------------------------------------------------------
-
-    def kill_node(self, node_id: str) -> None:
-        self.ring_of_node(node_id).kill_node(node_id)
-
-    def restart_node(self, node_id: str) -> None:
-        self.ring_of_node(node_id).restart_node(node_id)
-
-    # ------------------------------------------------------------------
-    # Introspection (node ids are globally unique: ``<ring>.<suffix>``)
-    # ------------------------------------------------------------------
-
-    @property
-    def stacks(self) -> Dict[str, "object"]:
-        """All rings' stacks in one mapping (telemetry polls this)."""
-        merged = {}
-        for sub in self.rings.values():
-            merged.update(sub.stacks)
-        return merged
-
-    def stack(self, node_id: str):
-        return self.ring_of_node(node_id).stack(node_id)
-
-    def mechanisms(self, node_id: str):
-        return self.ring_of_node(node_id).mechanisms(node_id)
-
-    def attach_auditor(self, auditor=None):
-        """One auditor for the whole cluster: records carry ``ring=``
-        labels, so its shadow state (and findings) are ring-scoped."""
-        if auditor is None:
-            from repro.obs.audit import ConsistencyAuditor
-            auditor = ConsistencyAuditor(metrics=self.metrics)
-        self.auditor = auditor.bind(self.tracer)
-        if self.telemetry.enabled:
-            self.auditor.on_finding = self.telemetry.flight.record_finding
-        return self.auditor
-
-    def close_stores(self) -> None:
-        for sub in self.rings.values():
-            sub.close_stores()
-
-    def export_trace(self, path: str, *, fmt: str = "chrome") -> int:
-        """Export the shared trace (all rings, ``ring=``-labelled)."""
-        if fmt == "chrome":
-            return export_chrome_trace(self.tracer.records, path)
-        if fmt == "jsonl":
-            return export_jsonl(self.tracer.records, path)
-        raise ValueError(f"unknown trace format {fmt!r}")
+        self._init_sharded(
+            rings, node_template, build_ring, totem_config or TotemConfig(),
+            keep_trace_records=keep_trace_records,
+            telemetry=telemetry, profiling=profiling)

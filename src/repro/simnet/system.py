@@ -34,7 +34,26 @@ from repro.simnet.scheduler import Scheduler
 from repro.totem.config import TotemConfig
 
 
-class EternalSystem(SystemCore):
+class SimulatedTime:
+    """Advancing a deployment's simulated clock: a single ring and a
+    sharded facade (:mod:`repro.simnet.sharded`) both just run their
+    ``scheduler``."""
+
+    scheduler: Scheduler
+
+    def run_until(self, time: float) -> None:
+        self.scheduler.run_until(time)
+
+    def run_for(self, duration: float) -> None:
+        self.scheduler.run_until(self.scheduler.now + duration)
+
+    def wait_for(self, predicate: Callable[[], bool],
+                 timeout: float = 10.0) -> bool:
+        """Run until ``predicate()`` is true; False on timeout."""
+        return self.scheduler.run_while(lambda: not predicate(), timeout)
+
+
+class EternalSystem(SimulatedTime, SystemCore):
     """A complete simulated deployment of the Eternal system."""
 
     def __init__(
@@ -53,6 +72,7 @@ class EternalSystem(SystemCore):
         scheduler: Optional[Scheduler] = None,
         shared_observability=None,
         ring_name: str = "",
+        gateway_port=None,
     ) -> None:
         # A sharded facade passes one shared scheduler so every ring's
         # events interleave on one simulated clock (rotations still
@@ -69,6 +89,7 @@ class EternalSystem(SystemCore):
             store_factory=store_factory,
             shared_observability=shared_observability,
             ring_name=ring_name,
+            gateway_port=gateway_port,
         )
         self.network = Network(self.scheduler, network_config,
                                tracer=self.tracer)
@@ -82,25 +103,6 @@ class EternalSystem(SystemCore):
 
     def _make_transport(self, process: Host) -> Transport:
         return Endpoint(process, self.network)
-
-    # ------------------------------------------------------------------
-    # Running
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    def run_until(self, time: float) -> None:
-        self.scheduler.run_until(time)
-
-    def run_for(self, duration: float) -> None:
-        self.scheduler.run_until(self.scheduler.now + duration)
-
-    def wait_for(self, predicate: Callable[[], bool],
-                 timeout: float = 10.0) -> bool:
-        """Run until ``predicate()`` is true; False on timeout."""
-        return self.scheduler.run_while(lambda: not predicate(), timeout)
 
     # ------------------------------------------------------------------
     # Fault injection

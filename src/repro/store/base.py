@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.msglog import CheckpointRecord
 from repro.core.statedelta import (
+    PAGE_SIZE,
     apply_delta,
     compute_delta,
     decode_delta,
@@ -126,7 +127,7 @@ class GroupStore:
     def __init__(self, group_id: str, backend: GroupBackend, *,
                  fsync: str = FSYNC_CHECKPOINT,
                  max_delta_chain: int = DEFAULT_MAX_DELTA_CHAIN,
-                 page_size: int = 1024,
+                 page_size: int = PAGE_SIZE,
                  tracer: Tracer = NULL_TRACER,
                  node_id: str = "") -> None:
         if fsync not in FSYNC_POLICIES:
@@ -366,7 +367,8 @@ class DurableStore(ABC):
     def _make_backend(self, group_id: str) -> GroupBackend:
         """Create the backend for one group's journal."""
 
-    def group(self, group_id: str, *, page_size: int = 1024) -> GroupStore:
+    def group(self, group_id: str, *,
+              page_size: int = PAGE_SIZE) -> GroupStore:
         """The journal handle for ``group_id`` (created on first use)."""
         store = self._groups.get(group_id)
         if store is None:

@@ -54,12 +54,6 @@ class TotemConfig:
     """Leader broadcasts a ring probe this often so concurrent rings in a
     healed partition discover each other even when idle."""
 
-    order_digest_interval: int = 32
-    """Every this many delivered frames, publish the rolling
-    delivery-order hash as an ``audit.order_digest`` trace record so the
-    consistency auditor can compare members of one configuration
-    (0 disables emission; the hash is maintained regardless)."""
-
     ring_name: str = ""
     """Shard identity of this ring in a multi-ring deployment.  Namespaces
     the delivery-order configuration key and rotation span ids so two

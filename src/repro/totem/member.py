@@ -60,6 +60,12 @@ ViewFn = Callable[["View"], None]
 #: so simulated runs never see the difference.
 TOKEN_PROCESSING_TIME = 20e-6
 
+#: Every this many delivered frames, publish the rolling delivery-order
+#: hash as an ``audit.order_digest`` trace record so the consistency
+#: auditor can compare members of one configuration (the hash is
+#: maintained on every delivery regardless).
+ORDER_DIGEST_INTERVAL = 32
+
 
 class MemberState(enum.Enum):
     """Ring-member protocol phase (see the module docstring)."""
@@ -269,10 +275,9 @@ class TotemMember:
                                      origin=msg_id[0], seq=msg.seq,
                                      size=len(payload), trace=trace)
                     self.on_deliver(msg_id[0], payload)
-            interval = self.config.order_digest_interval
-            if (interval and self._order_ring_key
+            if (self._order_ring_key
                     and (self.delivered_aru - self._order_base)
-                    % interval == 0):
+                    % ORDER_DIGEST_INTERVAL == 0):
                 self.tracer.emit("audit", "order_digest", node=self.node_id,
                                  cfg=self._order_ring_key,
                                  base=self._order_base,

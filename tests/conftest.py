@@ -5,7 +5,7 @@ import pytest
 from repro.simnet.network import Network
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def strict_audit(monkeypatch):
     finding raises, failing the test.  Yields the list of attached
     auditors for tests that want to assert on them directly.
     """
-    from repro.core.system import EternalSystem
+    from repro.simnet.system import EternalSystem
 
     auditors = []
     original_init = EternalSystem.__init__

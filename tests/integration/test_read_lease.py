@@ -19,7 +19,7 @@ import pytest
 
 from repro.apps.kvstore import make_kvstore_factory
 from repro.core.config import EternalConfig
-from repro.core.system import EternalSystem
+from repro.simnet.system import EternalSystem
 from repro.ftcorba.properties import FTProperties, ReplicationStyle
 from repro.live.loadgen import ReadMixDriver
 from repro.totem.wire import ReadFastRequest

@@ -73,7 +73,7 @@ def test_version_aware_placement():
 # ---------------------------------------------------------------------------
 
 def live_system(nodes=("m", "n1", "n2")):
-    from repro.core.system import EternalSystem
+    from repro.simnet.system import EternalSystem
     system = EternalSystem(list(nodes))
     system.register_factory("IDL:repro/Counter:1.0", CounterServant,
                             nodes=[n for n in nodes if n != "m"])

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.core.config import EternalConfig
+from repro.core.bulk import BURST_INTERVAL
 from repro.live.clock import SUB_GRANULARITY, LiveScheduler
 
 
@@ -64,7 +64,7 @@ def test_cancel_before_the_next_pass_suppresses_the_callback(loop):
 
 
 @pytest.mark.parametrize(
-    "delay", [EternalConfig().bulk_burst_interval, 1e-3])
+    "delay", [BURST_INTERVAL, 1e-3])
 def test_real_delays_never_fire_early(loop, delay):
     assert delay >= SUB_GRANULARITY
     scheduler = LiveScheduler(loop)

@@ -14,7 +14,7 @@ from repro.obs.audit import (
     state_digest,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def make_stream():

@@ -8,7 +8,7 @@ branch of the rule.
 """
 
 from repro.obs.audit import LEASE_WINDOW, ConsistencyAuditor
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def make_stream():

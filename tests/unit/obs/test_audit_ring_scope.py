@@ -18,7 +18,7 @@ from repro.obs.audit import (
     ConsistencyAuditor,
     state_digest,
 )
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def make_sharded_stream():

@@ -9,7 +9,7 @@ from repro.obs.exporters import (
     export_jsonl,
 )
 from repro.obs.spans import SpanEmitter
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def traced_run():

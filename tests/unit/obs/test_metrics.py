@@ -9,7 +9,7 @@ from repro.obs.metrics import (
     StreamingHistogram,
     merge_registries,
 )
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.obs.report import (
     render_phase_table,
 )
 from repro.obs.spans import SpanEmitter
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def synthetic_recovery():

@@ -1,7 +1,7 @@
 """Unit tests for span emission, reconstruction, and nesting checks."""
 
 from repro.obs.spans import SpanEmitter, SpanTracker
-from repro.simnet.trace import NullTracer, Tracer
+from repro.runtime.trace import NullTracer, Tracer
 
 
 def make_tracer():

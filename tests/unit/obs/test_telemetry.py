@@ -19,7 +19,7 @@ from repro.obs.telemetry import (
     install_crash_hooks,
     render_top,
 )
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 
 
 def make_recorder(**overrides):

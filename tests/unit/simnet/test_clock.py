@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simnet.clock import PeriodicTimer
+from repro.runtime.timers import PeriodicTimer
 from repro.simnet.scheduler import Scheduler
 
 

@@ -1,6 +1,6 @@
 """Unit tests for the tracer."""
 
-from repro.simnet.trace import NULL_TRACER, NullTracer, Tracer
+from repro.runtime.trace import NULL_TRACER, NullTracer, Tracer
 
 
 def test_emit_records_and_counts():

@@ -1,4 +1,6 @@
-"""Guard: build and profiling artifacts never land in the tree.
+"""Guards: build and profiling artifacts never land in the tree, the
+protocol packages never learn which substrate runs them, and no config
+field outlives its last user.
 
 Profiling runs drop ``.folded`` files and Python drops ``__pycache__``
 next to whatever module was imported; both are one careless ``git add``
@@ -6,6 +8,8 @@ away from being committed.  The only sanctioned profile artifacts are
 the committed baselines under ``benchmarks/profiles/``.
 """
 
+import ast
+import dataclasses
 import subprocess
 from pathlib import Path
 
@@ -60,3 +64,82 @@ def test_gitignore_covers_journal_artifacts():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     assert "*.jrnl" in gitignore
     assert "store-dir/" in gitignore
+
+
+# ---------------------------------------------------------------------------
+# Layering and knobs: two guards that keep parallel code and unread
+# options from growing back (ROADMAP item 3).
+# ---------------------------------------------------------------------------
+
+SRC = REPO_ROOT / "src" / "repro"
+
+#: Packages that must not know which substrate runs them.
+SUBSTRATE_NEUTRAL = ("core", "totem", "obs", "runtime", "store", "orb",
+                     "giop", "ftcorba")
+
+
+def imported_modules(path):
+    """Every module a source file imports, wherever the statement sits
+    (module level, function body, ``TYPE_CHECKING`` block)."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def offending_imports(package, forbidden):
+    return sorted(
+        f"{path.relative_to(SRC)} imports {module}"
+        for path in (SRC / package).rglob("*.py")
+        for module in imported_modules(path)
+        if module == forbidden or module.startswith(forbidden + "."))
+
+
+def test_protocol_packages_import_no_substrate():
+    offenders = [line for package in SUBSTRATE_NEUTRAL
+                 for substrate in ("repro.simnet", "repro.live")
+                 for line in offending_imports(package, substrate)]
+    assert offenders == []
+
+
+def test_substrates_do_not_import_each_other():
+    assert offending_imports("live", "repro.simnet") == []
+    assert offending_imports("simnet", "repro.live") == []
+
+
+def keywords_set_outside(own_modules):
+    """Names passed as a keyword argument in any call (``EternalConfig(x=)``,
+    ``replace(cfg, x=)``, a test helper's ``deploy(x=)`` …) or defaulted
+    into a kwargs dict (``kw.setdefault("x", …)``) under the four code
+    roots, outside the config modules themselves."""
+    names = set()
+    for root in ("src", "tests", "benchmarks", "examples"):
+        for path in (REPO_ROOT / root).rglob("*.py"):
+            if path in own_modules:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                names.update(kw.arg for kw in node.keywords if kw.arg)
+                if (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "setdefault" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    names.add(node.args[0].value)
+    return names
+
+
+def test_every_config_field_is_set_by_someone():
+    """A knob stays only if a bench sweeps it, an ablation names it, or a
+    test sets it; one nobody sets becomes a module constant beside its
+    reader (see the ``repro.core.config`` docstring)."""
+    from repro.core import config as eternal
+    from repro.totem import config as totem
+
+    used = keywords_set_outside({Path(eternal.__file__).resolve(),
+                                 Path(totem.__file__).resolve()})
+    unset = [f"{cls.__name__}.{field.name}"
+             for cls in (eternal.EternalConfig, totem.TotemConfig)
+             for field in dataclasses.fields(cls)
+             if field.name not in used]
+    assert unset == []

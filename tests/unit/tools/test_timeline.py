@@ -1,6 +1,6 @@
 """Unit tests for the trace timeline tool."""
 
-from repro.simnet.trace import Tracer
+from repro.runtime.trace import Tracer
 from repro.tools.timeline import recovery_summary, render_timeline
 
 

@@ -69,7 +69,7 @@ def test_retained_messages_garbage_collected():
 
 
 def test_probe_interval_controls_probe_traffic():
-    from repro.simnet.trace import Tracer
+    from repro.runtime.trace import Tracer
     config = TotemConfig(probe_interval=0.005)
     scheduler, members, delivered = build_pair(config)
     scheduler.run_until(0.5)

@@ -249,7 +249,7 @@ def test_partition_heal_remerges_ring():
 def test_no_spurious_retransmissions_in_steady_state():
     """The sender's own just-broadcast messages must not be treated as gaps
     (regression test for the retransmission-storm bug)."""
-    from repro.simnet.trace import Tracer
+    from repro.runtime.trace import Tracer
     ring = Ring()
     tracer = Tracer(keep_records=False)
     tracer.bind_clock(lambda: ring.scheduler.now)
