@@ -16,16 +16,16 @@ message log past them (:mod:`repro.store`).  Three arms per state size:
 Gates:
 
 * warm restart moves >= 10x fewer state bytes than no-store at 350 kB
-  (the acceptance point), and already >= 5x at 64 kB,
+  (the acceptance point), and already >= 5x at 64 kB — the per-size
+  floors ``python -m repro cold-restart`` gates on,
 * the full-cluster cold boot actually recovers (the sweep raises if it
   doesn't) and claims at least one seed,
 * every run ends with matching digests (``strict_audit``).
 """
 
+from repro.bench.registry import COLD_RESTART_MIN_RATIO
 from repro.bench.reporting import print_table
 from repro.bench.sweeps import COLD_RESTART_SIZES, run_cold_restart_point
-
-MIN_RATIO = {64_000: 5.0, 350_000: 10.0}
 
 
 def test_cold_restart_journal_vs_network(benchmark, strict_audit):
@@ -65,8 +65,9 @@ def test_cold_restart_journal_vs_network(benchmark, strict_audit):
         point = results[size]
         # the no-store arm really shipped the full snapshot
         assert point["nostore_wire_bytes"] >= size, point
-        assert point["wire_ratio"] >= MIN_RATIO[size], (
-            f"journal saving under {MIN_RATIO[size]:.0f}x at {size}: "
+        floor = COLD_RESTART_MIN_RATIO[size]
+        assert point["wire_ratio"] >= floor, (
+            f"journal saving under {floor:.0f}x at {size}: "
             f"{point['wire_ratio']:.1f}x"
         )
         # whole-cluster death is survivable, via an actual seed election

@@ -19,16 +19,11 @@ Gates:
 import pytest
 
 from repro.bench.livebench import run_live_throughput
+from repro.bench.registry import LIVE_MIN_SPEEDUP
 from repro.bench.reporting import print_table
 
 pytestmark = pytest.mark.live
 
-# Both arms are CPU-bound since the token stopped sleeping on an active
-# ring: ~760 ordered vs ~1540 leased acks/s here, about 2.0x run after
-# run (1.96-2.26x over eight).  The old 2.0 gate sat on a 2.6x that was a
-# ratio over a sleeping denominator (166 vs 433 acks/s when recorded;
-# 202 vs 442 on this host just before the change).
-MIN_SPEEDUP = 1.5
 MIN_DATAGRAMS_PER_WAKEUP = 1.5
 
 
@@ -71,9 +66,9 @@ def test_read_lease_doubles_live_throughput(benchmark):
     # Fault-free: nothing should have fallen back to the total order.
     assert leased["fallbacks"] == 0, leased
     speedup = result["speedup"]
-    assert speedup >= MIN_SPEEDUP, (
+    assert speedup >= LIVE_MIN_SPEEDUP, (
         f"read lease bought only {speedup:.2f}x "
-        f"(gate >= {MIN_SPEEDUP:.1f}x): "
+        f"(gate >= {LIVE_MIN_SPEEDUP:.1f}x): "
         f"{leased['acked_per_s']:.0f} vs {ordered['acked_per_s']:.0f} "
         f"ops/s")
     assert saturated["datagrams_per_wakeup"] >= MIN_DATAGRAMS_PER_WAKEUP, (

@@ -16,6 +16,7 @@ ring) across 1, 2, 4, and 8 rings and checks the sharding claim:
 All counting is in simulated time, so the numbers are deterministic.
 """
 
+from repro.bench.registry import SHARD_MIN_SCALING
 from repro.bench.reporting import print_table
 from repro.bench.shardbench import SHARD_SCALE_RINGS, run_shard_scale_point
 
@@ -49,7 +50,7 @@ def test_shard_scale_near_linear(benchmark):
     # headline 8-ring arm must clear 4x the single ring.
     assert results[2]["throughput_per_s"] > 1.5 * base
     assert results[4]["throughput_per_s"] > 3.0 * base
-    assert results[8]["throughput_per_s"] > 4.0 * base
+    assert results[8]["throughput_per_s"] > SHARD_MIN_SCALING * base
     benchmark.extra_info["sweep"] = {
         str(rings): {k: (round(v, 3) if isinstance(v, float) else v)
                      for k, v in results[rings].items()}

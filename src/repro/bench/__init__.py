@@ -1,38 +1,32 @@
-"""Benchmark harness support: deployments, baselines, and reporting.
+"""Benchmark harness support: deployments, sweep points, and one registry.
 
 The benchmark files under ``benchmarks/`` regenerate the paper's evaluation
 (Figure 6, the §6 overhead claim, and the replication-style trade-offs) plus
-ablations; this package holds the shared machinery they use:
+ablations; this package holds the machinery they share with the CLI:
 
-* :mod:`repro.bench.deployments` — canned EternalSystem deployments
-  (replicated server + packet-driver client, per style/size/config).
-* :mod:`repro.bench.baseline` — the *unreplicated* client/server pair over
-  plain point-to-point messaging, the comparison point for the fault-free
-  overhead measurement.
-* :mod:`repro.bench.reporting` — fixed-width result tables with
-  paper-vs-measured context.
-* :mod:`repro.bench.sweeps` — the checkpoint-transfer-cost and
-  wire-bound throughput sweeps shared by the CLI (``python -m repro
-  checkpoint`` / ``throughput``) and the benchmark suite.
+* :mod:`~repro.bench.deployments`, :mod:`~repro.bench.baseline`,
+  :mod:`~repro.bench.workloads` — canned replicated deployments, the
+  *unreplicated* pair the overhead claim compares against, and the
+  open-loop driver.
+* :mod:`~repro.bench.sweeps`, :mod:`~repro.bench.livebench`,
+  :mod:`~repro.bench.shardbench` — the ``run_*_point`` functions: one
+  measured experiment at one sweep value.
+* :mod:`~repro.bench.registry` — one declared row per ``python -m repro``
+  sweep command and the single ``run_bench`` that sweeps, records,
+  compares, gates and prints them.
+* :mod:`~repro.bench.regression`, :mod:`~repro.bench.stats` — the
+  ``BENCH_*.json`` record, its per-series comparator, and the one
+  :class:`Summary` both use.
+* :mod:`~repro.bench.reporting`, :mod:`~repro.bench.plot` — result tables
+  with paper-vs-measured context, ASCII plots.
 """
 
 from repro.bench.baseline import BaselinePair
 from repro.bench.deployments import ClientServerDeployment, build_client_server
 from repro.bench.plot import ascii_plot
 from repro.bench.reporting import print_table
-from repro.bench.stats import Summary, aggregate, summarize
-from repro.bench.sweeps import (
-    run_checkpoint_point,
-    run_checkpoint_sweep,
-    run_throughput_point,
-    run_throughput_sweep,
-)
-from repro.bench.workloads import (
-    OpenLoopDriverServant,
-    bursty_schedule,
-    poisson_schedule,
-    uniform_schedule,
-)
+from repro.bench.stats import Summary, summarize
+from repro.bench.workloads import OpenLoopDriverServant, uniform_schedule
 
 __all__ = [
     "BaselinePair",
@@ -41,14 +35,7 @@ __all__ = [
     "print_table",
     "ascii_plot",
     "Summary",
-    "aggregate",
     "summarize",
     "OpenLoopDriverServant",
-    "run_checkpoint_point",
-    "run_checkpoint_sweep",
-    "run_throughput_point",
-    "run_throughput_sweep",
     "uniform_schedule",
-    "poisson_schedule",
-    "bursty_schedule",
 ]

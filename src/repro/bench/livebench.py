@@ -146,7 +146,7 @@ def run_arm(read_lease: bool, *, duration: float = 2.0,
                                    n_drivers=n_drivers))
 
 
-def run_live_throughput(*, duration: float = 2.0,
+def run_live_throughput(duration: float = 2.0, *,
                         use_uvloop: bool = False) -> Dict[str, Any]:
     """Both single-driver arms (the speedup pair) plus a saturation arm
     probing receive batching, and the ratio-derived regression points."""

@@ -3,12 +3,16 @@
 A bench run can be summarized into a ``BenchRecord`` — per-sweep-point
 values plus median/p95 of the key metric, the machine it ran on, and the
 git revision — and written to ``BENCH_<name>.json``.  A later run loads
-the previous file and compares with a configurable tolerance:
+the previous file and compares against :data:`TOLERANCE`:
 
 * the key metric is **lower-is-better** (recovery milliseconds);
-* the comparison fails only if the current summary statistic exceeds
+* points are gated **per series** — the key text before ``:``
+  (``warm_ms:350000`` and ``warm_kB:350000`` are two series; un-prefixed
+  keys such as ``fig6``'s state sizes form one) — so a record that mixes
+  milliseconds and kilobytes never hides one behind the other's scale;
+* the comparison fails only if a series' median or p95 exceeds
   ``baseline * (1 + tolerance)`` — improvements always pass;
-* per-point comparisons are reported but only the summary gates.
+* per-point comparisons are reported but only the summaries gate.
 
 All times in this repository are *simulated* seconds, so records are
 deterministic for a given seed and comparable across machines; machine
@@ -18,32 +22,19 @@ info and git sha are recorded for provenance, not matched.
 from __future__ import annotations
 
 import json
-import math
 import platform
 import subprocess
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional
+
+from repro.bench.stats import Summary, summarize
 
 SCHEMA = "repro.bench.regression/1"
 
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Median and p95 (nearest-rank) plus bounds of ``samples``."""
-    if not samples:
-        raise ValueError("cannot summarize an empty sample set")
-    ordered = sorted(samples)
-
-    def rank(q: float) -> float:
-        return ordered[max(1, math.ceil(q * len(ordered))) - 1]
-
-    return {
-        "count": len(ordered),
-        "median": rank(0.50),
-        "p95": rank(0.95),
-        "min": ordered[0],
-        "max": ordered[-1],
-    }
+#: Allowed relative slowdown of a series' median/p95 vs the baseline.
+#: Every gate has always run at this one value.
+TOLERANCE = 0.2
 
 
 def machine_info() -> Dict[str, str]:
@@ -85,27 +76,18 @@ class BenchRecord:
     def from_points(cls, name: str, metric: str, unit: str,
                     points: Dict[str, float]) -> "BenchRecord":
         """Build a record (summary and provenance filled in)."""
+        stats = summarize(list(points.values()))
         return cls(
             name=name, metric=metric, unit=unit, points=dict(points),
-            summary=summarize(list(points.values())),
+            summary={"count": stats.n, "median": stats.median,
+                     "p95": stats.p95, "min": stats.minimum,
+                     "max": stats.maximum},
             machine=machine_info(),
             git_sha=current_git_sha(),
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "name": self.name,
-                "metric": self.metric,
-                "unit": self.unit,
-                "points": self.points,
-                "summary": self.summary,
-                "machine": self.machine,
-                "git_sha": self.git_sha,
-            },
-            indent=2, sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -144,13 +126,24 @@ class Comparison:
     regressions: List[str] = field(default_factory=list)
 
 
+def _series(points: Dict[str, float]) -> Dict[str, Summary]:
+    """Group points by the key text before ``:`` (``""`` when there is
+    none) and summarize each group."""
+    grouped: Dict[str, List[float]] = {}
+    for key, value in points.items():
+        grouped.setdefault(key.rpartition(":")[0], []).append(value)
+    return {name: summarize(values) for name, values in grouped.items()}
+
+
 def compare_bench_records(baseline: BenchRecord, current: BenchRecord,
-                          *, tolerance: float = 0.2) -> Comparison:
+                          *, tolerance: float = TOLERANCE) -> Comparison:
     """Compare lower-is-better records; fail on worse-than-tolerance.
 
-    Gates on the summary ``median`` and ``p95``; per-point excursions are
-    listed for context but do not fail on their own (a single sweep point
-    shifting inside an unchanged distribution is noise, not a regression).
+    Gates on each series' ``median`` and ``p95``, computed from the two
+    records' own points (so a baseline written before series existed
+    still gates correctly); per-point excursions are listed for context
+    but do not fail on their own (a single sweep point shifting inside an
+    unchanged distribution is noise, not a regression).
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -160,18 +153,23 @@ def compare_bench_records(baseline: BenchRecord, current: BenchRecord,
             f"{current.name}/{current.metric}"
         )
     regressions: List[str] = []
-    for stat in ("median", "p95"):
-        base = baseline.summary.get(stat)
-        cur = current.summary.get(stat)
-        if base is None or cur is None:
+    current_series = _series(current.points)
+    for name, base_stats in sorted(_series(baseline.points).items()):
+        cur_stats = current_series.get(name)
+        if cur_stats is None:
             continue
-        limit = base * (1 + tolerance)
-        if cur > limit:
-            regressions.append(
-                f"{stat}: {cur:.3f}{current.unit} exceeds baseline "
-                f"{base:.3f}{current.unit} by more than "
-                f"{tolerance:.0%} (limit {limit:.3f})"
-            )
+        # a named series carries its own unit (warm_kB); the record's is
+        # the un-prefixed series'
+        label, unit = (f"{name} ", "") if name else ("", current.unit)
+        for stat in ("median", "p95"):
+            base, cur = getattr(base_stats, stat), getattr(cur_stats, stat)
+            limit = base * (1 + tolerance)
+            if cur > limit:
+                regressions.append(
+                    f"{label}{stat}: {cur:.3f}{unit} exceeds baseline "
+                    f"{base:.3f}{unit} by more than "
+                    f"{tolerance:.0%} (limit {limit:.3f})"
+                )
     notes: List[str] = []
     for key in sorted(baseline.points.keys() & current.points.keys()):
         base, cur = baseline.points[key], current.points[key]

@@ -1,17 +1,17 @@
-"""Multi-seed aggregation for benchmark sweeps.
+"""The one summary of a sample set the bench package uses.
 
 The simulator is deterministic per seed; statistical claims (means,
 spreads, confidence intervals) come from running the same experiment under
-several seeds.  :func:`aggregate` runs a measurement callable across seeds
-and summarizes; :class:`Summary` carries the moments benchmark tables
-print.
+several seeds.  :class:`Summary` carries the moments benchmark tables
+print and the nearest-rank ``median``/``p95`` that
+:mod:`repro.bench.regression` records and gates on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,20 @@ class Summary:
     @property
     def maximum(self) -> float:
         return max(self.samples)
+
+    def _rank(self, q: float) -> float:
+        ordered = sorted(self.samples)
+        return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+    @property
+    def median(self) -> float:
+        """Nearest-rank median (always one of the samples)."""
+        return self._rank(0.50)
+
+    @property
+    def p95(self) -> float:
+        """Nearest-rank 95th percentile (always one of the samples)."""
+        return self._rank(0.95)
 
     @property
     def stdev(self) -> float:
@@ -68,8 +82,3 @@ def summarize(samples: Sequence[float]) -> Summary:
         raise ValueError("cannot summarize zero samples")
     return Summary(tuple(float(s) for s in samples))
 
-
-def aggregate(measure: Callable[[int], float],
-              seeds: Sequence[int] = (0, 1, 2)) -> Summary:
-    """Run ``measure(seed)`` for every seed and summarize the results."""
-    return summarize([measure(seed) for seed in seeds])

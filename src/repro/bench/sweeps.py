@@ -1,9 +1,13 @@
-"""Reusable benchmark sweeps: checkpoint-transfer cost and throughput.
+"""The sweep points: one ``run_*_point`` per measured experiment.
 
-The CLI (``python -m repro checkpoint`` / ``throughput``) and the pytest
-benchmarks drive the same sweep functions, so the recorded regression
-baselines and the asserted benchmark claims measure identical workloads.
+The CLI rows of :mod:`repro.bench.registry` and the pytest benchmarks
+drive the same point functions, so the recorded regression baselines and
+the asserted benchmark claims measure identical workloads.
 
+* :func:`run_fig6_point` — the paper's Figure 6 experiment: kill and
+  re-launch one of two active replicas at a given state size.
+* :func:`run_styles_point` — client-visible disruption when the serving
+  replica of one replication style is killed (§6).
 * :func:`run_checkpoint_point` — warm-passive deployment under a
   scribbling (10 %-dirty) packet-driver workload; the cost metric is the
   median ``recovery.xfer`` span, which in a fault-free passive run times
@@ -28,22 +32,14 @@ entry points to accumulate their own wall-clock share inside the run
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.deployments import build_client_server
+from repro.bench.deployments import build_client_server, measure_recovery
 from repro.bench.workloads import make_open_loop_factory, uniform_schedule
 from repro.core.config import EternalConfig
 from repro.ftcorba.properties import FTProperties, ReplicationStyle
 from repro.obs.profiling import InSituProbe, ProfileSession
 from repro.totem.config import TotemConfig
-
-#: Figure-6 state sizes reused for the checkpoint-cost sweep.
-CHECKPOINT_SIZES = [10_000, 50_000, 100_000, 200_000, 350_000]
-CHECKPOINT_SIZES_QUICK = [10_000, 100_000, 350_000]
-
-#: Offered loads (invocations/s) for the recorded throughput sweep.
-THROUGHPUT_LOADS = [4_000, 8_000, 16_000, 32_000, 64_000]
-THROUGHPUT_LOADS_QUICK = [8_000, 32_000, 64_000]
 
 #: Near-zero simulated ``echo`` cost: with the default 50 µs/op servant
 #: cost the saturation knee is server CPU, which hides the send path; a
@@ -51,6 +47,58 @@ THROUGHPUT_LOADS_QUICK = [8_000, 32_000, 64_000]
 WIRE_BOUND_ECHO = 1e-6
 
 OPEN_LOOP_TYPE = "IDL:repro/OpenLoopDriver:1.0"
+
+
+# ---------------------------------------------------------------------------
+# Figure 6 and the replication-style comparison
+# ---------------------------------------------------------------------------
+
+def run_fig6_point(state_size: int, *, bulk: bool = True,
+                   profile: Optional[ProfileSession] = None
+                   ) -> Dict[str, Any]:
+    """Kill and re-launch one of two active replicas at ``state_size``.
+
+    Returns the recovery time (simulated milliseconds) and the run's
+    metrics registry, whose ``span.recovery.*`` histograms give the
+    per-phase breakdown.  ``bulk=False`` is the paper's purely in-order
+    state transfer.  Raises ``TimeoutError`` if recovery never completes.
+    """
+    deployment = build_client_server(
+        style=ReplicationStyle.ACTIVE,
+        server_replicas=2,
+        state_size=state_size,
+        eternal_config=EternalConfig(bulk_lane=bulk),
+        profiling=profile.config if profile else None,
+        warmup=0.2,
+    )
+    if profile is not None:
+        profile.attach(deployment.system)
+    return {
+        "recovery_ms": measure_recovery(deployment, "s2") * 1000.0,
+        "metrics": deployment.system.metrics,
+    }
+
+
+def run_styles_point(style: ReplicationStyle) -> Dict[str, float]:
+    """Kill the serving replica of a 2-way ``style`` group under load and
+    time until the client has 20 more replies (simulated milliseconds)."""
+    deployment = build_client_server(style=style, server_replicas=2,
+                                     state_size=20_000,
+                                     checkpoint_interval=0.2,
+                                     warmup=0.2)
+    system = deployment.system
+    driver = deployment.driver
+    system.run_for(0.5)
+    victim = (deployment.server_group.primary_node()
+              if style.is_passive else "s1")
+    acked = driver.acked
+    kill_time = system.now
+    system.kill_node(victim)
+    if not system.wait_for(lambda: driver.acked > acked + 20, timeout=5.0):
+        raise RuntimeError(
+            f"{style.value} never resumed service after the fault "
+            f"(driver stuck at {driver.acked} acks)")
+    return {"disruption_ms": (system.now - kill_time) * 1000.0}
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +166,28 @@ def run_checkpoint_point(state_size: int, *,
     }
 
 
-def run_checkpoint_sweep(sizes: Sequence[int], *,
-                         delta: bool = True,
-                         **kwargs) -> List[Dict[str, float]]:
-    """:func:`run_checkpoint_point` over a list of state sizes."""
-    return [run_checkpoint_point(size, delta=delta, **kwargs)
-            for size in sizes]
-
-
 # ---------------------------------------------------------------------------
 # Open-loop throughput (parameterized on Totem frame packing)
 # ---------------------------------------------------------------------------
+
+def _deploy_open_loop(rate: int, window: float, **deployment):
+    """The 2-way active store with an open-loop driver on its one client
+    node (``c1``, beside the deployment's own closed-loop driver) issuing
+    ``rate`` invocations/s for ``window`` seconds from time 0.  Returns
+    the system and the open-loop driver's group handle."""
+    built = build_client_server(style=ReplicationStyle.ACTIVE,
+                                server_replicas=2, client_replicas=1,
+                                warmup=0.05, **deployment)
+    system = built.system
+    iogr = built.server_group.iogr().stringify()
+    system.register_factory(
+        OPEN_LOOP_TYPE,
+        make_open_loop_factory(iogr, uniform_schedule(rate, window)),
+        nodes=["c1"])
+    return system, system.create_group(
+        "openloop", OPEN_LOOP_TYPE,
+        FTProperties(initial_replicas=1, min_replicas=1), nodes=["c1"])
+
 
 def run_throughput_point(rate: int, *,
                          frame_packing: Optional[bool] = None,
@@ -148,36 +207,16 @@ def run_throughput_point(rate: int, *,
     to protocol phases (``--profile`` on the CLI).  Returns
     offered/achieved throughput and latency statistics.
     """
-    totem_config = None
-    if frame_packing is not None:
-        totem_config = TotemConfig(frame_packing=frame_packing)
-    deployment = build_client_server(
-        style=ReplicationStyle.ACTIVE,
-        server_replicas=2,
-        client_replicas=1,      # the closed-loop driver idles below
-        state_size=state_size,
+    system, group = _deploy_open_loop(
+        rate, window, state_size=state_size, seed=seed,
         echo_duration=echo_duration,
-        totem_config=totem_config,
-        profiling=profile.config if profile else None,
-        seed=seed,
-        warmup=0.05,
-    )
-    system = deployment.system
+        totem_config=(None if frame_packing is None
+                      else TotemConfig(frame_packing=frame_packing)),
+        profiling=profile.config if profile else None)
     if profile is not None:
         profile.attach(system)
-    # Silence the closed-loop driver by deploying an open-loop one on the
-    # same client node, targeting the same store.
-    iogr = deployment.server_group.iogr().stringify()
-    schedule = uniform_schedule(rate, window, start=0.0)
-    system.register_factory(
-        OPEN_LOOP_TYPE, make_open_loop_factory(iogr, schedule), nodes=["c1"]
-    )
-    system.create_group("openloop", OPEN_LOOP_TYPE,
-                        FTProperties(initial_replicas=1, min_replicas=1),
-                        nodes=["c1"])
     system.run_for(window + drain)   # schedule window plus a short drain
-    from repro.core.system import GroupHandle
-    driver = GroupHandle(system, "openloop").servant_on("c1")
+    driver = group.servant_on("c1")
     return {
         "offered": float(rate),
         "sent": float(driver.sent),
@@ -187,23 +226,9 @@ def run_throughput_point(rate: int, *,
     }
 
 
-def run_throughput_sweep(rates: Sequence[int], *,
-                         frame_packing: Optional[bool] = None,
-                         **kwargs) -> List[Dict[str, float]]:
-    """:func:`run_throughput_point` over a list of offered loads."""
-    return [run_throughput_point(rate, frame_packing=frame_packing, **kwargs)
-            for rate in rates]
-
-
 # ---------------------------------------------------------------------------
 # Recovery at scale (parameterized on the out-of-band bulk lane)
 # ---------------------------------------------------------------------------
-
-#: State sizes for the recovery-scale sweep: the fig-6 tail and beyond,
-#: where the in-order transfer is fragment-bound and the bulk lane pays.
-RECOVERY_SCALE_SIZES = [64_000, 128_000, 256_000, 350_000, 512_000]
-RECOVERY_SCALE_SIZES_QUICK = [64_000, 256_000, 350_000]
-
 
 def run_recovery_scale_point(state_size: int, *,
                              bulk: bool = True,
@@ -270,14 +295,6 @@ def run_recovery_scale_point(state_size: int, *,
         "inorder_bytes": float(counters.get("bulk.inorder.bytes", 0)),
         "bulk_sessions": float(counters.get("bulk.session_complete", 0)),
     }
-
-
-def run_recovery_scale_sweep(sizes: Sequence[int], *,
-                             bulk: bool = True,
-                             **kwargs) -> List[Dict[str, float]]:
-    """:func:`run_recovery_scale_point` over a list of state sizes."""
-    return [run_recovery_scale_point(size, bulk=bulk, **kwargs)
-            for size in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +422,9 @@ def run_cold_restart_point(state_size: int, *,
     }
 
 
-def run_cold_restart_sweep(sizes: Sequence[int],
-                           **kwargs) -> List[Dict[str, float]]:
-    """:func:`run_cold_restart_point` over a list of state sizes."""
-    return [run_cold_restart_point(size, **kwargs) for size in sizes]
-
-
 # ---------------------------------------------------------------------------
 # Telemetry-plane overhead (wall clock)
 # ---------------------------------------------------------------------------
-
-#: Offered loads (invocations/s) for the obs-overhead gate.
-OBS_OVERHEAD_LOADS = [4_000, 16_000]
-OBS_OVERHEAD_LOADS_QUICK = [8_000]
-
 
 def _obs_workload_wall_clock(rate: int, *, telemetry=None, profiling=None,
                              window: float, drain: float, state_size: int,
@@ -426,26 +432,10 @@ def _obs_workload_wall_clock(rate: int, *, telemetry=None, profiling=None,
     """Wall-clock seconds to simulate one fault-free open-loop throughput
     run with the given telemetry/profiling configs (the simulated workload
     is identical either way — only the host CPU cost differs)."""
-    deployment = build_client_server(
-        style=ReplicationStyle.ACTIVE,
-        server_replicas=2,
-        client_replicas=1,
-        state_size=state_size,
-        echo_duration=WIRE_BOUND_ECHO,
-        telemetry=telemetry,
-        profiling=profiling,
-        seed=seed,
-        warmup=0.05,
-    )
-    system = deployment.system
-    iogr = deployment.server_group.iogr().stringify()
-    schedule = uniform_schedule(rate, window, start=0.0)
-    system.register_factory(
-        OPEN_LOOP_TYPE, make_open_loop_factory(iogr, schedule), nodes=["c1"]
-    )
-    system.create_group("openloop", OPEN_LOOP_TYPE,
-                        FTProperties(initial_replicas=1, min_replicas=1),
-                        nodes=["c1"])
+    system, _group = _deploy_open_loop(
+        rate, window, state_size=state_size, seed=seed,
+        echo_duration=WIRE_BOUND_ECHO, telemetry=telemetry,
+        profiling=profiling)
     start = time.perf_counter()
     system.run_for(window + drain)
     return time.perf_counter() - start
@@ -534,11 +524,6 @@ def run_obs_overhead_point(rate: int, *,
 # ---------------------------------------------------------------------------
 # Profiler overhead (wall clock)
 # ---------------------------------------------------------------------------
-
-#: Offered loads (invocations/s) for the prof-overhead gate.
-PROF_OVERHEAD_LOADS = [4_000, 16_000]
-PROF_OVERHEAD_LOADS_QUICK = [8_000]
-
 
 def run_prof_overhead_point(rate: int, *,
                             repeats: int = 3,

@@ -6,7 +6,7 @@ probe throughput saturation.  This module adds an **open-loop** driver that
 issues invocations on a precomputed arrival schedule regardless of replies
 — the standard tool for latency-vs-offered-load curves.
 
-Schedules are deterministic functions of (rate, seed), so runs repeat
+The schedule is a deterministic function of the rate, so runs repeat
 exactly.  The open-loop driver is intended for *unreplicated* (1-replica)
 client groups: a timer-driven client is inherently non-deterministic
 across replicas, which is exactly why the paper's replicated test client
@@ -30,38 +30,6 @@ def uniform_schedule(rate: float, duration: float,
     interval = 1.0 / rate
     count = int(duration * rate)
     return [start + i * interval for i in range(count)]
-
-
-def poisson_schedule(rate: float, duration: float, seed: int = 0,
-                     start: float = 0.0) -> List[float]:
-    """Poisson arrivals at mean ``rate`` per second (deterministic in
-    (rate, seed))."""
-    import math
-    import random
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    rng = random.Random(seed)
-    arrivals: List[float] = []
-    clock = start
-    while clock - start < duration:
-        clock += -math.log(1.0 - rng.random()) / rate
-        if clock - start < duration:
-            arrivals.append(clock)
-    return arrivals
-
-
-def bursty_schedule(rate: float, duration: float, *, burst: int = 10,
-                    start: float = 0.0) -> List[float]:
-    """Arrivals in instantaneous bursts of ``burst`` at the same mean rate."""
-    if rate <= 0 or burst < 1:
-        raise ValueError("rate and burst must be positive")
-    gap = burst / rate
-    arrivals: List[float] = []
-    clock = start
-    while clock - start < duration:
-        arrivals.extend([clock] * burst)
-        clock += gap
-    return [t for t in arrivals if t - start < duration]
 
 
 class OpenLoopDriverServant(Checkpointable):

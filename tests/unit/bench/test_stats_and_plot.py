@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.plot import ascii_plot
-from repro.bench.stats import Summary, aggregate, summarize
+from repro.bench.stats import summarize
 
 
 def test_summary_moments():
@@ -33,15 +33,26 @@ def test_format_scales():
     assert text.startswith("11.0 ±")
 
 
+def test_summary_nearest_rank_quantiles_are_samples():
+    summary = summarize([40.0, 10.0, 30.0, 20.0])
+    assert summary.median == 20.0
+    assert summary.p95 == 40.0
+    assert summarize([7.0]).median == summarize([7.0]).p95 == 7.0
+    # nearest rank never interpolates: 95 % of 20 samples is the 19th
+    assert summarize(list(range(1, 21))).p95 == 19.0
+
+
 def test_aggregate_runs_all_seeds():
+    """One sample per seed, kept in seed order."""
     seen = []
 
     def measure(seed):
         seen.append(seed)
         return float(seed)
 
-    summary = aggregate(measure, seeds=(3, 4, 5))
+    summary = summarize([measure(seed) for seed in (3, 4, 5)])
     assert seen == [3, 4, 5]
+    assert summary.samples == (3.0, 4.0, 5.0)
     assert summary.mean == 4.0
 
 
@@ -54,7 +65,7 @@ def test_aggregate_with_deterministic_simulation():
                                          warmup=0.1, seed=seed)
         return measure_recovery(deployment, "s2")
 
-    a = aggregate(measure, seeds=(0, 0))
+    a = summarize([measure(0), measure(0)])
     assert a.samples[0] == a.samples[1]
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bench.workloads import (
-    OpenLoopDriverServant,
-    bursty_schedule,
-    poisson_schedule,
-    uniform_schedule,
-)
+from repro.bench.workloads import OpenLoopDriverServant, uniform_schedule
 
 
 def test_uniform_schedule_spacing():
@@ -26,37 +21,6 @@ def test_uniform_schedule_start_offset():
 def test_uniform_rejects_bad_rate():
     with pytest.raises(ValueError):
         uniform_schedule(0, 1.0)
-
-
-def test_poisson_schedule_deterministic_per_seed():
-    a = poisson_schedule(100, 1.0, seed=7)
-    b = poisson_schedule(100, 1.0, seed=7)
-    c = poisson_schedule(100, 1.0, seed=8)
-    assert a == b
-    assert a != c
-
-
-def test_poisson_schedule_mean_rate():
-    schedule = poisson_schedule(1000, 5.0, seed=1)
-    assert 4000 < len(schedule) < 6000
-    assert all(0 <= t < 5.0 for t in schedule)
-
-
-def test_poisson_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        poisson_schedule(-1, 1.0)
-
-
-def test_bursty_schedule_groups_arrivals():
-    schedule = bursty_schedule(100, 1.0, burst=10)
-    assert len(schedule) == pytest.approx(100, abs=10)
-    # the first ten arrive at the same instant
-    assert len(set(schedule[:10])) == 1
-
-
-def test_bursty_rejects_bad_args():
-    with pytest.raises(ValueError):
-        bursty_schedule(100, 1.0, burst=0)
 
 
 def test_open_loop_driver_latency_stats():

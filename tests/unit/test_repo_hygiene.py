@@ -8,8 +8,10 @@ away from being committed.  The only sanctioned profile artifacts are
 the committed baselines under ``benchmarks/profiles/``.
 """
 
+import argparse
 import ast
 import dataclasses
+import re
 import subprocess
 from pathlib import Path
 
@@ -143,3 +145,102 @@ def test_every_config_field_is_set_by_someone():
              for field in dataclasses.fields(cls)
              if field.name not in used]
     assert unset == []
+
+
+# ---------------------------------------------------------------------------
+# One bench registry: the gate code, the baselines, CI and the flags stay
+# rows of repro.bench.registry (ROADMAP item 4(e)).
+# ---------------------------------------------------------------------------
+
+BASELINES = REPO_ROOT / "benchmarks" / "baselines"
+
+
+def test_every_baseline_is_one_registry_row_and_every_row_has_one():
+    from repro.bench.regression import BenchRecord
+    from repro.bench.registry import BENCHES
+
+    rows = {f"BENCH_{b.record}.json": (b.record, b.metric, b.unit)
+            for b in BENCHES}
+    assert len(rows) == len(BENCHES)
+    committed = {}
+    for path in BASELINES.glob("BENCH_*.json"):
+        record = BenchRecord.load(str(path))
+        committed[path.name] = (record.name, record.metric, record.unit)
+    assert committed == rows
+
+
+def ci_text_with_loops_unrolled():
+    """ci.yml, plus every ``for gate in cmd:record …; do … done`` body once
+    per pair with ``$cmd`` / ``$record`` substituted."""
+    text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    unrolled = [text]
+    for pairs, body in re.findall(r"for gate in (.+?); do\n(.+?)\n\s*done",
+                                  text, re.DOTALL):
+        for pair in pairs.replace("\\\n", " ").split():
+            cmd, _, record = pair.partition(":")
+            unrolled.append(body.replace("$cmd", cmd)
+                            .replace("$record", record))
+    return "\n".join(unrolled)
+
+
+def test_ci_compares_every_registry_row_against_its_baseline():
+    from repro.bench.registry import BENCHES
+
+    ci = ci_text_with_loops_unrolled().replace("\\\n", " ")
+    missing = [
+        bench.command for bench in BENCHES
+        if not re.search(
+            rf"python -m repro {bench.command} [^\n]*--compare +"
+            rf"benchmarks/baselines/BENCH_{bench.record}\.json", ci)]
+    assert missing == []
+
+
+def test_cli_module_holds_no_gate_code():
+    """Recording, comparing and table printing live in bench/registry.py +
+    bench/regression.py; ``__main__`` only loops over the rows."""
+    tree = ast.parse((SRC / "__main__.py").read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module == "repro.bench.regression"):
+            offenders.append(f"line {node.lineno}: imports {node.module}")
+        elif isinstance(node, ast.Import):
+            offenders += [f"line {node.lineno}: imports {alias.name}"
+                          for alias in node.names
+                          if alias.name == "repro.bench.regression"]
+        elif isinstance(node, ast.Call):
+            callee = node.func
+            name = (callee.id if isinstance(callee, ast.Name)
+                    else getattr(callee, "attr", None))
+            if name == "print_table":
+                offenders.append(f"line {node.lineno}: calls print_table")
+    assert offenders == []
+
+
+def test_every_registry_flag_is_used_or_documented():
+    """A flag a row defines stays only while CI, a test, a benchmark, an
+    example or a documented command passes it; one that nobody sets is a
+    constant on its row (at PR 15 this listed --tolerance, --max-overhead,
+    --min-ratio, --min-speedup, --min-scaling, --pairs, --duration)."""
+    from repro.bench.registry import BENCHES, STYLES, add_arguments
+
+    corpus = [(REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()]
+    for root in ("tests", "benchmarks", "examples"):
+        corpus += [path.read_text()
+                   for path in (REPO_ROOT / root).rglob("*.py")
+                   if path != Path(__file__).resolve()]
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        corpus += re.findall(r"```.*?```", (REPO_ROOT / doc).read_text(),
+                             re.DOTALL)
+    corpus = "\n".join(corpus)
+
+    unused = []
+    for bench in (*BENCHES, STYLES):
+        parser = argparse.ArgumentParser(add_help=False)
+        add_arguments(parser, bench)
+        unused += [
+            f"{bench.command} {flag}"
+            for action in parser._actions for flag in action.option_strings
+            if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])",
+                             corpus)]
+    assert unused == []
