@@ -20,8 +20,10 @@ Wall-clock throughput is machine-dependent, so the regression record
 shapes instead of absolute rates:
 
 * ``order_per_lease`` — total-order ops/s over read-lease ops/s (the
-  inverse speedup; ~0.5 with both arms CPU-bound, gated < 0.67, i.e. the
-  lease buys at least 1.5x);
+  inverse speedup; ~0.58 with both arms CPU-bound and one rotation per
+  ordered invocation, gated < 0.8, i.e. the lease buys at least
+  ``registry.LIVE_MIN_SPEEDUP`` = 1.25x — the ratio rises whenever the
+  ordered path gets faster);
 * ``wakeups_per_datagram`` — socket wakeups over datagrams received in
   a saturation arm running :data:`SATURATION_DRIVERS` concurrent
   drivers (< 0.67 means the drain loop averages > 1.5 datagrams per

@@ -39,11 +39,15 @@ PROF_MAX_OVERHEAD = 0.05
 #: Warm-journal restart: no-store / warm state wire bytes, floor per
 #: swept state size (350 kB is the acceptance point).
 COLD_RESTART_MIN_RATIO = {64_000: 5.0, 350_000: 10.0}
-#: Read lease over total order, closed-loop acks/s.  Both arms are
-#: CPU-bound since the token stopped sleeping on an active ring: ~760
-#: ordered vs ~1540 leased, about 2.0x run after run (1.96–2.26x over
-#: eight); the older 2.6x was a ratio over a sleeping denominator.
-LIVE_MIN_SPEEDUP = 1.5
+#: Read lease over total order, closed-loop acks/s.  The ratio *shrinks*
+#: whenever the ordered path speeds up — the lease only spares the reads
+#: a rotation, so a cheaper rotation buys it less: 2.6x over a sleeping
+#: token, ~2.0x once both arms were CPU-bound, ~1.7x now that an ordered
+#: invocation costs one rotation instead of two (~940 ordered vs ~1620
+#: leased; 1.47–2.03x, median 1.72x, over ten ``--quick`` runs).  The
+#: floor sits 15 % under the worst of those ten: it says the fast path
+#: still pays for itself, not how slow the ordered path must stay.
+LIVE_MIN_SPEEDUP = 1.25
 #: 8 rings over 1 ring, aggregate throughput on the same work budget.
 SHARD_MIN_SCALING = 4.0
 #: Closed-loop driver/server pairs in shard-scale's fixed work budget
@@ -212,7 +216,7 @@ def _live_gate(sweep: Sweep) -> Verdict:
     result = sweep[0][1]
     batching = 1.0 / result["points"]["wakeups_per_datagram"]
     return (f"read-lease speedup {result['speedup']:.2f}x "
-            f"(gate ≥{LIVE_MIN_SPEEDUP:.1f}x); saturation receive "
+            f"(gate ≥{LIVE_MIN_SPEEDUP:.2f}x); saturation receive "
             f"batching {batching:.2f} datagrams/wakeup",
             result["speedup"] >= LIVE_MIN_SPEEDUP)
 

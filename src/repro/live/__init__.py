@@ -16,7 +16,7 @@ only ever consumed the trace stream and the system facade.
 from repro.live.clock import LiveScheduler
 from repro.live.node import LiveHost, LiveNode
 from repro.live.system import LIVE_TOTEM_CONFIG, LiveSystem
-from repro.live.transport import SegmentDispatcher, UdpTransport
+from repro.live.transport import UdpTransport
 
 __all__ = [
     "LIVE_TOTEM_CONFIG",
@@ -24,6 +24,5 @@ __all__ = [
     "LiveNode",
     "LiveScheduler",
     "LiveSystem",
-    "SegmentDispatcher",
     "UdpTransport",
 ]

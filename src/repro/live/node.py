@@ -57,7 +57,7 @@ class LiveNode:
         self._pending_sock = None
         self.transport = UdpTransport(
             self.host, sock, self.system.peer_addrs,
-            self.system.segment_addr, tracer=self.system.tracer,
+            tracer=self.system.tracer,
         )
         self.transport.open(self.system.loop)
         return self.transport

@@ -3,8 +3,8 @@
 :class:`LiveShardedSystem` is :class:`repro.core.sharded.ShardedCore`
 (placement, cross-ring gateway, one shared observability plane) over N
 :class:`~repro.live.system.LiveSystem` rings — each with its own
-:class:`~repro.live.transport.SegmentDispatcher` (own multicast segment,
-own ephemeral UDP ports) and its own token rotation.
+ephemeral UDP ports, its own peer table (a broadcast fans out to that
+ring's ports only) and its own token rotation.
 
 Because every ring runs real sockets on the one loop, aggregate
 throughput scales with rings until the host's cores or the loop itself

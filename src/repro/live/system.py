@@ -28,7 +28,7 @@ from repro.core.system import SystemCore
 from repro.errors import UnknownNode
 from repro.live.clock import LiveScheduler
 from repro.live.node import LiveNode
-from repro.live.transport import SegmentDispatcher, UdpTransport
+from repro.live.transport import UdpTransport
 from repro.runtime.interfaces import Host
 from repro.totem.config import TotemConfig
 
@@ -151,22 +151,15 @@ class LiveSystem(WallClockTime, SystemCore):
             stream for stream in LIVE_TRACE_MUTE
             if stream in excluded
             or stream.partition(".")[0] in excluded))
-        self.segment = SegmentDispatcher()
-        self.segment.open(loop)
         self.nodes: Dict[str, LiveNode] = {
             node_id: LiveNode(self, node_id) for node_id in node_ids
         }
         self.peer_addrs: Dict[str, Tuple[str, int]] = {
             node_id: node.addr for node_id, node in self.nodes.items()
         }
-        self.segment.set_members(list(self.peer_addrs.values()))
         for node_id in node_ids:
             self._add_stack(self.nodes[node_id].host)
         self.resource_manager.set_alive(set(node_ids))
-
-    @property
-    def segment_addr(self) -> Tuple[str, int]:
-        return self.segment.addr
 
     def _make_transport(self, process: Host) -> UdpTransport:
         return self.nodes[process.node_id].make_transport()
@@ -200,4 +193,3 @@ class LiveSystem(WallClockTime, SystemCore):
         for node in self.nodes.values():
             node.kill()
         self.close_stores()
-        self.segment.close()

@@ -329,29 +329,18 @@ class TotemMember:
                 unresolved.append(seq)
         token.rtr = unresolved
 
-        # 2. Broadcast queued fragments, up to the burst window (counted in
-        # frames; a packed frame coalesces several sub-MTU fragments).  The
-        # sender retains its own frame directly (real-Totem semantics): a
-        # lost loopback copy must not stall delivery or leave nobody able
-        # to service a retransmission request for the sequence number.
+        # 2. Broadcast queued fragments, up to the burst window.
         queued = len(self._send_queue)
-        sent_frames = 0
-        while sent_frames < self.config.max_burst and self._send_queue:
-            token.seq += 1
-            msg = self._next_frame(token.seq)
-            self._retain(msg)
-            self._broadcast_frame(msg)
-            sent_frames += 1
+        sent_frames = self._send_burst(token)
         popped = queued - len(self._send_queue)
-        if sent_frames:
-            self._try_deliver()
 
         # 3. Request retransmission of our genuine gaps — those at or below
         # the sequence the token carried on our previous visit.  Anything
-        # newer gets one rotation of grace: a token can overtake the data
-        # it sequences (on the live segment data takes the dispatcher hop,
-        # the token goes direct), and asking at once would have every
-        # frame rebroadcast.
+        # newer gets one rotation of grace: frames from different senders
+        # are not ordered against one another on the wire (a member's
+        # token can arrive before another member's retransmission or a
+        # delayed datagram does), and asking at once would have every
+        # such frame rebroadcast.
         budget = 64
         for seq in range(self.delivered_aru + 1, prev_seq + 1):
             if budget == 0:
@@ -360,16 +349,8 @@ class TotemMember:
                 token.rtr.append(seq)
                 budget -= 1
 
-        # 4. Update the all-received-up-to watermark (Totem aru rule): any
-        # member lagging lowers it and stamps its id; the stamping member
-        # (or an unclaimed token) raises it to the member's own aru, and a
-        # full quiet rotation converges it to the ring-wide minimum.
-        if self.delivered_aru < token.aru:
-            token.aru = self.delivered_aru
-            token.aru_id = self.node_id
-        elif token.aru_id in ("", self.node_id):
-            token.aru = self.delivered_aru
-            token.aru_id = self.node_id if token.aru < token.seq else ""
+        # 4. Update the all-received-up-to watermark.
+        self._stamp_aru(token)
 
         # 5. Garbage-collect messages that are safe at all members.
         threshold = token.aru - self.config.retain_safe_slack
@@ -401,19 +382,62 @@ class TotemMember:
         # requests traffic the token moves on after the modelled processing
         # time; ``token_hold`` paces a ring whose last rotation was quiet,
         # and a member draining a backlog (several payloads popped, or more
-        # still queued), for whom the hold is the batching window.
+        # still queued), for whom the hold is the batching window.  A visit
+        # that sent nothing here sends what was queued during the hold
+        # when it forwards (see _forward_token).
         hold = self.config.token_hold
         if (busy or sent_frames) and popped <= 1 and not self._send_queue:
             hold = min(hold, TOKEN_PROCESSING_TIME)
         self.endpoint.process.call_after(
             hold, self._forward_token, token, self._successor(),
+            not sent_frames,
         )
 
-    def _forward_token(self, token: Token, successor: str) -> None:
+    def _send_burst(self, token: Token) -> int:
+        """The send step of a token visit: broadcast queued fragments
+        under consecutive sequence numbers, up to the burst window (counted
+        in frames; a packed frame coalesces several sub-MTU fragments), and
+        return how many frames went out.  The sender retains its own frame
+        directly (real-Totem semantics): a lost loopback copy must not
+        stall delivery or leave nobody able to service a retransmission
+        request for the sequence number."""
+        sent_frames = 0
+        while sent_frames < self.config.max_burst and self._send_queue:
+            token.seq += 1
+            msg = self._next_frame(token.seq)
+            self._retain(msg)
+            self._broadcast_frame(msg)
+            sent_frames += 1
+        if sent_frames:
+            self._try_deliver()
+        return sent_frames
+
+    def _stamp_aru(self, token: Token) -> None:
+        """The Totem aru rule for the all-received-up-to watermark: any
+        member lagging lowers it and stamps its id; the stamping member (or
+        an unclaimed token) raises it to the member's own aru, and a full
+        quiet rotation converges it to the ring-wide minimum."""
+        if self.delivered_aru < token.aru:
+            token.aru = self.delivered_aru
+            token.aru_id = self.node_id
+        elif token.aru_id in ("", self.node_id):
+            token.aru = self.delivered_aru
+            token.aru_id = self.node_id if token.aru < token.seq else ""
+
+    def _forward_token(self, token: Token, successor: str,
+                       may_send: bool) -> None:
         if not self._active or self.state is not MemberState.OPERATIONAL:
             return
         if token.ring_key != self._ring_key:
             return
+        if may_send and self._send_queue:
+            # The visit broadcast nothing at receipt, and a payload was
+            # queued while the token was held (a reply to what this very
+            # rotation delivered, typically): it rides this visit rather
+            # than waiting a whole rotation for the next one.  A visit that
+            # did send keeps the hold as its batching window instead.
+            self._send_burst(token)
+            self._stamp_aru(token)
         self.endpoint.unicast(successor, token, token.size_bytes)
         # Retain a private copy for loss repair: the in-flight object is
         # mutated by the receiver's processing, so the retransmission must

@@ -166,3 +166,64 @@ def test_three_node_ring_kill_and_recover_clean_audit():
     # The §5.1 invariants must hold on real time exactly as simulated.
     auditor.finish(raise_on_findings=True)
     assert auditor.records_scanned > 0
+
+
+async def _token_visits_per_put(acks: int):
+    """The deployment ``repro.bench.livebench`` measures — manager node
+    n1 hosting one closed-loop driver, a kvstore replicated on n2 and n3 —
+    streaming ``put`` only.  Returns Totem counter deltas over ``acks``
+    acknowledged invocations, and the auditor."""
+    from repro.live.loadgen import LIVE_APPS, ReadMixDriver
+
+    app = LIVE_APPS["kvstore-read"]
+    server_nodes = ["n2", "n3"]
+    system = LiveSystem(NODES)
+    auditor = system.attach_auditor()
+    try:
+        assert await system.wait_for(system.ring_formed, timeout=15.0)
+        system.register_factory(app.type_id, app.make_factory(1_000),
+                                nodes=server_nodes)
+        group = system.create_group(
+            "app", app.type_id,
+            FTProperties(initial_replicas=2, min_replicas=1),
+            nodes=server_nodes)
+        assert await system.wait_for(
+            lambda: all(group.is_operational_on(n) for n in server_nodes),
+            timeout=15.0)
+        iogr = group.iogr().stringify()
+        system.register_factory(
+            DRIVER_TYPE, lambda: ReadMixDriver(iogr, write_every=1),
+            nodes=["n1"])
+        driver_group = system.create_group(
+            "driver", DRIVER_TYPE,
+            FTProperties(initial_replicas=1, min_replicas=1), nodes=["n1"])
+        assert await system.wait_for(
+            lambda: driver_group.is_operational_on("n1"), timeout=15.0)
+        driver = driver_group.servant_on("n1")
+        assert await system.wait_for(lambda: driver.acked >= 20,
+                                     timeout=15.0), "no load flowing"
+        names = ("totem.token", "totem.retransmit", "totem.token_timeout")
+        before = {name: system.tracer.count(name) for name in names}
+        acked0 = driver.acked
+        assert await system.wait_for(
+            lambda: driver.acked >= acked0 + acks, timeout=60.0)
+        delta = {name: system.tracer.count(name) - before[name]
+                 for name in names}
+        return delta, driver.acked - acked0, auditor
+    finally:
+        system.close()
+
+
+def test_ordered_invocation_costs_one_rotation_not_two():
+    """A count-based guard that needs no quiet host: request and reply
+    each ride the token visit during which they were queued, so one
+    closed-loop ``put`` costs one rotation of the three-member ring (3
+    token visits; 6 when every frame waits for the *next* visit, as it
+    did while the token could overtake its data).  Retransmits and token
+    timeouts are 0 on a quiet host; the bound leaves room for a scheduler
+    stall on a loaded one, not for a repair per invocation."""
+    delta, acked, auditor = asyncio.run(_token_visits_per_put(300))
+    assert delta["totem.token"] / acked <= 4.0
+    assert delta["totem.retransmit"] <= acked // 100
+    assert delta["totem.token_timeout"] <= acked // 100
+    auditor.finish(raise_on_findings=True)

@@ -109,7 +109,7 @@ def _make_pair(force_portable=False):
     peers = {n: s.getsockname() for n, s in socks.items()}
     transports = {
         n: UdpTransport(BaseHost(scheduler, n), socks[n], peers,
-                        ("127.0.0.1", 1), tracer=tracer)
+                        tracer=tracer)
         for n in socks
     }
     if force_portable:
@@ -273,6 +273,51 @@ def test_out_of_drain_data_sends_coalesce_per_loop_pass():
         loop.close()
 
 
+def _data(seq):
+    return DataMsg(ring_id=1, seq=seq, sender="b", msg_id=("b", seq),
+                   frag_index=0, frag_count=1, chunk=b"x")
+
+
+def test_token_never_overtakes_frames_sent_before_it():
+    """Send order is one guarantee across both regimes: frames handed to
+    ``broadcast`` and then a token ``unicast`` reach a peer in that
+    order, whether sent from a timer callback (the token flushes what is
+    pending instead of jumping it) or from inside a receive drain."""
+    loop, socks, transports, tracer = _make_pair(force_portable=True)
+    try:
+        a, b = transports["a"], transports["b"]
+        b._loop = loop          # open() would do this; no reader needed
+        got = []
+        a.deliver = lambda src, payload: got.append(payload)
+
+        def frames_then_token():
+            b.broadcast(_data(8), 200)
+            b.broadcast(_data(9), 200)
+            b.unicast("a", Token(ring_id=1, seq=9, aru=7), 50)
+
+        frames_then_token()                         # outside any drain
+        assert tracer.count("live.sys.send_flushes") == 1
+        assert tracer.count("live.sys.sendto") == 5     # 2 x 2 peers + token
+        _drain(a, tracer, expect=3)
+        assert got == [_data(8), _data(9), Token(ring_id=1, seq=9, aru=7)]
+        # The flush the first broadcast scheduled finds nothing left.
+        loop.run_until_complete(asyncio.sleep(0))
+        assert tracer.count("live.sys.send_flushes") == 1
+
+        del got[:]
+        # Inside b's drain, which also finds b's own copies of the two
+        # broadcasts above; only a's datagram is answered.
+        b.deliver = lambda src, _p: src == "a" and frames_then_token()
+        a.unicast("b", Token(ring_id=1, seq=7, aru=7), 50)
+        _drain(b, tracer, expect=3 + 3)
+        _drain(a, tracer, expect=3 + 3 + 3)
+        assert got == [_data(8), _data(9), Token(ring_id=1, seq=9, aru=7)]
+    finally:
+        for sock in socks.values():
+            sock.close()
+        loop.close()
+
+
 def test_empty_wakeup_counts_one_probe_and_no_datagrams(udp_pair):
     transports, tracer = udp_pair
     transports["a"]._on_readable()
@@ -369,19 +414,23 @@ def test_send_eagain_counted_apart_from_generic_drops(udp_pair):
     assert tracer.count("live.send_drop") == 1
 
     # Dead-peer errnos (kill-test noise) are classified apart from
-    # generic send drops.
+    # generic send drops.  A broadcast is one sendto per peer port (the
+    # sender's own included), queued until the flush.
     transport._sock = DeadPeerSocket()
-    transport.broadcast(Token(ring_id=1, seq=2, aru=2), 50)
-    assert tracer.count("live.sys.sendto") == 2
-    assert tracer.count("live.sys.send_dead_peer") == 1
-    assert tracer.count("live.send_dead_peer") == 1
+    transport.broadcast(ProbeMsg(ring_id=1, sender="a", members=("a",)), 50)
+    assert tracer.count("live.sys.sendto") == 1         # nothing sent yet
+    transport._flush_sends()
+    assert tracer.count("live.sys.sendto") == 1 + 2
+    assert tracer.count("live.sys.send_dead_peer") == 2
+    assert tracer.count("live.send_dead_peer") == 2
     assert tracer.count("live.sys.send_eagain") == 1   # unchanged
     assert tracer.count("live.send_drop") == 1          # unchanged
 
     transport._sock = BrokenSocket()
-    transport.broadcast(Token(ring_id=1, seq=3, aru=3), 50)
-    assert tracer.count("live.send_drop") == 2
-    assert tracer.count("live.sys.send_dead_peer") == 1  # unchanged
+    transport.broadcast(ProbeMsg(ring_id=1, sender="a", members=("a",)), 50)
+    transport._flush_sends()
+    assert tracer.count("live.send_drop") == 1 + 2
+    assert tracer.count("live.sys.send_dead_peer") == 2  # unchanged
 
 
 def test_mmsg_send_result_classified_into_counters(udp_pair_batched):

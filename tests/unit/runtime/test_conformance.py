@@ -79,28 +79,20 @@ class LiveHarness:
 
     def __init__(self, node_ids):
         from repro.live.clock import LiveScheduler
-        from repro.live.transport import (
-            SegmentDispatcher,
-            UdpTransport,
-            bind_udp_socket,
-        )
+        from repro.live.transport import UdpTransport, bind_udp_socket
         from repro.runtime.host import BaseHost
 
         self.loop = asyncio.new_event_loop()
         self.scheduler = LiveScheduler(self.loop)
-        self.segment = SegmentDispatcher()
-        self.segment.open(self.loop)
         self.hosts = {}
         self.transports = {}
         peers = {}
         socks = {node_id: bind_udp_socket() for node_id in node_ids}
         for node_id, sock in socks.items():
             peers[node_id] = sock.getsockname()
-        self.segment.set_members(list(peers.values()))
         for node_id in node_ids:
             host = BaseHost(self.scheduler, node_id)
-            transport = UdpTransport(host, socks[node_id], peers,
-                                     self.segment.addr)
+            transport = UdpTransport(host, socks[node_id], peers)
             transport.open(self.loop)
             self.hosts[node_id] = host
             self.transports[node_id] = transport
@@ -121,7 +113,6 @@ class LiveHarness:
     def close(self):
         for transport in self.transports.values():
             transport.close()
-        self.segment.close()
         self.loop.close()
 
 

@@ -244,3 +244,62 @@ def test_every_registry_flag_is_used_or_documented():
             if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])",
                              corpus)]
     assert unused == []
+
+
+# ---------------------------------------------------------------------------
+# The frozen end-to-end harness wraps entry points of src/repro *by name*
+# (benchmarks/e2e/layers.py); a rename under src/ crashes the traced run
+# after the PR is in, where no test sees it.  Fail here instead.
+# ---------------------------------------------------------------------------
+
+E2E = REPO_ROOT / "benchmarks" / "e2e"
+
+
+@pytest.fixture()
+def e2e_layers(monkeypatch):
+    """``benchmarks/e2e/layers.py`` imported the way ``run.py`` does (its
+    directory on ``sys.path``), leaving none of the harness's top-level
+    module names (``layers``, ``ledger``, ``driver``) behind."""
+    import importlib
+    import sys
+
+    monkeypatch.syspath_prepend(str(E2E))
+    before = set(sys.modules)
+    yield importlib.import_module("layers")
+    for name in set(sys.modules) - before:
+        origin = getattr(sys.modules[name], "__file__", None) or ""
+        if Path(origin).parent == E2E:
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("substrate", ["live", "sim"])
+def test_every_entry_point_the_e2e_harness_wraps_still_exists(
+        e2e_layers, substrate):
+    missing = [
+        f"{target.layer}: {target.entry}"
+        for target in e2e_layers.targets(substrate, e2e_layers.OrderWait())
+        if not callable(getattr(target.owner, target.name, None))]
+    assert missing == []
+
+
+def test_nothing_in_src_opens_a_segment_dispatcher():
+    """``SegmentDispatcher`` survives only as a name the frozen harness
+    wraps (see its docstring): a broadcast fans out from the sender, so no
+    source module may construct one or route through a segment address."""
+    offenders = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = (callee.id if isinstance(callee, ast.Name)
+                        else getattr(callee, "attr", None))
+                if name == "SegmentDispatcher":
+                    offenders.append(f"{path.relative_to(SRC)}:"
+                                     f"{node.lineno} constructs it")
+            names = [getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name")]
+            if any(isinstance(n, str) and "segment_addr" in n
+                   for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                 f"names a segment_addr")
+    assert offenders == []

@@ -294,10 +294,10 @@ def test_rejoined_member_collects_safe_messages_from_its_join_point():
 PACED = TotemConfig(token_hold=1e-3, token_timeout=0.25)
 
 
-def _paced_ring():
+def _paced_ring(config=PACED):
     """A formed, quiet three-member ring with the live runtime's 1 ms hold,
     every member tracing into one record-keeping tracer."""
-    ring = Ring(config=PACED)
+    ring = Ring(config=config)
     tracer = Tracer()
     tracer.bind_clock(lambda: ring.scheduler.now)
     for member in ring.members.values():
@@ -407,3 +407,110 @@ def test_dropped_frame_is_recovered_on_the_next_visit():
     sent_at = min(_times(tracer, "frame", since=queued_at))
     recovered_at, = _times(tracer, "deliver", since=queued_at, node="B")
     assert recovered_at - sent_at < 3 * _idle_hop(ring)
+
+
+# ----------------------------------------------------------------------
+# The forward-time send: what is queued while an empty-handed visit holds
+# the token rides that visit (PROTOCOL.md, token-visit step 6)
+# ----------------------------------------------------------------------
+
+def _queue_during_hold(ring, tracer, node_id, payloads, *, after):
+    """On ``node_id``'s next token visit, queue ``payloads`` there
+    ``after`` seconds into the hold.  Returns the visit's token record
+    (through the list) once it has happened."""
+    visit = []
+
+    def on_visit(record):
+        if (not visit and record.event == "token"
+                and record.fields["node"] == node_id):
+            visit.append(record)
+            for payload in payloads:
+                ring.scheduler.call_after(
+                    after, ring.members[node_id].multicast, payload)
+
+    tracer.subscribe(on_visit)
+    return visit
+
+
+def test_payload_queued_during_an_empty_hold_rides_that_visit():
+    ring, tracer = _paced_ring()
+    visit = _queue_during_hold(ring, tracer, "B", [b"late"], after=0.3e-3)
+    ring.run(0.05)
+    received = visit[0].fields["seq"]
+    frame, = tracer.find("totem", "frame")
+    assert frame.fields["node"] == "B"
+    assert frame.fields["seq"] == received + 1
+    # It left when the token was forwarded, not a rotation later: no
+    # second visit to B in between.
+    assert frame.time == pytest.approx(visit[0].time + PACED.token_hold)
+    assert _times(tracer, "token", since=visit[0].time, node="B")[1] \
+        > frame.time
+    # The next member saw the post-drain sequence number with B's own
+    # frame already accounted for in the watermark.
+    at_c = next(r for r in tracer.find("totem", "token")
+                if r.time > frame.time)
+    assert at_c.fields["node"] == "C"
+    assert (at_c.fields["seq"], at_c.fields["aru"]) == (received + 1,
+                                                        received + 1)
+    for node in ring.members:
+        assert ring.delivered[node] == [("B", b"late")]
+    assert tracer.count("totem.retransmit") == 0
+
+
+def test_forward_time_send_snapshots_the_token_as_sent():
+    ring, tracer = _paced_ring()
+    visit = _queue_during_hold(ring, tracer, "B", [b"late"], after=0.3e-3)
+    member = ring.members["B"]
+    ring.scheduler.run_while(lambda: not tracer.count("totem.frame"), 0.05)
+    received = visit[0].fields["seq"]
+    token, successor = member._sent_token
+    assert successor == "C"
+    # The loss-repair copy is the token as forwarded: a retransmission
+    # must not hand the successor a sequence number B has already used.
+    assert (token.seq, token.aru, token.aru_id) == (received + 1,
+                                                    received + 1, "")
+    assert member.delivered_aru == received + 1
+
+
+def test_forward_time_send_keeps_a_laggards_watermark():
+    """The aru rule is re-applied after the late send, not bypassed: a
+    watermark another member lowered stays that member's."""
+    ring, tracer = _paced_ring()
+    member = ring.members["B"]
+    received = member.delivered_aru
+    token = Token(member.ring_id, received, received - 1, aru_id="A",
+                  ring_key=member._ring_key)
+    member.multicast(b"late")
+    member._forward_token(token, "C", True)
+    assert (token.seq, token.aru, token.aru_id) == (received + 1,
+                                                    received - 1, "A")
+
+
+def test_forward_time_send_respects_the_burst_window():
+    ring, tracer = _paced_ring(TotemConfig(
+        token_hold=1e-3, token_timeout=0.25, max_burst=2,
+        frame_packing=False))
+    visit = _queue_during_hold(ring, tracer, "B",
+                               [b"1", b"2", b"3", b"4", b"5"], after=0.3e-3)
+    ring.run(0.05)
+    forwarded = visit[0].time + ring.config.token_hold
+    frames = _times(tracer, "frame", node="B")
+    assert len(frames) == 5
+    assert frames[:2] == [pytest.approx(forwarded)] * 2
+    assert all(t > forwarded for t in frames[2:])
+    assert [p for _origin, p in ring.delivered["A"]] == \
+        [b"1", b"2", b"3", b"4", b"5"]
+
+
+def test_visit_that_sent_at_receipt_does_not_send_again_at_forward():
+    ring, tracer = _paced_ring()
+    ring.members["B"].multicast(b"first")       # goes out at receipt
+    visit = _queue_during_hold(ring, tracer, "B", [b"second"], after=5e-6)
+    ring.run(0.05)
+    first, second = _times(tracer, "frame", node="B")
+    assert first == visit[0].time
+    # Queued inside the (processing-time) hold of a visit that sent: it
+    # waits for B's next visit and goes out there, at receipt.
+    next_visit = _times(tracer, "token", since=visit[0].time, node="B")[1]
+    assert second == next_visit
+    assert ring.delivered["A"] == [("B", b"first"), ("B", b"second")]
