@@ -39,7 +39,8 @@ from repro.totem.config import TotemConfig
 #: These values keep the same ordering (hold ≪ timeout, join < gather)
 #: with two orders of magnitude of slack.  ``token_hold`` is the
 #: quiet-ring hold — what keeps an idle ring from spinning the one event
-#: loop (~790 visits/s) — and the batching window of a member with a
+#: loop (~790 visits/s); the first payload queued anywhere ends it
+#: (``HoldCancel``) — and the batching window of a member with a
 #: backlog; a ring carrying traffic does not wait for it.
 LIVE_TOTEM_CONFIG = TotemConfig(
     token_hold=0.001,

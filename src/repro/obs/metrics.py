@@ -258,6 +258,14 @@ class MetricsRegistry:
         if record.category == "totem" and record.event == "token":
             self._observe_token(record)
             return
+        if record.category == "totem" and record.event == "hold_cancel":
+            # Consumers (for the signal inventory): the flight recorder,
+            # test_write_after_a_quiet_spell_wakes_the_parked_token and
+            # test_ordered_invocation_costs_one_rotation_not_two.
+            labels = {k: record.fields[k] for k in ("node", "ring", "role")
+                      if k in record.fields}
+            self.counter("totem.hold_cancel", **labels).inc()
+            return
         if record.category == "totem" and record.event == "packed_frame":
             labels = {k: record.fields[k] for k in ("node", "ring")
                       if k in record.fields}

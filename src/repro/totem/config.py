@@ -18,11 +18,14 @@ class TotemConfig:
 
     token_hold: float = 20e-6
     """How long a member keeps the token on a quiet ring (a full rotation
-    carried and requested nothing) and while it is draining a backlog of
-    its own, where the hold is the batching window.  An active ring
-    forwards after the modelled processing time instead
+    carried and requested nothing) — at most: that hold is *parked*, and
+    ends early when any member queues a payload (``HoldCancel``) — and
+    while it is draining a backlog of its own, where the hold is the
+    batching window and is never cut short.  An active ring forwards
+    after the modelled processing time instead
     (``member.TOKEN_PROCESSING_TIME``, equal to this default — so only a
-    larger value, like the live runtime's 1 ms, makes the two differ)."""
+    larger value, like the live runtime's 1 ms, makes the two differ, or
+    ever parks a token)."""
 
     token_timeout: float = 0.02
     """Silence on the token this long ⇒ suspect failure, start gather."""

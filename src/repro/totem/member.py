@@ -48,8 +48,9 @@ from repro.runtime.trace import NULL_TRACER, Tracer
 from repro.totem.config import TotemConfig
 from repro.totem.fragmentation import Fragmenter, Reassembler
 from repro.totem.messages import (DATA_HEADER, PACKED_SUBHEADER, DataMsg,
-                                  FormMsg, JoinMsg, PackedDataMsg,
-                                  PackedPayload, ProbeMsg, Token)
+                                  FormMsg, HoldCancel, JoinMsg,
+                                  PackedDataMsg, PackedPayload, ProbeMsg,
+                                  Token)
 
 DeliverFn = Callable[[str, bytes], None]
 ViewFn = Callable[["View"], None]
@@ -146,6 +147,13 @@ class TotemMember:
         self._token_retx: Optional[TimerHandle] = None
         self._last_token_rot = -1
         self._prev_token_seq = 0        # token.seq as received last visit
+        # The hold in progress (step 6 of a token visit), and — while that
+        # hold is a quiet ring's long one — the token it is sleeping on,
+        # which a multicast here or a HoldCancel from a peer releases.
+        self._hold_timer: Optional[TimerHandle] = None
+        self._parked: Optional[Token] = None
+        self._ring_quiet = False        # our last visit parked the token
+        self._woken = False             # a peer's cancel: next visit is busy
         self._gather_deadline: Optional[TimerHandle] = None
         self._join_timer: Optional[TimerHandle] = None
         self._token_timer: Optional[TimerHandle] = None
@@ -159,6 +167,7 @@ class TotemMember:
         endpoint.register(JoinMsg, self._on_join)
         endpoint.register(FormMsg, self._on_form)
         endpoint.register(ProbeMsg, self._on_probe)
+        endpoint.register(HoldCancel, self._on_hold_cancel)
         endpoint.process.on_crash(self.shutdown)
 
         self._enter_gather()
@@ -193,6 +202,18 @@ class TotemMember:
             raise TotemError(f"{self.node_id}: send queue overflow")
         self._send_queue.extend(
             entry + (trace_id,) for entry in self._fragmenter.fragment(payload))
+        # Nobody sleeps on a token somebody needs: end the quiet hold, ours
+        # or (once per quiet episode) whoever's it is.  Both flags are set
+        # only by a visit of an operational member that found this queue
+        # empty, and the first payload clears them.
+        if self._parked is not None:
+            self._release_parked()
+        elif self._ring_quiet:
+            self._ring_quiet = False
+            cancel = HoldCancel(self.ring_id, self.node_id)
+            self.endpoint.broadcast(cancel, cancel.size_bytes)
+            self.tracer.emit("totem", "hold_cancel", node=self.node_id,
+                             role="sent")
 
     def shutdown(self) -> None:
         """Deactivate (process crash or stack teardown): cancel all timers
@@ -200,6 +221,7 @@ class TotemMember:
         if not self._active:
             return
         self._active = False
+        self._drop_hold()
         for event in (self._gather_deadline, self._join_timer,
                       self._token_timer, self._recovery_deadline,
                       self._commit_retry, self._token_retx):
@@ -229,6 +251,7 @@ class TotemMember:
                 return
         elif msg.ring_id != self.ring_id:
             return  # stale traffic from a superseded ring
+        self._ring_quiet = False    # its token is on the way, unparked
         self._retain(msg)
         self._try_deliver()
         if self.state is MemberState.RECOVERY:
@@ -315,7 +338,8 @@ class TotemMember:
         # keep the token (step 6) and how far we trust our gaps (step 3).
         prev_seq, self._prev_token_seq = self._prev_token_seq, token.seq
         busy = (token.seq != prev_seq or token.aru < token.seq
-                or bool(token.rtr))
+                or bool(token.rtr) or self._woken)
+        self._woken = False
 
         # 1. Service retransmission requests we can satisfy.
         unresolved: List[int] = []
@@ -384,14 +408,61 @@ class TotemMember:
         # and a member draining a backlog (several payloads popped, or more
         # still queued), for whom the hold is the batching window.  A visit
         # that sent nothing here sends what was queued during the hold
-        # when it forwards (see _forward_token).
+        # when it forwards (see _forward_token).  The long hold of a quiet
+        # ring *parks* the token: the first payload queued anywhere ends
+        # it (multicast, _on_hold_cancel); a backlog hold is never cut
+        # short.  With ``token_hold`` at the processing time (every
+        # simulated default) no hold is long and nothing ever parks.
         hold = self.config.token_hold
-        if (busy or sent_frames) and popped <= 1 and not self._send_queue:
+        backlog = popped > 1 or bool(self._send_queue)
+        if (busy or sent_frames) and not backlog:
             hold = min(hold, TOKEN_PROCESSING_TIME)
-        self.endpoint.process.call_after(
+        self._ring_quiet = hold > TOKEN_PROCESSING_TIME and not backlog
+        self._parked = token if self._ring_quiet else None
+        self._hold_timer = self.endpoint.process.call_after(
             hold, self._forward_token, token, self._successor(),
             not sent_frames,
         )
+
+    def _release_parked(self) -> None:
+        """End the quiet hold now: the parked token goes through the one
+        forward path on the next scheduler pass (never synchronously —
+        ``multicast`` is called from delivery callbacks), so what is
+        queued here leaves by the forward-time send."""
+        token = self._parked
+        self._drop_hold()
+        self._hold_timer = self.endpoint.process.call_after(
+            0, self._forward_token, token, self._successor(), True)
+        self.tracer.emit("totem", "hold_cancel", node=self.node_id,
+                         role="released")
+
+    def _drop_hold(self) -> None:
+        """Cancel the hold in progress, if any, and forget the quiet-ring
+        state that goes with it."""
+        if self._hold_timer is not None:
+            self._hold_timer.cancel()
+            self._hold_timer = None
+        self._parked = None
+        self._ring_quiet = False
+        self._woken = False
+
+    def _on_hold_cancel(self, src: str, cancel: HoldCancel) -> None:
+        """A peer queued a payload on a quiet ring.  The member sleeping
+        on the token forwards it; everyone else treats its next visit as
+        busy, so the token does not park again one hop short of the
+        sender."""
+        if not self._active or self.state is not MemberState.OPERATIONAL:
+            return
+        if (cancel.ring_id != self.ring_id or cancel.sender == self.node_id
+                or cancel.sender not in self.members):
+            return
+        if self._parked is not None:
+            self._release_parked()
+        else:
+            self._ring_quiet = False
+            self._woken = True
+            self.tracer.emit("totem", "hold_cancel", node=self.node_id,
+                             role="noted")
 
     def _send_burst(self, token: Token) -> int:
         """The send step of a token visit: broadcast queued fragments
@@ -426,6 +497,7 @@ class TotemMember:
 
     def _forward_token(self, token: Token, successor: str,
                        may_send: bool) -> None:
+        self._hold_timer = self._parked = None
         if not self._active or self.state is not MemberState.OPERATIONAL:
             return
         if token.ring_key != self._ring_key:
@@ -577,6 +649,7 @@ class TotemMember:
         self._commit_retries = 0
         self._ring_kicked = False
         self._joins = {}
+        self._drop_hold()
         for event in (self._token_timer, self._recovery_deadline,
                       self._commit_retry, self._token_retx):
             if event is not None:
@@ -931,7 +1004,7 @@ class TotemMember:
                     self._commit_retry = None
                 first = Token(self.ring_id, self.delivered_aru,
                               self.delivered_aru, ring_key=self._ring_key)
-                self.endpoint.process.call_after(
+                self._hold_timer = self.endpoint.process.call_after(
                     self.config.token_hold, self._on_token_frame,
                     self.node_id, first,
                 )
@@ -949,6 +1022,7 @@ class TotemMember:
         self._sent_token = None
         self._last_token_rot = -1
         self._prev_token_seq = self.delivered_aru
+        self._drop_hold()
         if self._recovery_deadline is not None:
             self._recovery_deadline.cancel()
         self.ring_id = form.ring_id

@@ -135,6 +135,23 @@ class ProbeMsg:
 
 
 @dataclass(frozen=True)
+class HoldCancel:
+    """Broadcast by a member of a quiet ring that has just queued a payload
+    and does not hold the token: whoever has the token parked on its quiet
+    hold forwards it now instead of sleeping the hold out (Corosync's
+    ``memb_token_hold_cancel``).  Sent at most once per member per quiet
+    episode and never retransmitted — a lost cancel costs what the hold
+    always cost."""
+
+    ring_id: int
+    sender: str
+
+    @property
+    def size_bytes(self) -> int:
+        return 40
+
+
+@dataclass(frozen=True)
 class JoinMsg:
     """Broadcast during the gather phase (and by joining members).
 

@@ -1,7 +1,7 @@
 """Binary wire codec for Totem protocol frames.
 
 The live runtime's UDP transport needs a byte representation of every
-frame the ring exchanges.  This module encodes the six Totem message
+frame the ring exchanges.  This module encodes the seven Totem message
 types — plus the out-of-band bulk-lane frames (:class:`BulkFetch`,
 :class:`BulkPage`, :class:`BulkNack`) the recovery state transfer sends
 point-to-point outside the total order, and the read-lease fast-path
@@ -43,8 +43,9 @@ from dataclasses import dataclass
 
 from repro.errors import ProtocolError, UnmarshalError
 from repro.giop.cdr import CdrInputStream, CdrOutputStream
-from repro.totem.messages import (DataMsg, FormMsg, JoinMsg, PackedDataMsg,
-                                  PackedPayload, ProbeMsg, Token)
+from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
+                                  PackedDataMsg, PackedPayload, ProbeMsg,
+                                  Token)
 
 #: Format version octet leading every encoded frame (bump on layout change).
 #: v2: data frames and packed payloads carry a trailing trace-id string.
@@ -62,6 +63,7 @@ _TAG_BULK_NACK = 9
 _TAG_READFAST_REQ = 10
 _TAG_READFAST_REPLY = 11
 _TAG_READFAST_NACK = 12
+_TAG_HOLD_CANCEL = 13
 
 TotemFrame = object     # DataMsg | PackedDataMsg | Token | JoinMsg | ...
 
@@ -497,6 +499,10 @@ def _encode_generic(msg) -> bytes:
         out.write_ulonglong(msg.ring_id)
         out.write_string(msg.sender)
         _write_members(out, msg.members)
+    elif isinstance(msg, HoldCancel):
+        out.write_octet(_TAG_HOLD_CANCEL)
+        out.write_ulonglong(msg.ring_id)
+        out.write_string(msg.sender)
     elif isinstance(msg, BulkFetch):
         out.write_octet(_TAG_BULK_FETCH)
         out.write_string(msg.session_id)
@@ -641,6 +647,8 @@ def _decode_generic(tag: int, inp: CdrInputStream):
         sender = inp.read_string()
         members = _read_members(inp)
         return ProbeMsg(ring_id, sender, members)
+    if tag == _TAG_HOLD_CANCEL:
+        return HoldCancel(inp.read_ulonglong(), inp.read_string())
     if tag == _TAG_BULK_FETCH:
         return BulkFetch(inp.read_string(), inp.read_string(),
                          inp.read_ulong(), inp.read_ulong())

@@ -11,6 +11,7 @@ a healthy run recovers in well under a second.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -168,18 +169,19 @@ def test_three_node_ring_kill_and_recover_clean_audit():
     assert auditor.records_scanned > 0
 
 
-async def _token_visits_per_put(acks: int):
+@contextlib.asynccontextmanager
+async def _put_deployment(make_driver):
     """The deployment ``repro.bench.livebench`` measures — manager node
-    n1 hosting one closed-loop driver, a kvstore replicated on n2 and n3 —
-    streaming ``put`` only.  Returns Totem counter deltas over ``acks``
-    acknowledged invocations, and the auditor."""
-    from repro.live.loadgen import LIVE_APPS, ReadMixDriver
+    n1 hosting one driver, a kvstore replicated on n2 and n3 — with load
+    flowing.  Yields the system (closed on exit), the driver servant
+    ``make_driver(iogr)`` built, and the auditor."""
+    from repro.live.loadgen import LIVE_APPS
 
     app = LIVE_APPS["kvstore-read"]
     server_nodes = ["n2", "n3"]
     system = LiveSystem(NODES)
-    auditor = system.attach_auditor()
     try:
+        auditor = system.attach_auditor()
         assert await system.wait_for(system.ring_formed, timeout=15.0)
         system.register_factory(app.type_id, app.make_factory(1_000),
                                 nodes=server_nodes)
@@ -191,9 +193,8 @@ async def _token_visits_per_put(acks: int):
             lambda: all(group.is_operational_on(n) for n in server_nodes),
             timeout=15.0)
         iogr = group.iogr().stringify()
-        system.register_factory(
-            DRIVER_TYPE, lambda: ReadMixDriver(iogr, write_every=1),
-            nodes=["n1"])
+        system.register_factory(DRIVER_TYPE, lambda: make_driver(iogr),
+                                nodes=["n1"])
         driver_group = system.create_group(
             "driver", DRIVER_TYPE,
             FTProperties(initial_replicas=1, min_replicas=1), nodes=["n1"])
@@ -202,16 +203,87 @@ async def _token_visits_per_put(acks: int):
         driver = driver_group.servant_on("n1")
         assert await system.wait_for(lambda: driver.acked >= 20,
                                      timeout=15.0), "no load flowing"
-        names = ("totem.token", "totem.retransmit", "totem.token_timeout")
-        before = {name: system.tracer.count(name) for name in names}
+        yield system, driver, auditor
+    finally:
+        system.close()
+
+
+def _ring_counts(system):
+    """Totem's repair counters, token visits, and hold cancels by role."""
+    counts = {name: system.tracer.count(f"totem.{name}")
+              for name in ("token", "retransmit", "token_timeout")}
+    for role in ("sent", "released", "noted"):
+        counts[role] = sum(
+            metric.value
+            for _name, labels, metric in system.metrics.find(
+                "totem.hold_cancel") if labels["role"] == role)
+    return counts
+
+
+def _since(system, before):
+    return {name: value - before[name]
+            for name, value in _ring_counts(system).items()}
+
+
+async def _token_visits_per_put(acks: int):
+    """Stream ``put`` only, closed loop.  Returns Totem counter deltas
+    over ``acks`` acknowledged invocations, and the auditor."""
+    from repro.live.loadgen import ReadMixDriver
+
+    async with _put_deployment(
+            lambda iogr: ReadMixDriver(iogr, write_every=1)
+    ) as (system, driver, auditor):
+        before = _ring_counts(system)
         acked0 = driver.acked
         assert await system.wait_for(
             lambda: driver.acked >= acked0 + acks, timeout=60.0)
-        delta = {name: system.tracer.count(name) - before[name]
-                 for name in names}
-        return delta, driver.acked - acked0, auditor
-    finally:
-        system.close()
+        return _since(system, before), driver.acked - acked0, auditor
+
+
+async def _visits_per_spaced_put(puts: int, gap: float):
+    """``puts`` invocations, each issued ``gap`` seconds or a little more
+    after the previous one was acknowledged — long enough for the ring to
+    go quiet and park the token, and stepped so that the puts find it at
+    different members.  Returns the counter deltas, the token visits
+    between each put's ``multicast`` at n1 and n1's own delivery of it,
+    and the auditor."""
+    from repro.live.loadgen import ReadMixDriver
+
+    class SteppedDriver(ReadMixDriver):
+        """Closed loop until ``stepped``; then one put per ``step()``."""
+
+        stepped = False
+
+        def _send_next(self) -> None:
+            if not self.stepped:
+                super()._send_next()
+
+        def step(self) -> None:
+            super()._send_next()
+
+    async with _put_deployment(
+            lambda iogr: SteppedDriver(iogr, write_every=1)
+    ) as (system, driver, auditor):
+        driver.stepped = True
+        assert await system.wait_for(lambda: driver.acked == driver.sent)
+        member = system.stack("n1").totem
+        deliver, issued_at, visits = member.on_deliver, [], []
+
+        def on_deliver(origin, payload):
+            if origin == "n1" and issued_at:
+                visits.append(system.tracer.count("totem.token")
+                              - issued_at.pop())
+            deliver(origin, payload)
+
+        member.on_deliver = on_deliver
+        before = _ring_counts(system)
+        for index in range(puts):
+            await system.run_for(gap * (1 + index % 7 / 10))
+            issued_at.append(system.tracer.count("totem.token"))
+            driver.step()
+            assert await system.wait_for(
+                lambda: driver.acked == driver.sent, poll_interval=0.0005)
+        return _since(system, before), visits, auditor
 
 
 def test_ordered_invocation_costs_one_rotation_not_two():
@@ -223,7 +295,26 @@ def test_ordered_invocation_costs_one_rotation_not_two():
     timeouts are 0 on a quiet host; the bound leaves room for a scheduler
     stall on a loaded one, not for a repair per invocation."""
     delta, acked, auditor = asyncio.run(_token_visits_per_put(300))
-    assert delta["totem.token"] / acked <= 4.0
-    assert delta["totem.retransmit"] <= acked // 100
-    assert delta["totem.token_timeout"] <= acked // 100
+    assert delta["token"] / acked <= 4.0
+    assert delta["retransmit"] <= acked // 100
+    assert delta["token_timeout"] <= acked // 100
+    # Steady traffic never parks the token, so nobody has to wake it.
+    assert delta["sent"] <= 3
+    auditor.finish(raise_on_findings=True)
+
+
+def test_write_after_a_quiet_spell_wakes_the_parked_token():
+    """The count-based guard of the hold cancel: each put issued onto a
+    ring that has gone quiet sends one ``HoldCancel`` (none when n1
+    itself is parked on the token: it releases its own), a parked token
+    is released for most of them (the rest find it in flight), and the
+    put is sequenced by the token's first arrival at n1, not by a later
+    rotation."""
+    puts = 60
+    delta, visits, auditor = asyncio.run(_visits_per_spaced_put(puts, 0.005))
+    assert 0.5 * puts <= delta["sent"] <= 1.5 * puts
+    assert puts // 4 <= delta["released"] <= 1.5 * puts
+    assert len(visits) == puts and max(visits) <= 4
+    assert delta["retransmit"] <= puts // 100
+    assert delta["token_timeout"] <= puts // 100
     auditor.finish(raise_on_findings=True)

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.live.transport import decode_frame, encode_frame
-from repro.totem.messages import (DataMsg, JoinMsg, PackedDataMsg,
-                                  PackedPayload, Token)
+from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
+                                  PackedDataMsg, PackedPayload, ProbeMsg,
+                                  Token)
 
 node_ids = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -76,9 +77,47 @@ join_msgs = st.builds(
     delivered_aru=st.integers(0, 2 ** 40),
     held=st.frozensets(st.integers(0, 2 ** 40), max_size=6),
     fresh=st.booleans(),
+    view_members=st.lists(node_ids, max_size=4).map(tuple),
+    base_seen=st.integers(0, 2 ** 40),
 )
 
-frames = st.one_of(data_msgs, packed_msgs, tokens, join_msgs)
+form_msgs = st.builds(
+    FormMsg,
+    ring_id=st.integers(0, 2 ** 32 - 1),
+    leader=node_ids,
+    members=st.lists(node_ids, max_size=4).map(tuple),
+    flush_seq=st.integers(0, 2 ** 40),
+    base_seq=st.integers(0, 2 ** 40),
+    holders=st.dictionaries(st.integers(0, 2 ** 40), node_ids, max_size=6),
+    fresh_members=st.lists(node_ids, max_size=4).map(tuple),
+)
+
+probe_msgs = st.builds(
+    ProbeMsg,
+    ring_id=st.integers(0, 2 ** 32 - 1),
+    sender=node_ids,
+    members=st.lists(node_ids, max_size=4).map(tuple),
+)
+
+hold_cancels = st.builds(
+    HoldCancel,
+    ring_id=st.integers(0, 2 ** 32 - 1),
+    sender=node_ids,
+)
+
+#: One strategy per payload class a ring member registers with its
+#: endpoint (``tests/unit/test_repo_hygiene.py`` holds the two together).
+FRAME_STRATEGIES = {
+    DataMsg: data_msgs,
+    PackedDataMsg: packed_msgs,
+    Token: tokens,
+    JoinMsg: join_msgs,
+    FormMsg: form_msgs,
+    ProbeMsg: probe_msgs,
+    HoldCancel: hold_cancels,
+}
+
+frames = st.one_of(*FRAME_STRATEGIES.values())
 
 
 @given(src=node_ids, msg=frames)
@@ -106,27 +145,25 @@ def test_hostile_datagram_contained(data):
         pass
 
 
-_VALID_FRAME = encode_frame("n1", DataMsg(
-    ring_id=3, seq=17, sender="n2", msg_id=("n2", 4),
-    frag_index=0, frag_count=2, chunk=b"\xAB" * 96))
+valid_frames = frames.map(lambda msg: encode_frame("n1", msg))
 
 
-@given(position=st.integers(0, len(_VALID_FRAME) - 1),
-       value=st.integers(0, 255))
-@settings(max_examples=300, deadline=None)
-def test_bit_flipped_frame_contained(position, value):
-    mutated = bytearray(_VALID_FRAME)
-    mutated[position] = value
+@given(frame=valid_frames, data=st.data(), value=st.integers(0, 255))
+@settings(max_examples=600, deadline=None)
+def test_bit_flipped_frame_contained(frame, data, value):
+    mutated = bytearray(frame)
+    mutated[data.draw(st.integers(0, len(frame) - 1))] = value
     try:
         decode_frame(bytes(mutated))
     except NetworkError:
         pass
 
 
-@given(cut=st.integers(1, len(_VALID_FRAME)))
-@settings(max_examples=100, deadline=None)
-def test_truncated_frame_contained(cut):
+@given(frame=valid_frames, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_truncated_frame_contained(frame, data):
+    cut = data.draw(st.integers(1, len(frame)))
     try:
-        decode_frame(_VALID_FRAME[:-cut])
+        decode_frame(frame[:-cut])
     except NetworkError:
         pass

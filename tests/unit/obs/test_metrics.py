@@ -353,6 +353,18 @@ def test_token_streams_are_independent_per_node():
         assert hist.min == pytest.approx(0.10)
 
 
+def test_hold_cancels_are_counted_by_node_and_role():
+    tracer, registry, _clock = token_tracer()
+    for node, role in (("s1", "sent"), ("s2", "released"), ("s3", "noted"),
+                       ("s1", "sent")):
+        tracer.emit("totem", "hold_cancel", node=node, role=role)
+    assert registry.counter("totem.hold_cancel", node="s1",
+                            role="sent").value == 2
+    assert registry.counter("totem.hold_cancel", node="s2",
+                            role="released").value == 1
+    assert len(registry.find("totem.hold_cancel")) == 3
+
+
 def test_token_records_without_node_are_ignored():
     tracer, registry, clock = token_tracer()
     clock["now"] = 0.0

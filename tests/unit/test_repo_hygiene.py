@@ -147,6 +147,58 @@ def test_every_config_field_is_set_by_someone():
     assert unset == []
 
 
+def test_totem_config_has_grown_no_field():
+    """Token pacing, the forward-time send and the hold cancel are all
+    decided from what a visit observes; a new ring behaviour that needs a
+    knob has to argue for it here."""
+    from repro.totem.config import TotemConfig
+
+    assert [field.name for field in dataclasses.fields(TotemConfig)] == [
+        "token_hold", "token_timeout", "gather_timeout", "join_interval",
+        "max_burst", "frame_packing", "retain_safe_slack", "max_queue",
+        "probe_interval", "ring_name"]
+
+
+# ---------------------------------------------------------------------------
+# Every frame a ring member listens for crosses the live wire: it needs a
+# tag in the codec and a strategy in the codec's property test, or it
+# ships un-fuzzed (FormMsg and ProbeMsg did, for thirteen PRs).
+# ---------------------------------------------------------------------------
+
+def function_named(path, name):
+    return next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def name_arguments(function, callee):
+    """Every bare-name argument of the ``callee(...)`` calls inside
+    ``function``: the ``X`` (and ``msg``) of ``isinstance(msg, X)``."""
+    return {arg.id for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and callee == getattr(node.func, "attr",
+                                  getattr(node.func, "id", None))
+            for arg in node.args if isinstance(arg, ast.Name)}
+
+
+def test_every_registered_ring_frame_has_a_wire_tag_and_a_fuzz_strategy():
+    from tests.properties.test_live_codec_properties import FRAME_STRATEGIES
+
+    registered = name_arguments(
+        function_named(SRC / "totem" / "member.py", "__init__"), "register")
+    assert len(registered) >= 7
+    wire = SRC / "totem" / "wire.py"
+    encoded = name_arguments(function_named(wire, "_encode_generic"),
+                             "isinstance")
+    decoded = {node.func.id
+               for node in ast.walk(function_named(wire, "_decode_generic"))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)}
+    fuzzed = {cls.__name__ for cls in FRAME_STRATEGIES}
+    assert sorted(registered - encoded) == []
+    assert sorted(registered - decoded) == []
+    assert sorted(registered - fuzzed) == []
+
+
 # ---------------------------------------------------------------------------
 # One bench registry: the gate code, the baselines, CI and the flags stay
 # rows of repro.bench.registry (ROADMAP item 4(e)).

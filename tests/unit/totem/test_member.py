@@ -10,8 +10,9 @@ from repro.simnet.network import Network
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
 from repro.totem.config import TotemConfig
-from repro.totem.member import MemberState, TotemMember
-from repro.totem.messages import DataMsg, Token
+from repro.totem.member import (TOKEN_PROCESSING_TIME, MemberState,
+                                TotemMember)
+from repro.totem.messages import DataMsg, HoldCancel, Token
 
 
 class Ring:
@@ -307,11 +308,29 @@ def _paced_ring(config=PACED):
     return ring, tracer
 
 
+def _hop(ring, hold):
+    """Seconds from a token receipt to the next member's, ``hold`` apart."""
+    net = ring.network.config
+    return (hold + net.frame_time(Token(0, 0, 0).size_bytes)
+            + net.propagation_delay + net.per_frame_cpu)
+
+
 def _idle_hop(ring):
     """Seconds between consecutive token visits on a quiet ring."""
-    net = ring.network.config
-    return (ring.config.token_hold + net.frame_time(Token(0, 0, 0).size_bytes)
-            + net.propagation_delay + net.per_frame_cpu)
+    return _hop(ring, ring.config.token_hold)
+
+
+def _busy_hop(ring):
+    """Seconds between consecutive token visits while traffic flows."""
+    return _hop(ring, TOKEN_PROCESSING_TIME)
+
+
+def _hold_cancels(tracer):
+    """How many ``totem.hold_cancel`` records each role has, by node."""
+    roles = {"sent": [], "released": [], "noted": []}
+    for record in tracer.find("totem", "hold_cancel"):
+        roles[record.fields["role"]].append(record.fields["node"])
+    return roles
 
 
 def _times(tracer, event, since=0.0, **fields):
@@ -337,7 +356,9 @@ def test_traffic_speeds_the_token_and_quiet_slows_it_again():
     sent_at, = _times(tracer, "frame", since=queued_at)
     delivered = _times(tracer, "deliver", since=queued_at)
     assert len(delivered) == 3
-    assert max(delivered) - sent_at < 3 * hop
+    # Nobody slept on the token B needed: the quiet hold in progress ended
+    # when B queued, and every hop since was a busy one.
+    assert max(delivered) - queued_at < 4 * _busy_hop(ring) < hop
     visits = _times(tracer, "token", since=sent_at)
     gaps = [b - a for a, b in zip(visits, visits[1:])]
     # A full rotation after the send moves at the processing time ...
@@ -414,10 +435,10 @@ def test_dropped_frame_is_recovered_on_the_next_visit():
 # the token rides that visit (PROTOCOL.md, token-visit step 6)
 # ----------------------------------------------------------------------
 
-def _queue_during_hold(ring, tracer, node_id, payloads, *, after):
-    """On ``node_id``'s next token visit, queue ``payloads`` there
-    ``after`` seconds into the hold.  Returns the visit's token record
-    (through the list) once it has happened."""
+def _queue_during_hold(ring, tracer, node_id, payloads, *, after, at=None):
+    """On ``node_id``'s next token visit, queue ``payloads`` ``after``
+    seconds into the hold — there, or at member ``at``.  Returns the
+    visit's token record (through the list) once it has happened."""
     visit = []
 
     def on_visit(record):
@@ -426,7 +447,7 @@ def _queue_during_hold(ring, tracer, node_id, payloads, *, after):
             visit.append(record)
             for payload in payloads:
                 ring.scheduler.call_after(
-                    after, ring.members[node_id].multicast, payload)
+                    after, ring.members[at or node_id].multicast, payload)
 
     tracer.subscribe(on_visit)
     return visit
@@ -440,9 +461,11 @@ def test_payload_queued_during_an_empty_hold_rides_that_visit():
     frame, = tracer.find("totem", "frame")
     assert frame.fields["node"] == "B"
     assert frame.fields["seq"] == received + 1
-    # It left when the token was forwarded, not a rotation later: no
-    # second visit to B in between.
-    assert frame.time == pytest.approx(visit[0].time + PACED.token_hold)
+    # It left at once — the payload released the token B was parked on —
+    # not when the hold expired, let alone a rotation later.
+    assert frame.time == pytest.approx(visit[0].time + 0.3e-3)
+    assert _hold_cancels(tracer) == {"sent": [], "released": ["B"],
+                                     "noted": []}
     assert _times(tracer, "token", since=visit[0].time, node="B")[1] \
         > frame.time
     # The next member saw the post-drain sequence number with B's own
@@ -493,7 +516,7 @@ def test_forward_time_send_respects_the_burst_window():
     visit = _queue_during_hold(ring, tracer, "B",
                                [b"1", b"2", b"3", b"4", b"5"], after=0.3e-3)
     ring.run(0.05)
-    forwarded = visit[0].time + ring.config.token_hold
+    forwarded = visit[0].time + 0.3e-3      # the first payload's release
     frames = _times(tracer, "frame", node="B")
     assert len(frames) == 5
     assert frames[:2] == [pytest.approx(forwarded)] * 2
@@ -514,3 +537,200 @@ def test_visit_that_sent_at_receipt_does_not_send_again_at_forward():
     next_visit = _times(tracer, "token", since=visit[0].time, node="B")[1]
     assert second == next_visit
     assert ring.delivered["A"] == [("B", b"first"), ("B", b"second")]
+
+
+# ----------------------------------------------------------------------
+# Hold cancel: nobody sleeps on a token somebody needs (PROTOCOL.md,
+# "Hold cancel")
+# ----------------------------------------------------------------------
+
+def _drop_hold_cancels(ring):
+    ring.network.add_filter(
+        lambda src, dst, payload, size: isinstance(payload, HoldCancel))
+
+
+def test_multicast_at_a_non_holder_cancels_the_quiet_hold():
+    ring, tracer = _paced_ring()
+    visit = _queue_during_hold(ring, tracer, "A", [b"wake"], after=0.3e-3,
+                               at="C")
+    ring.run(0.05)
+    queued_at = visit[0].time + 0.3e-3
+    delivered = _times(tracer, "deliver", since=queued_at)
+    assert len(delivered) == 3
+    # The cancel reaches A, the token makes two busy hops to C, the frame
+    # reaches everyone: a hop-and-frame time per member, where waiting out
+    # the holds took the rest of A's and all of B's.
+    assert max(delivered) - queued_at < 4 * _busy_hop(ring) < _idle_hop(ring)
+    assert _hold_cancels(tracer) == {"sent": ["C"], "released": ["A"],
+                                     "noted": ["B"]}
+    frame, = tracer.find("totem", "frame")
+    assert (frame.fields["node"], frame.fields["seq"]) \
+        == ("C", visit[0].fields["seq"] + 1)
+    assert tracer.count("totem.retransmit") == 0
+
+
+def test_lost_hold_cancel_costs_the_hold_and_nothing_else():
+    ring, tracer = _paced_ring()
+    _drop_hold_cancels(ring)
+    visit = _queue_during_hold(ring, tracer, "A", [b"wake"], after=0.3e-3,
+                               at="C")
+    ring.run(0.05)
+    for node in ring.members:
+        assert ring.delivered[node] == [("C", b"wake")]
+    # Never retransmitted, nobody released: the token got to C by expiry
+    # of A's hold and of B's.
+    assert _hold_cancels(tracer) == {"sent": ["C"], "released": [],
+                                     "noted": []}
+    frame, = tracer.find("totem", "frame")
+    assert frame.time == pytest.approx(visit[0].time + 2 * _idle_hop(ring))
+
+
+def test_backlog_hold_is_not_cancelled():
+    ring, tracer = _paced_ring()
+    queued_at = ring.scheduler.now
+    member = ring.members["B"]
+    member.multicast(b"one")
+    member.multicast(b"two")
+    ring.scheduler.run_while(lambda: not tracer.count("totem.frame"), 0.05)
+    sent_at = ring.scheduler.now
+    ring.scheduler.call_after(0.3e-3, member.endpoint.deliver, "A",
+                              HoldCancel(member.ring_id, "A"))
+    ring.run(0.05)
+    after = [t for t in _times(tracer, "token", since=queued_at)
+             if t > sent_at]
+    assert after[0] - sent_at == pytest.approx(_idle_hop(ring))
+    roles = _hold_cancels(tracer)
+    assert "B" in roles["noted"] and "B" not in roles["released"]
+
+
+def test_hold_cancel_from_another_ring_or_a_stranger_is_ignored():
+    ring, tracer = _paced_ring()
+    member = ring.members["A"]
+    strays = [HoldCancel(member.ring_id + 1, "B"),
+              HoldCancel(member.ring_id, "Z"),
+              HoldCancel(member.ring_id, "A")]
+    visit = []
+
+    def on_visit(record):
+        if (not visit and record.event == "token"
+                and record.fields["node"] == "A"):
+            visit.append(record)
+            for stray in strays:
+                ring.scheduler.call_after(0.3e-3, member.endpoint.deliver,
+                                          stray.sender, stray)
+
+    tracer.subscribe(on_visit)
+    ring.run(0.05)
+    assert tracer.count("totem.hold_cancel") == 0
+    at_b = _times(tracer, "token", since=visit[0].time, node="B")[0]
+    assert at_b - visit[0].time == pytest.approx(_idle_hop(ring))
+
+
+def test_one_hold_cancel_per_quiet_episode_however_much_is_queued():
+    ring, tracer = _paced_ring()
+    _queue_during_hold(ring, tracer, "A", [b"1", b"2", b"3"], after=0.3e-3,
+                       at="C")
+    ring.run(0.05)
+    assert [p for _origin, p in ring.delivered["A"]] == [b"1", b"2", b"3"]
+    assert _hold_cancels(tracer) == {"sent": ["C"], "released": ["A"],
+                                     "noted": ["B"]}
+    # Quiet again two rotations later: the next payload is a new episode.
+    ring.members["C"].multicast(b"4")
+    ring.run(0.05)
+    assert len(_hold_cancels(tracer)["released"]) == 2
+    assert len(_hold_cancels(tracer)["sent"]) <= 2
+
+
+def test_member_that_noted_a_cancel_sends_none_of_its_own():
+    ring, tracer = _paced_ring()
+    _queue_during_hold(ring, tracer, "A", [b"first"], after=0.3e-3, at="C")
+    # B queues after C's cancel has reached it and before the token has.
+    _queue_during_hold(ring, tracer, "A", [b"second"], after=0.4e-3, at="B")
+    ring.run(0.05)
+    assert ring.delivered["A"] == [("B", b"second"), ("C", b"first")]
+    assert _hold_cancels(tracer) == {"sent": ["C"], "released": ["A"],
+                                     "noted": ["B"]}
+
+
+def test_reply_to_a_frame_just_received_sends_no_cancel():
+    """A data frame is news that the ring is awake — its token is coming
+    at the processing time — so a member that answers it from the
+    delivery callback has no hold to cancel, whatever its last visit
+    saw."""
+    ring, tracer = _paced_ring()
+    member = ring.members["C"]
+    deliver = member.on_deliver
+
+    def answer(origin, payload):
+        deliver(origin, payload)
+        if payload == b"ask":
+            member.multicast(b"answer")
+
+    member.on_deliver = answer
+    _queue_during_hold(ring, tracer, "A", [b"ask"], after=0.3e-3)
+    ring.run(0.05)
+    assert ring.delivered["A"] == [("A", b"ask"), ("C", b"answer")]
+    assert _hold_cancels(tracer) == {"sent": [], "released": ["A"],
+                                     "noted": []}
+
+
+def test_default_config_ring_never_parks_and_never_cancels():
+    """``token_hold`` at the processing time means no hold is the long
+    one: a simulated deployment run through a kill/restart schedule emits
+    no ``HoldCancel`` — what keeps Figure 6 bit-identical."""
+    from repro.bench.deployments import build_client_server
+    from repro.ftcorba.properties import ReplicationStyle
+    from repro.scenarios import (ExpectConsistent, ExpectProgress, Kill,
+                                 Restart, Run, Scenario, WaitOperational)
+
+    deployment = build_client_server(style=ReplicationStyle.ACTIVE,
+                                     server_replicas=2, state_size=1_000,
+                                     warmup=0.2)
+    Scenario(
+        Run(0.1),
+        Kill("s2"),
+        ExpectProgress("driver", min_acks=100, within=0.5),
+        Restart("s2"),
+        WaitOperational("store", "s2"),
+        Run(0.3),
+        ExpectConsistent("store", ["s1", "s2"]),
+    ).execute(deployment)
+    assert deployment.system.tracer.count("totem.token") > 1000
+    assert deployment.system.tracer.count("totem.hold_cancel") == 0
+
+
+def _watch_timers(ring, node_id):
+    """Record every timer ``node_id``'s host hands out from now on; the
+    returned function lists the callbacks of those still pending."""
+    process = ring.members[node_id].endpoint.process
+    handed_out = []
+    schedule = process.call_after
+
+    def call_after(delay, fn, *args):
+        handle = schedule(delay, fn, *args)
+        handed_out.append((handle, fn.__name__))
+        return handle
+
+    process.call_after = call_after
+    return lambda: sorted(name for handle, name in handed_out
+                          if not handle.cancelled
+                          and handle in ring.scheduler._heap)
+
+
+@pytest.mark.parametrize("hold", [PACED.token_hold, TOKEN_PROCESSING_TIME])
+def test_member_stopped_mid_hold_leaves_no_ring_timer(hold):
+    ring, tracer = _paced_ring(TotemConfig(token_hold=hold,
+                                           token_timeout=0.25))
+    member = ring.members["B"]
+    pending = _watch_timers(ring, "B")
+    ring.scheduler.run_while(lambda: member._hold_timer is None, 0.05)
+    assert "_forward_token" in pending()
+    member._enter_gather()
+    assert pending() == ["_join_tick", "_on_gather_deadline"]
+    assert member._hold_timer is None and member._parked is None
+
+    ring.run(0.5)                       # the ring re-forms with B in it
+    assert ring.all_operational()
+    ring.scheduler.run_while(lambda: member._hold_timer is None, 0.05)
+    member.shutdown()
+    assert pending() == []
