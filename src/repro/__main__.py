@@ -285,16 +285,13 @@ def _cmd_profile(args) -> int:
         # Delegate to the live runner with profiling switched on: real
         # sockets, so the table includes the transport's syscall counters.
         from repro.live.cli import run_live
-        live_args = argparse.Namespace(
-            nodes=3, app="kvstore", state_size=args.state_size,
-            duration=3.0 if args.quick else 8.0,
-            kill_after=1.0 if args.quick else 2.0,
-            downtime=0.5, health_port=None, health_out=None,
-            trace_out=None, trace_format="chrome", flight_dir=None,
-            profile=True, profile_out=args.out,
-            profile_sample_interval=args.sample_interval,
-        )
-        return run_live(live_args)
+        return run_live(build_parser().parse_args([
+            "live", "--app", "kvstore",
+            "--state-size", str(args.state_size),
+            "--duration", "3" if args.quick else "8",
+            "--kill-after", "1" if args.quick else "2",
+            "--profile", "--profile-out", args.out,
+            "--profile-sample-interval", str(args.sample_interval)]))
 
     from repro.bench.deployments import build_client_server, measure_recovery
     from repro.ftcorba.properties import ReplicationStyle
@@ -405,8 +402,8 @@ def _cmd_live(args) -> int:
     return run_live(args)
 
 
-def main(argv=None) -> int:
-    """Entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser, every sub-command on it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Eternal (DSN 2001) reproduction — demos and sweeps",
@@ -438,10 +435,9 @@ def main(argv=None) -> int:
                               "(default 0.005)")
 
     # Every sweep command is a row of the bench registry.
-    from repro.bench.registry import BENCHES, STYLES, add_arguments, run_bench
+    from repro.bench.registry import BENCHES, STYLES, add_arguments
 
-    benches = (*BENCHES, STYLES)
-    for bench in benches:
+    for bench in (*BENCHES, STYLES):
         cmd = sub.add_parser(bench.command, help=bench.help)
         add_arguments(cmd, bench)
         if bench.profile:
@@ -526,10 +522,11 @@ def main(argv=None) -> int:
                            "app replicas (min 3); with --rings, per ring")
     live.add_argument("--rings", type=int, default=1,
                       help="independent Totem rings sharded over a "
-                           "consistent-hashing placement layer (>1 runs "
-                           "the multi-ring scenario: closed-loop load on "
-                           "every ring, kill/recover inside r0, healthy "
-                           "rings must keep streaming)")
+                           "consistent-hashing placement layer, each "
+                           "under closed-loop load; the kill/recover "
+                           "runs inside r0 and every other ring must "
+                           "keep streaming (every flag works at every "
+                           "ring count)")
     live.add_argument("--app", default="counter",
                       choices=("counter", "kvstore", "kvstore-read"),
                       help="which servant to replicate and drive "
@@ -580,10 +577,18 @@ def main(argv=None) -> int:
                            "audit violation, crash, or SIGINT, and for "
                            "every node at shutdown")
     add_profile_flags(live)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point; returns a process exit code."""
+    from repro.bench.registry import BENCHES, STYLES, run_bench
+
+    parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
         **{bench.command: functools.partial(run_bench, bench)
-           for bench in benches},
+           for bench in (*BENCHES, STYLES)},
         "version": _cmd_version,
         "demo": _cmd_demo,
         "store": _cmd_store,

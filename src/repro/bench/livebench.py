@@ -1,7 +1,7 @@
 """Closed-loop throughput of the live (loopback-UDP) hot path (O-7).
 
 Two arms over identical deployments — three real event-loop nodes, a
-replicated kvstore, and a :class:`~repro.live.loadgen.ReadMixDriver`
+replicated kvstore, and a :class:`~repro.apps.packet_driver.ReadMixDriver`
 streaming a read-heavy put/get mix — differing only in
 ``EternalConfig.read_lease``:
 
@@ -37,9 +37,8 @@ import asyncio
 from typing import Any, Dict
 
 from repro.core.config import EternalConfig
-from repro.ftcorba.properties import FTProperties
 from repro.live.clock import new_event_loop
-from repro.live.loadgen import DRIVER_TYPE, LIVE_APPS
+from repro.live.loadgen import LIVE_APPS, deploy
 from repro.live.system import LiveSystem
 
 #: Application state carried by the kvstore under test (bytes).
@@ -47,8 +46,7 @@ STATE_SIZE = 1_000
 
 
 async def _run_arm(read_lease: bool, *, duration: float,
-                   n_drivers: int = 1,
-                   warmup_acks: int = 20) -> Dict[str, Any]:
+                   n_drivers: int = 1) -> Dict[str, Any]:
     """One deployment, one measurement window; returns the arm's stats.
 
     ``n_drivers`` > 1 deploys that many independent closed-loop drivers
@@ -56,54 +54,22 @@ async def _run_arm(read_lease: bool, *, duration: float,
     exercise the drain loop's receive batching (one driver is latency-
     bound: each datagram arrives alone, so batches stay near 1).
     """
-    node_ids = ["n1", "n2", "n3"]
-    manager, server_nodes = node_ids[0], node_ids[1:]
-    app = LIVE_APPS["kvstore-read"]
+    nodes = ["n1", "n2", "n3"]
     system = LiveSystem(
-        node_ids, eternal_config=EternalConfig(read_lease=read_lease))
+        nodes, eternal_config=EternalConfig(read_lease=read_lease))
     auditor = system.attach_auditor()
     try:
         if not await system.wait_for(system.ring_formed, timeout=15.0):
             raise RuntimeError("Totem ring did not form within 15 s")
-        system.register_factory(app.type_id, app.make_factory(STATE_SIZE),
-                                nodes=server_nodes)
-        group = system.create_group(
-            "app", app.type_id,
-            FTProperties(initial_replicas=len(server_nodes),
-                         min_replicas=1),
-            nodes=server_nodes)
-        if not await system.wait_for(
-                lambda: all(group.is_operational_on(n)
-                            for n in server_nodes), timeout=15.0):
-            raise RuntimeError("app group never became operational")
-        iogr = group.iogr().stringify()
-        system.register_factory(DRIVER_TYPE, app.make_driver(iogr),
-                                nodes=[manager])
-        driver_groups = [
-            system.create_group(
-                f"driver{i}" if n_drivers > 1 else "driver", DRIVER_TYPE,
-                FTProperties(initial_replicas=1, min_replicas=1),
-                nodes=[manager])
-            for i in range(n_drivers)]
-
-        def _drivers():
-            return [g.servant_on(manager) for g in driver_groups]
-
-        def _warm() -> bool:
-            return all(d is not None and d.acked >= warmup_acks
-                       for d in _drivers())
-
-        if not await system.wait_for(_warm, timeout=20.0):
-            raise RuntimeError("no load flowing within 20 s")
-
+        _, drivers = await deploy(system, LIVE_APPS["kvstore-read"], nodes,
+                                  state_size=STATE_SIZE, drivers=n_drivers)
         tracer = system.tracer
-        acked0 = sum(d.acked for d in _drivers())
+        acked0 = sum(d.acked for d in drivers)
         batches0 = tracer.count("live.sys.recv_batches")
         datagrams0 = tracer.count("live.sys.recv_datagrams")
         t0 = system.now
         await system.run_for(duration)
         window = system.now - t0
-        drivers = _drivers()
         acked = sum(d.acked for d in drivers) - acked0
         batches = tracer.count("live.sys.recv_batches") - batches0
         datagrams = tracer.count("live.sys.recv_datagrams") - datagrams0

@@ -52,6 +52,21 @@ BURST_INTERVAL = 0.0005
 #: its manifest (seconds).
 STORE_TTL = 5.0
 
+#: Pages a sponsor sends back-to-back before yielding (paces the live
+#: transport's socket buffers; the simulator's link serializes regardless).
+BURST_PAGES = 32
+
+#: Maximum number of sponsor replicas a session stripes page ranges across.
+STRIPE_WIDTH = 4
+
+#: Per-stripe watchdog (seconds): a sponsor whose stripe made no progress
+#: for this long is re-fetched (and dropped after :data:`MAX_RETRIES`).
+RETRANSMIT_TIMEOUT = 0.05
+
+#: Fruitless re-fetches of one sponsor's stripe before the session drops
+#: the sponsor and restripes over the survivors.
+MAX_RETRIES = 3
+
 
 # ---------------------------------------------------------------------------
 # Page manifest: the only state-transfer payload left in the total order
@@ -248,7 +263,7 @@ class BulkStore:
         entry = self._entries.get(session_id)
         if entry is None:
             return                      # expired mid-serve; target retries
-        burst_end = min(last, index + self.lane.config.bulk_burst_pages - 1)
+        burst_end = min(last, index + BURST_PAGES - 1)
         sent_bytes = 0
         for i in range(index, burst_end + 1):
             frame = BulkPage(session_id, self.lane.node_id, i,
@@ -273,9 +288,9 @@ class BulkStore:
 class BulkSession:
     """One joining replica's out-of-band fetch of one manifest's pages.
 
-    Pages are striped across up to ``bulk_stripe_width`` sponsors; a
+    Pages are striped across up to :data:`STRIPE_WIDTH` sponsors; a
     watchdog re-fetches each sponsor's missing pages when its stripe
-    stalls, drops the sponsor after ``bulk_max_retries`` fruitless
+    stalls, drops the sponsor after :data:`MAX_RETRIES` fruitless
     retries (or an ``"unknown"`` NACK), restripes the remainder over the
     survivors, and fails the session — triggering the caller's in-order
     fallback — when no sponsor remains.
@@ -342,8 +357,8 @@ class BulkSession:
 
     def _stripe(self, sponsors: Sequence[str]) -> None:
         """Partition the missing pages into contiguous stripes, one per
-        sponsor (capped at ``bulk_stripe_width``), and fetch each."""
-        width = min(len(sponsors), self.lane.config.bulk_stripe_width)
+        sponsor (capped at :data:`STRIPE_WIDTH`), and fetch each."""
+        width = min(len(sponsors), STRIPE_WIDTH)
         chosen = list(sponsors[:width])
         missing = sorted(self._missing)
         self._assigned = {s: set() for s in chosen}
@@ -403,7 +418,7 @@ class BulkSession:
 
     def _arm_watchdog(self) -> None:
         self._watchdog = self.lane.host.call_after(
-            self.lane.config.bulk_retransmit_timeout, self._on_watchdog,
+            RETRANSMIT_TIMEOUT, self._on_watchdog,
         )
 
     def _on_watchdog(self) -> None:
@@ -422,7 +437,7 @@ class BulkSession:
                 self._retries[sponsor] = 0
                 continue
             self._retries[sponsor] = self._retries.get(sponsor, 0) + 1
-            if self._retries[sponsor] > self.lane.config.bulk_max_retries:
+            if self._retries[sponsor] > MAX_RETRIES:
                 self._drop_sponsor(sponsor, reason="retries_exhausted")
                 if not self.active:
                     return
@@ -507,10 +522,9 @@ class BulkLane:
     plus the target-side :class:`BulkSession` registry, attached to the
     transport's out-of-band unicast lane."""
 
-    def __init__(self, host, endpoint, config, tracer, node_id: str) -> None:
+    def __init__(self, host, endpoint, tracer, node_id: str) -> None:
         self.host = host
         self.endpoint = endpoint
-        self.config = config
         self.tracer = tracer
         self.node_id = node_id
         self.store = BulkStore(self)

@@ -5,16 +5,18 @@ exist for the ablation benchmarks: disabling them reproduces the failure
 modes the paper uses to motivate ORB/POA-level state synchronization
 (Figure 4's request_id mismatch, §4.2.2's lost handshake).
 
-A field stays here only while somebody sets it: a bench sweeps it, an
-ablation names it, or a test gives it a non-default value
-(``tests/unit/test_repo_hygiene.py`` checks every field against the call
-sites under ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``).  A
-parameter with one value is a documented module constant beside its
-reader instead — ``recovery.COLD_START_DELAY`` / ``RECOVERY_RETRY_TIMEOUT``
+A field stays here only while the program sets it: a bench sweeps it,
+an ablation names it, or a deployment passes it
+(``tests/unit/test_repo_hygiene.py`` checks every field of this and the
+Totem, telemetry and profiling configs against the call sites under
+``src/``, ``benchmarks/`` and ``examples/``; a test is no caller — it
+monkeypatches the constant).  A parameter with one value is a documented
+module constant beside its reader instead — ``recovery.COLD_START_DELAY`` / ``RECOVERY_RETRY_TIMEOUT``
 / ``COLD_BOOT_WINDOW`` / ``BULK_MIN_BYTES``, ``bulk.BURST_INTERVAL`` /
-``STORE_TTL``, ``statedelta.PAGE_SIZE``,
+``STORE_TTL`` / ``BURST_PAGES`` / ``STRIPE_WIDTH`` / ``RETRANSMIT_TIMEOUT`` /
+``MAX_RETRIES``, ``statedelta.PAGE_SIZE``,
 ``container.REPLY_PROCESSING_DELAY`` / ``STATE_CAPTURE_BPS``,
-``replication.REQUEST_RETRANSMIT_INTERVAL``,
+``replication.REQUEST_RETRANSMIT_INTERVAL`` / ``MAX_LOG_LENGTH``,
 ``readfast.READ_LEASE_TIMEOUT`` — and becomes a field again when
 something needs to vary it.
 """
@@ -55,30 +57,6 @@ class EternalConfig:
     the paper's fully in-order transfers (recovery latency linear in
     state size, Figure 6)."""
 
-    bulk_stripe_width: int = 4
-    """Maximum number of sponsor replicas a session stripes page ranges
-    across."""
-
-    bulk_retransmit_timeout: float = 0.05
-    """Per-stripe watchdog: a sponsor whose stripe made no progress for
-    this long is re-fetched (and dropped after ``bulk_max_retries``)."""
-
-    bulk_max_retries: int = 3
-    """Fruitless re-fetches of one sponsor's stripe before the session
-    drops the sponsor and restripes over the survivors."""
-
-    bulk_burst_pages: int = 32
-    """Pages a sponsor sends back-to-back before yielding (paces the
-    live transport's socket buffers; the simulator's link serializes
-    regardless)."""
-
-    max_log_length: int = 10_000
-    """Deployment-wide bound on a warm-passive message log: the primary
-    forces an early checkpoint when a group's log exceeds this between
-    periodic timers.  A group's own ``FTProperties.max_log_messages``
-    (when non-zero) takes precedence; 0 disables the deployment default
-    (unbounded logs, the paper's behaviour)."""
-
     read_lease: bool = False
     """Leader-lease read fast path (LLFT-style application-aware
     relaxation): operations the servant declares ``read_only`` are served
@@ -89,15 +67,3 @@ class EternalConfig:
     the survivors can complete ring formation, so the lease is revoked
     before a new ring can order conflicting writes.  Off by default (the
     paper's pure total-order behaviour)."""
-
-    def __post_init__(self) -> None:
-        if self.bulk_stripe_width < 1:
-            raise ValueError("bulk_stripe_width must be positive")
-        if self.bulk_retransmit_timeout <= 0:
-            raise ValueError("bulk_retransmit_timeout must be positive")
-        if self.bulk_max_retries < 1:
-            raise ValueError("bulk_max_retries must be positive")
-        if self.bulk_burst_pages < 1:
-            raise ValueError("bulk_burst_pages must be positive")
-        if self.max_log_length < 0:
-            raise ValueError("max_log_length must be non-negative")

@@ -152,8 +152,7 @@ class RecoveryMechanisms:
         # Out-of-band bulk lane: responder-side snapshot stash plus the
         # target-side striped fetch sessions (see repro.core.bulk).
         self.bulk = BulkLane(mechanisms.process, mechanisms.endpoint,
-                             mechanisms.config, mechanisms.tracer,
-                             mechanisms.node_id)
+                             mechanisms.tracer, mechanisms.node_id)
         self._transfer_counter = itertools.count(1)
         # Checkpoint this node initiated and whose capture has not yet
         # completed, per group (at most one in flight): group -> transfer.

@@ -66,6 +66,13 @@ from repro.totem.member import TotemMember, View
 #: re-sent once it has been outstanding for two consecutive ticks.
 REQUEST_RETRANSMIT_INTERVAL = 0.5
 
+#: Deployment-wide bound on a group's message log: the primary forces an
+#: early checkpoint when a group's log exceeds this between periodic
+#: timers.  A group's own ``FTProperties.max_log_messages`` (when non-zero)
+#: takes precedence; 0 would disable the default (unbounded logs, the
+#: paper's behaviour).
+MAX_LOG_LENGTH = 10_000
+
 
 class Phase(enum.Enum):
     """Where a local replica stands in the §5.1 protocol — which is to say,
@@ -317,9 +324,8 @@ class ReplicationMechanisms:
         # unreclaimed tail (any style with a store) outgrows the limit (the
         # in-flight guard in initiate_checkpoint prevents a storm while one
         # completes).  A group's own FTProperties bound wins; otherwise the
-        # deployment-wide EternalConfig.max_log_length applies (0 in either
-        # position means unbounded at that level).
-        log_bound = group.max_log_messages or self.config.max_log_length
+        # deployment-wide MAX_LOG_LENGTH applies.
+        log_bound = group.max_log_messages or MAX_LOG_LENGTH
         if log_bound:
             volatile_over = (group.style.is_passive
                              and binding.log.log_length >= log_bound)

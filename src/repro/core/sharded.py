@@ -35,6 +35,7 @@ from repro.core.system import (GroupHandle, NodeStack, ObservedSystem,
                                SystemCore)
 from repro.errors import ObjectGroupError, SimulationError, UnknownNode
 from repro.ftcorba.properties import FTProperties
+from repro.store.base import DurableStore
 from repro.totem.config import TotemConfig
 
 #: Default node layout inside each ring: one manager + two servers.
@@ -123,11 +124,16 @@ class ShardedCore(ObservedSystem):
 
     def register_factory(self, type_id: str, factory: Callable,
                          *, version: int = 0,
-                         ring: Optional[str] = None) -> None:
-        """Register a servant factory on every ring (or just one)."""
+                         ring: Optional[str] = None,
+                         nodes: Optional[List[str]] = None) -> None:
+        """Register a servant factory on every ring, or just one: ``ring``,
+        or the ring hosting ``nodes`` (then on those nodes only)."""
+        if ring is None and nodes:
+            ring = self.ring_of_node(nodes[0]).ring_name
         targets = [self.ring(ring)] if ring else self.rings.values()
         for sub in targets:
-            sub.register_factory(type_id, factory, version=version)
+            sub.register_factory(type_id, factory, version=version,
+                                 nodes=nodes)
 
     def create_group(self, group_id: str, type_id: str,
                      properties: Optional[FTProperties] = None,
@@ -185,6 +191,14 @@ class ShardedCore(ObservedSystem):
         merged = {}
         for sub in self.rings.values():
             merged.update(sub.stacks)
+        return merged
+
+    @property
+    def stores(self) -> Dict[str, DurableStore]:
+        """All rings' durable stores in one mapping (health renders it)."""
+        merged = {}
+        for sub in self.rings.values():
+            merged.update(sub.stores)
         return merged
 
     def stack(self, node_id: str) -> NodeStack:

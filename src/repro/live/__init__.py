@@ -5,8 +5,12 @@ Recovery Mechanisms, interceptor, managers) on the
 :mod:`repro.runtime` interfaces implemented with asyncio: real UDP
 sockets on loopback, ``loop.call_later`` timers, and wall-clock time.
 A :class:`~repro.live.system.LiveSystem` mirrors the simulator's
-``EternalSystem`` facade; ``python -m repro live`` drives a kill/recover
-scenario end to end and reports wall-clock recovery latency.
+``EternalSystem`` facade.  :mod:`repro.live.loadgen` holds the apps the
+live runtime deploys and the one ``deploy`` coroutine that puts the
+closed-loop client (:mod:`repro.apps.packet_driver`) on them, and
+``python -m repro live`` (:mod:`repro.live.cli`) drives the one
+kill/recover scenario over ``--rings`` rings end to end and reports
+wall-clock recovery latency.
 
 Tracing, metrics, the online consistency auditor, and the health
 exposition from :mod:`repro.obs` work identically in live mode — they

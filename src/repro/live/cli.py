@@ -1,15 +1,18 @@
-"""The ``python -m repro live`` scenario driver.
+"""The ``python -m repro live`` scenario: the paper's §6 experiment on UDP.
 
-Builds a :class:`~repro.live.system.LiveSystem` on loopback UDP, deploys
-one of the :data:`~repro.live.loadgen.LIVE_APPS` actively replicated
-across all non-manager nodes with a closed-loop driver streaming at it,
-then kills one replica, re-launches it, and reports the wall-clock
+Builds a :class:`~repro.live.sharded.LiveShardedSystem` of ``--rings``
+independent loopback-UDP rings (``--rings 1``, the default, is simply the
+one-ring case), deploys one of the :data:`~repro.live.loadgen.LIVE_APPS`
+on every ring with a closed-loop driver streaming at it, then kills one
+replica of ring ``r0``, re-launches it, and reports the wall-clock
 recovery latency with the §5.1 per-phase breakdown — the live
-counterpart of the simulated Figure 6 numbers.
+counterpart of the simulated Figure 6 numbers.  Every observability flag
+(trace, health, flight dumps, profile) works at every ring count.
 
-Exit codes: 0 on a clean run, 1 if the ring/deployment/recovery fails or
-the consistency auditor reports findings, 2 if a produced artifact
-(health exposition) fails its self-check.
+Exit codes: 0 on a clean run; 1 if a ring, deployment or recovery fails,
+the faulted ring's driver never resumes, a healthy ring stops acking
+while ``r0`` is faulted, or the consistency auditor reports findings; 2
+if a produced artifact (health exposition) fails its self-check.
 """
 
 from __future__ import annotations
@@ -18,17 +21,15 @@ import asyncio
 import sys
 
 from repro.core.config import EternalConfig
-from repro.ftcorba.properties import FTProperties
 from repro.live.clock import new_event_loop
 from repro.live.health_http import start_health_server
-from repro.live.loadgen import (
-    DRIVER_TYPE,
-    LIVE_APPS,
-    make_driver_factory,
-)
-from repro.live.system import LiveSystem
+from repro.live.loadgen import LIVE_APPS, deploy
+from repro.live.sharded import LiveShardedSystem
 from repro.obs.exporters import ChromeTraceWriter
 from repro.obs.telemetry import TelemetryConfig, install_crash_hooks
+
+#: The ring whose last server replica is killed and re-launched.
+VICTIM_RING = "r0"
 
 
 def _fail(message: str) -> int:
@@ -44,31 +45,28 @@ def _print_dumps(dumps) -> None:
 
 
 async def _run(args) -> int:
-    node_ids = [f"n{i + 1}" for i in range(args.nodes)]
-    manager_node, server_nodes = node_ids[0], node_ids[1:]
+    suffixes = [f"n{i + 1}" for i in range(args.nodes)]
     app = LIVE_APPS[args.app]
     # jsonl export re-reads the retained records at the end; the chrome
     # exporter streams each event as it happens (survives abrupt exits),
     # so it needs no retention at all.
     keep_records = bool(args.trace_out) and args.trace_format == "jsonl"
-    telemetry = (TelemetryConfig(flight_dir=args.flight_dir)
-                 if args.flight_dir else None)
     profile_session = None
-    if getattr(args, "profile", False):
+    if args.profile:
         from repro.obs.profiling import ProfileSession
         profile_session = ProfileSession(
-            sample_interval=getattr(args, "profile_sample_interval", 0.005))
-    # The live CLI defaults the leader-lease read fast path ON
-    # (--no-read-lease restores the paper's pure total order); servants
+            sample_interval=args.profile_sample_interval)
+    # --no-read-lease restores the paper's pure total order; servants
     # without read_only operations are unaffected either way.
-    read_lease = getattr(args, "read_lease", True)
-    system = LiveSystem(
-        node_ids, keep_trace_records=keep_records, telemetry=telemetry,
-        eternal_config=EternalConfig(read_lease=read_lease),
+    system = LiveShardedSystem(
+        rings=args.rings, node_template=tuple(suffixes),
+        eternal_config=EternalConfig(read_lease=args.read_lease),
+        keep_trace_records=keep_records,
+        telemetry=(TelemetryConfig(flight_dir=args.flight_dir)
+                   if args.flight_dir else None),
         profiling=profile_session.config if profile_session else None,
-        store_dir=getattr(args, "store_dir", None),
-        store_fsync=getattr(args, "store_fsync", "checkpoint"))
-    if getattr(args, "store_dir", None):
+        store_dir=args.store_dir, store_fsync=args.store_fsync)
+    if args.store_dir:
         print(f"durable journals under {args.store_dir} "
               f"(fsync={args.store_fsync})")
     if profile_session is not None:
@@ -84,62 +82,35 @@ async def _run(args) -> int:
                                           on_dump=_print_dumps)
     auditor = system.attach_auditor()
     health_server = None
-    recovery_wall = None
     try:
         if args.health_port is not None:
             health_server, port = await start_health_server(
                 system, args.health_port)
             print(f"health exposition at http://127.0.0.1:{port}/")
 
-        # -- ring + deployment ------------------------------------------
-        if not await system.wait_for(system.ring_formed, timeout=15.0):
-            return _fail("Totem ring did not form within 15 s")
-        print(f"ring formed across {args.nodes} nodes at "
+        # -- rings + deployment -----------------------------------------
+        if not await system.wait_for(system.ring_formed, timeout=20.0):
+            return _fail(f"{args.rings} Totem ring(s) did not all form "
+                         f"within 20 s")
+        print(f"{args.rings} ring(s) formed ({args.nodes} nodes each) at "
               f"t={system.now * 1000:.0f} ms (wall clock)")
-
-        system.register_factory(app.type_id,
-                                app.make_factory(args.state_size),
-                                nodes=server_nodes)
-        group = system.create_group(
-            "app", app.type_id,
-            FTProperties(initial_replicas=len(server_nodes),
-                         min_replicas=1,
-                         fault_monitoring_interval=0.5),
-            nodes=server_nodes,
-        )
-        if not await system.wait_for(
-                lambda: all(group.is_operational_on(n)
-                            for n in server_nodes), timeout=15.0):
-            return _fail(f"app group never became operational on "
-                         f"{server_nodes}")
-        print(f"app {args.app!r} operational on {', '.join(server_nodes)} "
-              f"({args.state_size} B state)")
-
-        iogr = group.iogr().stringify()
-        driver_factory = (app.make_driver(iogr) if app.make_driver
-                          else make_driver_factory(iogr, app.driver_op))
-        system.register_factory(DRIVER_TYPE, driver_factory,
-                                nodes=[manager_node])
-        driver_group = system.create_group(
-            "driver", DRIVER_TYPE,
-            FTProperties(initial_replicas=1, min_replicas=1,
-                         fault_monitoring_interval=0.5),
-            nodes=[manager_node],
-        )
-        if not await system.wait_for(
-                lambda: driver_group.is_operational_on(manager_node),
-                timeout=15.0):
-            return _fail("closed-loop driver never became operational")
-        driver = driver_group.servant_on(manager_node)
-        if not await system.wait_for(lambda: driver.acked >= 10,
-                                     timeout=15.0):
-            return _fail("no load flowing (driver got <10 replies in 15 s)")
+        groups, drivers = {}, {}
+        for name in system.rings:
+            try:
+                groups[name], (drivers[name],) = await deploy(
+                    system, app, [f"{name}.{s}" for s in suffixes],
+                    state_size=args.state_size, suffix=f".{name}")
+            except RuntimeError as exc:
+                return _fail(f"ring {name}: {exc}")
         t0 = system.now
-        print(f"closed-loop load flowing ({app.driver_op!r} invocations)")
+        print(f"app {args.app!r} ({args.state_size} B state) operational "
+              f"and closed-loop load flowing on {args.rings} ring(s)")
 
-        # -- kill / recover ---------------------------------------------
-        victim = server_nodes[-1]
+        # -- kill / recover inside r0; the other rings never notice -----
+        victim = f"{VICTIM_RING}.{suffixes[-1]}"
+        group, driver = groups[VICTIM_RING], drivers[VICTIM_RING]
         await system.run_for(max(0.0, (t0 + args.kill_after) - system.now))
+        acked_at_kill = {name: d.acked for name, d in drivers.items()}
         print(f"killing {victim} at t={system.now - t0:.2f} s …")
         system.kill_node(victim)
         await system.run_for(args.downtime)
@@ -151,9 +122,13 @@ async def _run(args) -> int:
                 lambda: group.is_operational_on(victim), timeout=30.0):
             return _fail(f"replica on {victim} did not recover within 30 s")
         recovery_wall = system.now - relaunched_at
+        gained_while_faulted = {name: d.acked - acked_at_kill[name]
+                                for name, d in drivers.items()}
         acked_at_recovery = driver.acked
-        await system.wait_for(lambda: driver.acked > acked_at_recovery,
-                              timeout=10.0)
+        if not await system.wait_for(
+                lambda: driver.acked > acked_at_recovery, timeout=10.0):
+            return _fail(f"ring {VICTIM_RING}: the driver got no reply "
+                         f"within 10 s of {victim} recovering")
 
         # -- let the remaining duration play out ------------------------
         await system.run_for(max(0.0, (t0 + args.duration) - system.now))
@@ -164,12 +139,18 @@ async def _run(args) -> int:
         print("\nper-phase breakdown (§5.1 steps, wall-clock ms):")
         print(system.metrics.format_table(prefix="span.recovery",
                                           scale=1000.0, unit="ms"))
-        progress = {n: app.progress_of(group.servant_on(n))
-                    for n in server_nodes
-                    if group.servant_on(n) is not None}
-        print(f"driver: sent={driver.sent} acked={driver.acked}")
-        print("replica progress: "
-              + " ".join(f"{n}={v}" for n, v in sorted(progress.items())))
+        for name, d in drivers.items():
+            marker = " (faulted ring)" if name == VICTIM_RING else ""
+            print(f"ring {name}: driver sent={d.sent} acked={d.acked} "
+                  f"(+{gained_while_faulted[name]} while {VICTIM_RING} "
+                  f"was faulted){marker}")
+            servants = {n: groups[name].servant_on(n)
+                        for n in (f"{name}.{s}" for s in suffixes[1:])}
+            print("  replica progress: " + " ".join(
+                f"{n}={app.progress_of(servant)}"
+                for n, servant in servants.items() if servant is not None))
+        print(f"gateway: {system.bridge.forwarded} cross-ring forwards, "
+              f"{system.bridge.duplicates} duplicates suppressed")
         batches = system.tracer.count("live.sys.recv_batches")
         datagrams = system.tracer.count("live.sys.recv_datagrams")
         if batches:
@@ -177,11 +158,16 @@ async def _run(args) -> int:
                   f"{batches} wakeups "
                   f"({datagrams / batches:.2f} datagrams/wakeup)")
         fast = system.tracer.count("interceptor.request_fast")
-        if read_lease and fast:
+        if args.read_lease and fast:
             print(f"read fast path: {fast} reads diverted to the "
                   f"leaseholder, "
                   f"{system.tracer.count('lease.fallback')} fell back "
                   f"to the total order")
+        stalled = [name for name, gained in gained_while_faulted.items()
+                   if name != VICTIM_RING and gained <= 0]
+        if stalled:
+            return _fail(f"fault in {VICTIM_RING} stalled healthy "
+                         f"rings: {', '.join(stalled)}")
 
         if args.health_out or args.health_port is not None:
             from repro.obs.health import parse_exposition, render_health
@@ -219,9 +205,8 @@ async def _run(args) -> int:
               "vs syscalls):")
         print(profile_session.render_table(
             syscalls=syscall_counters(system.tracer.counters)))
-        out = getattr(args, "profile_out", None) or "profile.folded"
-        lines = profile_session.write_folded(out)
-        print(f"wrote {lines} folded stacks to {out} "
+        lines = profile_session.write_folded(args.profile_out)
+        print(f"wrote {lines} folded stacks to {args.profile_out} "
               f"({profile_session.sampler.samples_taken} samples; render "
               f"with flamegraph.pl or speedscope)")
     if args.flight_dir:
@@ -235,150 +220,23 @@ async def _run(args) -> int:
     return 0 if auditor.ok else 1
 
 
-async def _run_sharded(args) -> int:
-    """``live --rings N``: the multi-ring scenario — N independent UDP
-    rings under one placement layer, closed-loop load on every ring,
-    then a kill/recover inside ring ``r0`` while the other rings keep
-    streaming (their token rotations never see the fault)."""
-    from repro.live.sharded import LiveShardedSystem
-
-    suffixes = [f"n{i + 1}" for i in range(args.nodes)]
-    manager, servers = suffixes[0], suffixes[1:]
-    app = LIVE_APPS[args.app]
-    telemetry = (TelemetryConfig(flight_dir=args.flight_dir)
-                 if args.flight_dir else None)
-    system = LiveShardedSystem(
-        rings=args.rings, node_template=tuple(suffixes),
-        eternal_config=EternalConfig(
-            read_lease=getattr(args, "read_lease", True)),
-        telemetry=telemetry,
-        store_dir=getattr(args, "store_dir", None),
-        store_fsync=getattr(args, "store_fsync", "checkpoint"))
-    uninstall_hooks = install_crash_hooks(system.telemetry,
-                                          on_dump=_print_dumps)
-    auditor = system.attach_auditor()
-    try:
-        if not await system.wait_for(system.ring_formed, timeout=20.0):
-            return _fail(f"{args.rings} Totem rings did not all form "
-                         f"within 20 s")
-        print(f"{args.rings} rings formed ({args.nodes} nodes each) at "
-              f"t={system.now * 1000:.0f} ms (wall clock)")
-
-        drivers = {}
-        for name, sub in system.rings.items():
-            server_nodes = [f"{name}.{s}" for s in servers]
-            driver_node = f"{name}.{manager}"
-            sub.register_factory(app.type_id,
-                                 app.make_factory(args.state_size),
-                                 nodes=server_nodes)
-            group = system.create_group(
-                f"app.{name}", app.type_id,
-                FTProperties(initial_replicas=len(server_nodes),
-                             min_replicas=1,
-                             fault_monitoring_interval=0.5),
-                nodes=server_nodes)
-            if not await system.wait_for(
-                    lambda: all(group.is_operational_on(n)
-                                for n in server_nodes), timeout=15.0):
-                return _fail(f"app group on ring {name} never became "
-                             f"operational")
-            iogr = group.iogr().stringify()
-            driver_factory = (app.make_driver(iogr) if app.make_driver
-                              else make_driver_factory(iogr, app.driver_op))
-            sub.register_factory(DRIVER_TYPE, driver_factory,
-                                 nodes=[driver_node])
-            driver_group = system.create_group(
-                f"driver.{name}", DRIVER_TYPE,
-                FTProperties(initial_replicas=1, min_replicas=1,
-                             fault_monitoring_interval=0.5),
-                nodes=[driver_node])
-            if not await system.wait_for(
-                    lambda: driver_group.is_operational_on(driver_node),
-                    timeout=15.0):
-                return _fail(f"driver on ring {name} never became "
-                             f"operational")
-            drivers[name] = (driver_group.servant_on(driver_node), group)
-        if not await system.wait_for(
-                lambda: all(d.acked >= 10 for d, _ in drivers.values()),
-                timeout=15.0):
-            return _fail("no load flowing on every ring (some driver got "
-                         "<10 replies in 15 s)")
-        t0 = system.now
-        print(f"closed-loop load flowing on all {args.rings} rings "
-              f"({app.driver_op!r} invocations)")
-
-        # -- kill / recover inside r0; the other rings never notice -----
-        victim_ring = "r0"
-        victim = f"{victim_ring}.{servers[-1]}"
-        group = drivers[victim_ring][1]
-        await system.run_for(max(0.0, (t0 + args.kill_after) - system.now))
-        acked_at_kill = {name: d.acked for name, (d, _) in drivers.items()}
-        print(f"killing {victim} at t={system.now - t0:.2f} s …")
-        system.kill_node(victim)
-        await system.run_for(args.downtime)
-        relaunched_at = system.now
-        print(f"re-launching {victim} after {args.downtime * 1000:.0f} ms "
-              f"downtime …")
-        system.restart_node(victim)
-        if not await system.wait_for(
-                lambda: group.is_operational_on(victim), timeout=30.0):
-            return _fail(f"replica on {victim} did not recover within 30 s")
-        recovery_wall = system.now - relaunched_at
-        await system.run_for(max(0.0, (t0 + args.duration) - system.now))
-
-        # -- report ------------------------------------------------------
-        print(f"\nrecovered {victim} in {recovery_wall * 1000:.2f} ms "
-              f"(wall clock, re-launch → operational)")
-        stalled = []
-        for name, (driver, _) in sorted(drivers.items()):
-            gained = driver.acked - acked_at_kill[name]
-            marker = " (faulted ring)" if name == victim_ring else ""
-            print(f"  ring {name}: driver acked {driver.acked} "
-                  f"(+{gained} since the kill){marker}")
-            if name != victim_ring and gained <= 0:
-                stalled.append(name)
-        print(f"gateway: {system.bridge.forwarded} cross-ring forwards, "
-              f"{system.bridge.duplicates} duplicates suppressed")
-        if stalled:
-            return _fail(f"fault in {victim_ring} stalled healthy "
-                         f"rings: {', '.join(stalled)}")
-    finally:
-        system.close()
-    if args.flight_dir:
-        _print_dumps(system.telemetry.flight.dump_all("shutdown"))
-    uninstall_hooks()
-    auditor.finish()
-    print(auditor.summary())
-    return 0 if auditor.ok else 1
-
-
 def run_live(args) -> int:
-    """Entry point used by ``python -m repro live``."""
+    """Entry point used by ``python -m repro live`` (and ``profile
+    --live``, which parses its arguments with the same sub-parser)."""
     if args.nodes < 3:
         return _fail("--nodes must be >= 3 (manager + at least two "
                      "app replicas)")
-    if args.app not in LIVE_APPS:
-        return _fail(f"unknown app {args.app!r} "
-                     f"(choices: {', '.join(sorted(LIVE_APPS))})")
     if args.kill_after >= args.duration:
         return _fail("--kill-after must be less than --duration")
-    rings = getattr(args, "rings", 1)
-    if rings < 1:
+    if args.rings < 1:
         return _fail("--rings must be >= 1")
-    if rings > 1 and (getattr(args, "profile", False) or args.trace_out
-                      or args.health_port is not None or args.health_out):
-        return _fail("--rings > 1 does not support --profile/--trace-out/"
-                     "--health-port/--health-out yet; run those "
-                     "single-ring")
-    use_uvloop = getattr(args, "uvloop", False)
     try:
         # asyncio.Runner so the loop factory is pluggable (--uvloop swaps
         # in uvloop's implementation when the optional extra is present).
         with asyncio.Runner(
                 loop_factory=lambda: new_event_loop(
-                    use_uvloop=use_uvloop)) as runner:
-            return runner.run(_run_sharded(args) if rings > 1
-                              else _run(args))
+                    use_uvloop=args.uvloop)) as runner:
+            return runner.run(_run(args))
     except RuntimeError as exc:
         if "uvloop" in str(exc):
             return _fail(str(exc))

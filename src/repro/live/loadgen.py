@@ -1,219 +1,107 @@
-"""Closed-loop load generation for the live runtime.
+"""What the live runtime deploys, and how it puts load on it.
 
-:class:`ClosedLoopDriver` generalizes the paper's packet driver
-(:mod:`repro.apps.packet_driver`) to any target operation: it keeps
-exactly one two-way invocation in flight, each reply immediately
-triggering the next request.  Its whole behaviour is a deterministic
-function of its application state, so it can itself be actively
-replicated, and its recovery contract matches the packet driver's —
-after ``set_state()`` it re-issues the single in-flight invocation
-before anything new, keeping its recovered ORB's request_ids aligned
-with the Interceptor's rewrite offset (§4.2.1).
-
-:data:`LIVE_APPS` maps the ``--app`` CLI choices to the servant under
-test plus the operation the driver streams at it.
+:data:`LIVE_APPS` maps the ``--app`` CLI choices to the servant under test
+and the closed-loop client (:mod:`repro.apps.packet_driver`) that streams
+at it.  :func:`deploy` stands one of them up on one ring — server group,
+then driver group(s), then load flowing — for the ``live`` CLI (once per
+ring) and the ``live-throughput`` arms alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.apps.counter import CounterServant
-from repro.apps.kvstore import make_kvstore_factory
-from repro.ftcorba.checkpointable import Checkpointable, InvalidState
-from repro.giop.ior import IOR
-from repro.giop.messages import ReplyMessage, ReplyStatus
-
-DRIVER_TYPE = "IDL:repro/ClosedLoopDriver:1.0"
-
-
-class ClosedLoopDriver(Checkpointable):
-    """Streams ``op_name(sent)`` invocations at a replicated target."""
-
-    type_id = DRIVER_TYPE
-
-    def __init__(self, target_ior: str, op_name: str, *,
-                 max_invocations: int = 0) -> None:
-        self._target_ior = target_ior
-        self._op_name = op_name
-        self._max_invocations = max_invocations     # 0: unbounded
-        self.sent = 0           # invocations issued so far
-        self.acked = 0          # replies received so far
-        self.last_result: Any = None
-        self._proxy = None
-
-    # ------------------------------------------------------------------
-    # Application logic (deterministic function of state)
-    # ------------------------------------------------------------------
-
-    def _ensure_proxy(self):
-        if self._proxy is None:
-            container = self._eternal_container
-            self._proxy = container.connect(IOR.from_string(self._target_ior))
-        return self._proxy
-
-    def _invoke(self, token: int) -> None:
-        self._ensure_proxy().invoke(self._op_name, token,
-                                    on_reply=self._on_reply)
-
-    def _send_next(self) -> None:
-        if self._max_invocations and self.sent >= self._max_invocations:
-            return
-        token = self.sent
-        self.sent += 1
-        self._invoke(token)
-
-    def _on_reply(self, reply: ReplyMessage) -> None:
-        if reply.reply_status is not ReplyStatus.NO_EXCEPTION:
-            return
-        self.acked += 1
-        self.last_result = reply.result
-        self._send_next()
-
-    # ------------------------------------------------------------------
-    # Lifecycle hooks (called by the replica container)
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Initial kick: begin the invocation stream."""
-        if self.sent == 0:
-            self._send_next()
-
-    def resume(self) -> None:
-        """Post-recovery: re-issue the in-flight invocation, if any; the
-        Interceptor suppresses the duplicate on the wire."""
-        if self.sent > self.acked:
-            self._invoke(self.sent - 1)
-        elif self.sent == 0:
-            self._send_next()
-
-    # ------------------------------------------------------------------
-    # Checkpointable
-    # ------------------------------------------------------------------
-
-    def get_state(self) -> Any:
-        return {"sent": self.sent, "acked": self.acked,
-                "last_result": self.last_result}
-
-    def set_state(self, state: Any) -> None:
-        try:
-            self.sent = int(state["sent"])
-            self.acked = int(state["acked"])
-            self.last_result = state["last_result"]
-        except (TypeError, KeyError, ValueError) as exc:
-            raise InvalidState(f"bad driver state: {exc}") from exc
-
-
-class ReadMixDriver(ClosedLoopDriver):
-    """A closed-loop driver streaming a read-heavy kvstore mix: every
-    ``write_every``-th invocation is a ``put`` (ordered through Totem as
-    always), the rest are ``get`` reads the leader-lease fast path can
-    serve point-to-point (:mod:`repro.core.readfast`).
-
-    The very first invocation is a write, so the client-server handshake
-    is ordered — and therefore replayable to every server replica —
-    before any read may bypass the total order.  The op choice is a pure
-    function of the invocation index, keeping the driver deterministic
-    and safely replicable like its parent.
-    """
-
-    def __init__(self, target_ior: str, *, write_every: int = 16,
-                 key_space: int = 8, max_invocations: int = 0) -> None:
-        super().__init__(target_ior, "get",
-                         max_invocations=max_invocations)
-        self._write_every = max(1, write_every)
-        self._key_space = max(1, key_space)
-        self.reads_acked = 0
-        self.writes_acked = 0
-
-    def _invoke(self, token: int) -> None:
-        proxy = self._ensure_proxy()
-        key = f"k{token % self._key_space}"
-        if token % self._write_every == 0:
-            proxy.invoke("put", key, token, on_reply=self._on_write_reply)
-        else:
-            proxy.invoke("get", key, on_reply=self._on_read_reply)
-
-    def _on_read_reply(self, reply: ReplyMessage) -> None:
-        if reply.reply_status is ReplyStatus.NO_EXCEPTION:
-            self.reads_acked += 1
-        self._on_reply(reply)
-
-    def _on_write_reply(self, reply: ReplyMessage) -> None:
-        if reply.reply_status is ReplyStatus.NO_EXCEPTION:
-            self.writes_acked += 1
-        self._on_reply(reply)
-
-    def get_state(self) -> Any:
-        state = super().get_state()
-        state["reads_acked"] = self.reads_acked
-        state["writes_acked"] = self.writes_acked
-        return state
-
-    def set_state(self, state: Any) -> None:
-        super().set_state(state)
-        self.reads_acked = int(state.get("reads_acked", 0))
-        self.writes_acked = int(state.get("writes_acked", 0))
+from repro.apps.kvstore import KvStoreServant, make_kvstore_factory
+from repro.apps.packet_driver import (ClosedLoopDriver, PacketDriverServant,
+                                      ReadMixDriver)
+from repro.ftcorba.properties import FTProperties
 
 
 @dataclass(frozen=True)
 class LiveApp:
     """One servant the live CLI can deploy, and how to drive it."""
 
-    name: str
     type_id: str
-    driver_op: str
+    #: State size in bytes -> zero-argument servant factory.
     make_factory: Callable[[int], Callable[[], Any]]
     #: Reads the comparable progress value out of a servant instance, so
     #: the CLI can print cross-replica consistency at the end of a run.
     progress_of: Callable[[Any], Any]
-    #: Optional custom driver builder (target IOR -> zero-arg factory);
-    #: when None the CLI streams ``driver_op`` via ClosedLoopDriver.
-    make_driver: Optional[Callable[[str], Callable[[], Any]]] = None
-
-
-def _counter_factory(state_size: int) -> Callable[[], CounterServant]:
-    # The counter's whole state is one integer; state_size is meaningless
-    # for it and deliberately ignored.
-    return CounterServant
+    #: Target IOGR -> the closed-loop client streaming at it.
+    make_driver: Callable[[str], ClosedLoopDriver]
 
 
 LIVE_APPS = {
+    # The counter's whole state is one integer: the state size is ignored.
     "counter": LiveApp(
-        name="counter",
         type_id=CounterServant.type_id,
-        driver_op="increment",
-        make_factory=_counter_factory,
+        make_factory=lambda _state_size: CounterServant,
         progress_of=lambda servant: servant.value,
+        make_driver=lambda iogr: ClosedLoopDriver(iogr, "increment"),
     ),
     "kvstore": LiveApp(
-        name="kvstore",
-        type_id="IDL:repro/KvStore:1.0",
-        driver_op="echo",
+        type_id=KvStoreServant.type_id,
         make_factory=make_kvstore_factory,
         progress_of=lambda servant: servant.echo_count,
+        make_driver=PacketDriverServant,
     ),
     "kvstore-read": LiveApp(
-        name="kvstore-read",
-        type_id="IDL:repro/KvStore:1.0",
-        driver_op="get",
+        type_id=KvStoreServant.type_id,
         make_factory=make_kvstore_factory,
         progress_of=lambda servant: sorted(
             (k, v) for k, v in servant.data.items()
             if isinstance(k, str) and k.startswith("k")),
-        make_driver=lambda iogr: (lambda: ReadMixDriver(iogr)),
+        make_driver=ReadMixDriver,
     ),
 }
 
 
-def make_driver_factory(target_ior: str, op_name: str, *,
-                        max_invocations: int = 0
-                        ) -> Callable[[], ClosedLoopDriver]:
-    """Build a zero-argument :class:`ClosedLoopDriver` constructor, for
-    callers (the live CLI) that create the driver only once the hosting
-    node is up."""
-    def factory() -> ClosedLoopDriver:
-        return ClosedLoopDriver(target_ior, op_name,
-                                max_invocations=max_invocations)
-    return factory
+#: Replies every driver must have before :func:`deploy` calls load flowing.
+WARMUP_ACKS = 20
+
+
+async def deploy(system, app: LiveApp, nodes: Sequence[str], *,
+                 state_size: int, drivers: int = 1,
+                 suffix: str = "") -> Tuple[Any, List[ClosedLoopDriver]]:
+    """Deploy ``app`` on ``nodes`` of ``system`` (one ring, or a sharded
+    facade that pins the groups to the ring hosting ``nodes``): the rest
+    of ``nodes`` replicate the server, the first hosts ``drivers``
+    closed-loop clients; ``suffix`` keeps the group ids of several
+    deployments on one facade apart.  Returns the server group's handle
+    and the driver servants once each has :data:`WARMUP_ACKS` replies;
+    raises :class:`RuntimeError` naming the step that did not finish."""
+    driver_node, servers = nodes[0], list(nodes[1:])
+
+    def props(replicas: int) -> FTProperties:
+        return FTProperties(initial_replicas=replicas, min_replicas=1,
+                            fault_monitoring_interval=0.5)
+
+    async def expect(predicate, timeout: float, failure: str) -> None:
+        if not await system.wait_for(predicate, timeout=timeout):
+            raise RuntimeError(failure)
+
+    system.register_factory(app.type_id, app.make_factory(state_size),
+                            nodes=servers)
+    group = system.create_group(f"app{suffix}", app.type_id,
+                                props(len(servers)), nodes=servers)
+    await expect(lambda: all(group.is_operational_on(n) for n in servers),
+                 15.0, f"app group never became operational on {servers}")
+    iogr = group.iogr().stringify()
+    system.register_factory(ClosedLoopDriver.type_id,
+                            lambda: app.make_driver(iogr),
+                            nodes=[driver_node])
+    groups = [system.create_group(f"driver{i}{suffix}",
+                                  ClosedLoopDriver.type_id, props(1),
+                                  nodes=[driver_node])
+              for i in range(drivers)]
+
+    def servants() -> List[Any]:
+        return [g.servant_on(driver_node) for g in groups]
+
+    await expect(lambda: all(d is not None and d.acked >= WARMUP_ACKS
+                             for d in servants()),
+                 20.0, f"no load flowing from {driver_node} (some driver "
+                       f"got <{WARMUP_ACKS} replies in 20 s)")
+    return group, servants()

@@ -51,8 +51,8 @@ LIVE_TOTEM_CONFIG = TotemConfig(
 )
 
 #: Record streams muted at the tracer in live runs — but only while the
-#: telemetry config also flight-excludes them, so a full-fidelity config
-#: (``flight_exclude=()``) still sees every record (counters keep
+#: flight recorder also excludes them, so a full-fidelity recorder
+#: (``telemetry.FLIGHT_EXCLUDE = ()``) still sees every record (counters keep
 #: counting either way; see ``Tracer.set_muted_events`` and the note in
 #: ``LiveSystem.__init__``).
 LIVE_TRACE_MUTE = frozenset({"totem.deliver", "replication.duplicate"})
@@ -142,12 +142,12 @@ class LiveSystem(WallClockTime, SystemCore):
         # yet at ~35% of all records their construction and four-way
         # fan-out is measurable on the hot path.  Mute them at the
         # tracer, but only while the flight recorder would drop them
-        # anyway: a config with a narrower ``flight_exclude`` (e.g. the
-        # full-fidelity ``()``) has a consumer — report stitching reads
+        # anyway: a narrower ``FLIGHT_EXCLUDE`` (e.g. the full-fidelity
+        # ``()``) has a consumer — report stitching reads
         # ``totem.deliver`` for the ring_deliver stage — so those
         # streams must keep flowing.  Counters (which the benches read)
         # keep counting either way.
-        excluded = set(self.telemetry.config.flight_exclude)
+        excluded = set(self.telemetry.flight.exclude)
         self.tracer.set_muted_events(frozenset(
             stream for stream in LIVE_TRACE_MUTE
             if stream in excluded

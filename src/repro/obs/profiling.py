@@ -93,8 +93,9 @@ class ProfilingConfig:
     Disabled (the default) the profiler never subscribes to the tracer —
     the hot path pays nothing, which the ``prof-overhead`` bench proves
     and CI gates.  Enabled, every span start/end record costs one
-    ``thread_time_ns`` read plus (when ``alloc`` is on and the span name
-    passes ``alloc_spans``) one ``sys.getallocatedblocks`` call.
+    ``thread_time_ns`` read plus (when the span name passes
+    ``alloc_spans``) one ``sys.getallocatedblocks`` call, and the per-node
+    ``profile.node_*`` series are fed alongside the per-phase ones.
 
     ``alloc_spans`` is the allocation-probe *granularity* knob: ``None``
     measures allocations on every span; a tuple of name prefixes
@@ -111,11 +112,8 @@ class ProfilingConfig:
     """
 
     enabled: bool = False
-    cpu: bool = True
-    alloc: bool = True
     alloc_spans: Optional[Tuple[str, ...]] = DEFAULT_ALLOC_SPANS
     alloc_trace: bool = False
-    node_series: bool = True
     sample_interval: float = 0.005
 
 
@@ -180,8 +178,6 @@ class SpanResourceProfiler:
         self._mark = 0
         self._started_tracemalloc = False
         # Config hoisted to attributes: observe_span runs per span event.
-        self._cpu = config.cpu
-        self._alloc = config.alloc
         self._alloc_spans = config.alloc_spans
         # Counter export is deferred: the hot path accumulates into plain
         # lists ([spans, cpu_ns, alloc_blocks, *exported]) and
@@ -234,7 +230,7 @@ class SpanResourceProfiler:
         span_id = fields.get("span")
         if span_id is None:
             return
-        cpu_now = time.thread_time_ns() if self._cpu else 0
+        cpu_now = time.thread_time_ns()
         stack = self._stack
         if stack:
             # Interval accounting: everything since the previous span
@@ -249,8 +245,8 @@ class SpanResourceProfiler:
             cost = self.phases.get(name)
             if cost is None:
                 cost = self.phases[name] = PhaseCost()
-            if self._alloc and (self._alloc_spans is None
-                                or name.startswith(self._alloc_spans)):
+            if (self._alloc_spans is None
+                    or name.startswith(self._alloc_spans)):
                 blocks0 = sys.getallocatedblocks()
                 traced0 = (tracemalloc.get_traced_memory()[0]
                            if tracemalloc.is_tracing() else None)
@@ -323,8 +319,6 @@ class SpanResourceProfiler:
                 if delta:
                     counters[i].inc(delta)
                     acc[i + 3] = acc[i]
-        if not self.config.node_series:
-            return
         for node, nacc in self._node_acc.items():
             counters = self._node_counters.get(node)
             if counters is None:
@@ -645,10 +639,9 @@ class ProfileSession:
     """
 
     def __init__(self, *, sample_interval: float = 0.005,
-                 alloc_spans: Optional[Tuple[str, ...]] = None,
                  alloc_trace: bool = False) -> None:
         self.config = ProfilingConfig(
-            enabled=True, alloc_spans=alloc_spans, alloc_trace=alloc_trace,
+            enabled=True, alloc_spans=None, alloc_trace=alloc_trace,
             sample_interval=sample_interval,
         )
         self._profilers: List[SpanResourceProfiler] = []

@@ -47,6 +47,35 @@ from repro.runtime.trace import TraceRecord
 GLOBAL_LANE = "-"
 
 
+#: Records the flight recorder keeps per lane.  It trades post-mortem
+#: depth against cache footprint: every ringed record has its destruction
+#: delayed by one full ring cycle, so a large ring turns hot frees into
+#: cold-memory frees across the whole process.  512 records per lane is
+#: roughly a hundred invocations of context around the crash.
+FLIGHT_CAPACITY = 512
+
+#: Trace streams the flight recorder does *not* ring, as ``"category"`` or
+#: ``"category.event"`` entries.  Retaining a record costs ~1 µs of
+#: deferred cold-memory destruction however it is retained, so admission
+#: volume — not ring size — is the telemetry plane's dominant cost.  These
+#: are exactly the streams whose content is reconstructible from records
+#: the ring keeps: ``totem.deliver`` (per-fragment fan-out, one record per
+#: fragment per node; the envelope-level ``replication.delivered`` records
+#: carry the causal content and the trace id), ``net`` (simulated-transport
+#: internals), ``replication.duplicate`` (routine in active replication —
+#: every non-primary replica's reply is suppressed as a duplicate, so the
+#: retained ``interceptor.reply`` records already imply it), and
+#: ``live.recv_batch`` (one record per socket wakeup in the live runtime;
+#: the ``live.sys.recv_batch_size`` histogram keeps the distribution).
+#: ``()`` gives full wire fidelity at roughly double the hot-path cost.
+FLIGHT_EXCLUDE: Tuple[str, ...] = ("net", "totem.deliver",
+                                   "replication.duplicate",
+                                   "live.recv_batch")
+
+#: Samples the metrics history keeps per series.
+HISTORY_CAPACITY = 256
+
+
 @dataclass(frozen=True)
 class TelemetryConfig:
     """Tuning for one system's telemetry plane.
@@ -55,40 +84,11 @@ class TelemetryConfig:
     default — tests inspect :attr:`FlightRecorder.dumps`); pointing it at a
     directory additionally writes one JSONL file per dump, which is what a
     live deployment wants so the evidence survives the process.
-
-    ``flight_capacity`` trades post-mortem depth against cache footprint:
-    every ringed record has its destruction delayed by one full ring
-    cycle, so a large ring turns hot frees into cold-memory frees across
-    the whole process.  512 records per lane is roughly a hundred
-    invocations of context around the crash — raise it for deeper
-    forensics, and pay for it only while telemetry is enabled.
-
-    ``flight_exclude`` lists trace streams the flight recorder does *not*
-    ring, as ``"category"`` or ``"category.event"`` entries.  Retaining a
-    record costs ~1 µs of deferred cold-memory destruction however it is
-    retained, so admission volume — not ring size — is the telemetry
-    plane's dominant cost.  The default drops exactly the streams whose
-    content is reconstructible from records the ring keeps:
-    ``totem.deliver`` (per-fragment fan-out, one record per fragment per
-    node; the envelope-level ``replication.delivered`` records carry the
-    causal content and the trace id), ``net`` (simulated-transport
-    internals), and ``replication.duplicate`` (routine in active
-    replication — every non-primary replica's reply is suppressed as a
-    duplicate, so the retained ``interceptor.reply`` records already
-    imply it), and ``live.recv_batch`` (one record per socket wakeup in
-    the live runtime; the ``live.sys.recv_batch_size`` histogram keeps
-    the distribution).  Set it to ``()`` for full wire fidelity at
-    roughly double the hot-path cost.
     """
 
     enabled: bool = True
-    flight_capacity: int = 512
     flight_dir: Optional[str] = None
-    flight_exclude: Tuple[str, ...] = ("net", "totem.deliver",
-                                       "replication.duplicate",
-                                       "live.recv_batch")
     sample_interval: float = 0.25
-    history_capacity: int = 256
 
 
 @dataclass(frozen=True)
@@ -130,11 +130,14 @@ class FlightRecorder:
         #: frees the same records sequentially, which the prefetcher can
         #: hide — the last ``capacity`` records are always intact.
         self._rings: Dict[Any, List[TraceRecord]] = {}
-        self._capacity = config.flight_capacity
-        self._trim_at = 2 * config.flight_capacity
+        self._capacity = FLIGHT_CAPACITY
+        self._trim_at = 2 * FLIGHT_CAPACITY
+        #: The streams this recorder does not ring (:data:`FLIGHT_EXCLUDE`
+        #: when it was built).
+        self.exclude = FLIGHT_EXCLUDE
         #: category -> True (skip whole category) | set of events to skip.
         self._skip: Dict[str, Any] = {}
-        for spec in config.flight_exclude:
+        for spec in self.exclude:
             category, dot, event = spec.partition(".")
             if not dot:
                 self._skip[category] = True
@@ -321,7 +324,7 @@ class TelemetryPlane:
         self._system = None
         self._sampler: Optional[PeriodicTimer] = None
         self.flight = FlightRecorder(config, clock)
-        self.history = MetricsHistory(metrics, config.history_capacity)
+        self.history = MetricsHistory(metrics, HISTORY_CAPACITY)
         if config.enabled:
             tracer.subscribe(self.flight.note)
 

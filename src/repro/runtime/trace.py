@@ -13,12 +13,10 @@ The tracer is also the transport for the observability layer in
 category (see :mod:`repro.obs.spans`), so exporters, the metrics registry,
 and the timeline tools all read one stream.
 
-Filtering semantics (see :meth:`Tracer.emit`):
-
-* **counters always update**, regardless of configuration;
-* ``enabled_categories`` gates *both* record retention and subscriber
-  notification, uniformly — a disabled category is invisible to every
-  consumer of the record stream, while its counters keep counting.
+Filtering semantics (see :meth:`Tracer.emit`): **counters always
+update**; a muted ``category.event`` stream (:meth:`Tracer.set_muted_events`)
+produces no record for any consumer — retention and subscribers alike —
+while its counter keeps counting.
 """
 
 from __future__ import annotations
@@ -53,23 +51,15 @@ class TraceRecord:
 class Tracer:
     """Collects trace records and counters.
 
-    ``enabled_categories`` restricts the record stream (retention *and*
-    subscriber delivery; counters always update); record retention can be
-    disabled entirely for long benches with ``keep_records=False`` —
-    subscribers still see every (enabled) record live.
+    Record retention can be disabled entirely for long benches with
+    ``keep_records=False`` — subscribers still see every (unmuted) record
+    live; counters always update.
     """
 
-    def __init__(
-        self,
-        *,
-        keep_records: bool = True,
-        enabled_categories: Optional[set] = None,
-    ) -> None:
+    def __init__(self, *, keep_records: bool = True) -> None:
         self.records: List[TraceRecord] = []
         self.counters: Counter = Counter()
         self._keep_records = keep_records
-        self._enabled = enabled_categories
-        self._disabled: Set[str] = set()
         self._muted: frozenset = frozenset()
         self._subscribers: List[Callable[[TraceRecord], None]] = []
         self._now: Callable[[], float] = lambda: 0.0
@@ -85,23 +75,15 @@ class Tracer:
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Register a live callback invoked for every emitted record.
 
-        Subscribers see the same filtered stream retention does: records of
-        categories outside ``enabled_categories`` are delivered to no one.
+        Subscribers see the same filtered stream retention does: muted
+        events are delivered to no one.
         """
         self._subscribers.append(fn)
-
-    def set_disabled_categories(self, categories: Set[str]) -> None:
-        """Blocklist: suppress the record stream (retention *and*
-        subscriber delivery) for these categories without enumerating
-        every allowed one.  Counters still count.  Complements
-        ``enabled_categories``: a category must pass both filters."""
-        self._disabled = set(categories)
 
     def set_muted_events(self, events) -> None:
         """Mute individual ``category.event`` record streams: no record
         is created, retained, or delivered to subscribers; the counter
-        keeps counting.  Finer-grained than the category filters — built
-        for provably consumer-less high-volume events on the live hot
+        keeps counting.  Built for provably consumer-less high-volume events on the live hot
         path, where building and fanning out a record that every
         subscriber ignores is pure overhead."""
         self._muted = frozenset(events)
@@ -110,18 +92,13 @@ class Tracer:
         """Record an event and bump its counter (``category.event``).
 
         The counter updates unconditionally.  The record itself is produced
-        only if the category is enabled and the event is not muted, and is
-        then both retained (when ``keep_records``) and fanned out to every
-        subscriber — the filters apply uniformly to retention and
-        subscription.
+        only if the event is not muted, and is then both retained (when
+        ``keep_records``) and fanned out to every subscriber — the mute
+        applies uniformly to retention and subscription.
         """
         key = f"{category}.{event}"
         self.counters[key] += 1
         if key in self._muted:
-            return
-        if self._enabled is not None and category not in self._enabled:
-            return
-        if category in self._disabled:
             return
         if not self._keep_records and not self._subscribers:
             return

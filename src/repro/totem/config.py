@@ -13,7 +13,9 @@ class TotemConfig:
     roughly 100 µs, so an idle 4-node rotation takes ~0.5 ms and the token
     timeout of 20 ms tolerates several missed rotations before declaring a
     failure — comparable, relative to link speed, to production Totem
-    settings.
+    settings.  Windows nobody varies are module constants beside their
+    reader instead: ``member.MAX_BURST`` / ``RETAIN_SAFE_SLACK`` /
+    ``MAX_QUEUE`` / ``TOKEN_PROCESSING_TIME``.
     """
 
     token_hold: float = 20e-6
@@ -36,22 +38,12 @@ class TotemConfig:
     join_interval: float = 0.005
     """Re-broadcast period for JOIN while gathering/joining."""
 
-    max_burst: int = 64
-    """Maximum data frames one member broadcasts per token visit (a packed
-    frame carrying several fragments counts once)."""
-
     frame_packing: bool = True
     """Coalesce queued sub-MTU fragments into one multi-payload frame per
     broadcast slot, amortizing the fixed per-frame costs (header bytes,
     inter-frame gap, per-frame CPU).  Full-MTU fragments always travel as
     classic single-fragment frames.  Disabling restores one frame per
     fragment."""
-
-    retain_safe_slack: int = 128
-    """Retain messages this far below the safe sequence (GC headroom)."""
-
-    max_queue: int = 100_000
-    """Upper bound on the per-member send queue (backpressure guard)."""
 
     probe_interval: float = 0.01
     """Leader broadcasts a ring probe this often so concurrent rings in a
@@ -68,5 +60,3 @@ class TotemConfig:
     def __post_init__(self) -> None:
         if self.token_timeout <= self.token_hold:
             raise ValueError("token_timeout must exceed token_hold")
-        if self.max_burst < 1:
-            raise ValueError("max_burst must be at least 1")

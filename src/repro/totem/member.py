@@ -67,6 +67,16 @@ TOKEN_PROCESSING_TIME = 20e-6
 #: maintained on every delivery regardless).
 ORDER_DIGEST_INTERVAL = 32
 
+#: Maximum data frames one member broadcasts per token visit (a packed
+#: frame carrying several fragments counts once).
+MAX_BURST = 64
+
+#: Retain messages this far below the safe sequence (GC headroom).
+RETAIN_SAFE_SLACK = 128
+
+#: Upper bound on the per-member send queue (backpressure guard).
+MAX_QUEUE = 100_000
+
 
 class MemberState(enum.Enum):
     """Ring-member protocol phase (see the module docstring)."""
@@ -198,7 +208,7 @@ class TotemMember:
         hop into the sender's end-to-end invocation trace."""
         if not self._active:
             raise NotInRing(f"{self.node_id}: member is shut down")
-        if len(self._send_queue) >= self.config.max_queue:
+        if len(self._send_queue) >= MAX_QUEUE:
             raise TotemError(f"{self.node_id}: send queue overflow")
         self._send_queue.extend(
             entry + (trace_id,) for entry in self._fragmenter.fragment(payload))
@@ -377,7 +387,7 @@ class TotemMember:
         self._stamp_aru(token)
 
         # 5. Garbage-collect messages that are safe at all members.
-        threshold = token.aru - self.config.retain_safe_slack
+        threshold = token.aru - RETAIN_SAFE_SLACK
         low = self._held_low
         while low <= threshold:
             self._held.pop(low, None)
@@ -473,7 +483,7 @@ class TotemMember:
         stall delivery or leave nobody able to service a retransmission
         request for the sequence number."""
         sent_frames = 0
-        while sent_frames < self.config.max_burst and self._send_queue:
+        while sent_frames < MAX_BURST and self._send_queue:
             token.seq += 1
             msg = self._next_frame(token.seq)
             self._retain(msg)

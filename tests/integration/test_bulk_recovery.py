@@ -16,6 +16,7 @@ state digests are checked against the survivors.
 import pytest
 
 from repro.bench.deployments import build_client_server, measure_recovery
+from repro.core import bulk
 from repro.core.config import EternalConfig
 from repro.ftcorba.properties import ReplicationStyle
 from repro.totem.wire import BulkFetch, BulkNack, BulkPage
@@ -50,12 +51,18 @@ def test_large_state_recovery_uses_bulk_lane(strict_audit):
             == dep.server_servant("s2").get_state())
 
 
-def test_sponsor_death_mid_stripe_restripes_to_survivors(strict_audit):
+def tight_retransmit_budget(monkeypatch):
+    monkeypatch.setattr(bulk, "RETRANSMIT_TIMEOUT", 0.01)
+    monkeypatch.setattr(bulk, "MAX_RETRIES", 1)
+
+
+def test_sponsor_death_mid_stripe_restripes_to_survivors(strict_audit,
+                                                         monkeypatch):
     # A tight retransmit budget makes the bulk watchdog outrace the fault
     # detector: the dead sponsor is dropped from the session and its pages
     # restriped long before the membership change propagates.
-    dep = deploy(eternal_config=EternalConfig(
-        bulk_retransmit_timeout=0.01, bulk_max_retries=1))
+    tight_retransmit_budget(monkeypatch)
+    dep = deploy()
     system = dep.system
     system.kill_node("s1")
     system.run_for(0.05)
@@ -74,9 +81,10 @@ def test_sponsor_death_mid_stripe_restripes_to_survivors(strict_audit):
             == dep.server_servant("s3").get_state())
 
 
-def test_all_bulk_frames_dropped_falls_back_to_inorder(strict_audit):
-    dep = deploy(eternal_config=EternalConfig(
-        bulk_retransmit_timeout=0.01, bulk_max_retries=1))
+def test_all_bulk_frames_dropped_falls_back_to_inorder(strict_audit,
+                                                      monkeypatch):
+    tight_retransmit_budget(monkeypatch)
+    dep = deploy()
     dep.system.network.add_filter(
         lambda src, dst, payload, size: isinstance(
             payload, (BulkFetch, BulkPage, BulkNack)))

@@ -16,9 +16,9 @@ import asyncio
 import pytest
 
 from repro.apps.kvstore import make_kvstore_factory
+from repro.apps.packet_driver import ReadMixDriver
 from repro.core.config import EternalConfig
 from repro.ftcorba.properties import FTProperties, ReplicationStyle
-from repro.live.loadgen import ReadMixDriver
 from repro.live.system import LiveSystem
 
 pytestmark = pytest.mark.live

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 
 import pytest
 
 from repro.apps.counter import CounterServant
+from repro.apps.packet_driver import ClosedLoopDriver, ReadMixDriver
 from repro.ftcorba.properties import FTProperties
-from repro.live.loadgen import DRIVER_TYPE, make_driver_factory
+from repro.live.loadgen import LIVE_APPS, deploy
 from repro.live.system import LiveSystem
 
 pytestmark = pytest.mark.live
@@ -47,10 +49,11 @@ async def _kill_recover_scenario():
 
         iogr = group.iogr().stringify()
         system.register_factory(
-            DRIVER_TYPE, make_driver_factory(iogr, "increment"),
+            ClosedLoopDriver.type_id,
+            lambda: ClosedLoopDriver(iogr, "increment"),
             nodes=["n1"])
         driver_group = system.create_group(
-            "driver", DRIVER_TYPE,
+            "driver", ClosedLoopDriver.type_id,
             FTProperties(initial_replicas=1, min_replicas=1,
                          fault_monitoring_interval=0.5),
             nodes=["n1"],
@@ -110,10 +113,11 @@ async def _durable_restart_scenario(store_dir):
             timeout=15.0)
         iogr = group.iogr().stringify()
         system.register_factory(
-            DRIVER_TYPE, make_driver_factory(iogr, "increment"),
+            ClosedLoopDriver.type_id,
+            lambda: ClosedLoopDriver(iogr, "increment"),
             nodes=["n1"])
         driver_group = system.create_group(
-            "driver", DRIVER_TYPE,
+            "driver", ClosedLoopDriver.type_id,
             FTProperties(initial_replicas=1, min_replicas=1,
                          fault_monitoring_interval=0.5),
             nodes=["n1"],
@@ -175,34 +179,13 @@ async def _put_deployment(make_driver):
     n1 hosting one driver, a kvstore replicated on n2 and n3 — with load
     flowing.  Yields the system (closed on exit), the driver servant
     ``make_driver(iogr)`` built, and the auditor."""
-    from repro.live.loadgen import LIVE_APPS
-
-    app = LIVE_APPS["kvstore-read"]
-    server_nodes = ["n2", "n3"]
+    app = dataclasses.replace(LIVE_APPS["kvstore-read"],
+                              make_driver=make_driver)
     system = LiveSystem(NODES)
     try:
         auditor = system.attach_auditor()
         assert await system.wait_for(system.ring_formed, timeout=15.0)
-        system.register_factory(app.type_id, app.make_factory(1_000),
-                                nodes=server_nodes)
-        group = system.create_group(
-            "app", app.type_id,
-            FTProperties(initial_replicas=2, min_replicas=1),
-            nodes=server_nodes)
-        assert await system.wait_for(
-            lambda: all(group.is_operational_on(n) for n in server_nodes),
-            timeout=15.0)
-        iogr = group.iogr().stringify()
-        system.register_factory(DRIVER_TYPE, lambda: make_driver(iogr),
-                                nodes=["n1"])
-        driver_group = system.create_group(
-            "driver", DRIVER_TYPE,
-            FTProperties(initial_replicas=1, min_replicas=1), nodes=["n1"])
-        assert await system.wait_for(
-            lambda: driver_group.is_operational_on("n1"), timeout=15.0)
-        driver = driver_group.servant_on("n1")
-        assert await system.wait_for(lambda: driver.acked >= 20,
-                                     timeout=15.0), "no load flowing"
+        _, (driver,) = await deploy(system, app, NODES, state_size=1_000)
         yield system, driver, auditor
     finally:
         system.close()
@@ -228,8 +211,6 @@ def _since(system, before):
 async def _token_visits_per_put(acks: int):
     """Stream ``put`` only, closed loop.  Returns Totem counter deltas
     over ``acks`` acknowledged invocations, and the auditor."""
-    from repro.live.loadgen import ReadMixDriver
-
     async with _put_deployment(
             lambda iogr: ReadMixDriver(iogr, write_every=1)
     ) as (system, driver, auditor):
@@ -247,8 +228,6 @@ async def _visits_per_spaced_put(puts: int, gap: float):
     different members.  Returns the counter deltas, the token visits
     between each put's ``multicast`` at n1 and n1's own delivery of it,
     and the auditor."""
-    from repro.live.loadgen import ReadMixDriver
-
     class SteppedDriver(ReadMixDriver):
         """Closed loop until ``stepped``; then one put per ``step()``."""
 

@@ -4,7 +4,7 @@ With ``max_log_messages`` set, the primary fabricates a checkpoint
 get_state() as soon as the log reaches the bound, independent of the
 checkpoint interval — bounding both log memory and failover replay time.
 The per-group FTProperties bound wins when set; otherwise the deployment
-default ``EternalConfig.max_log_length`` applies (0 disables both).
+default ``replication.MAX_LOG_LENGTH`` applies (0 disables both).
 """
 
 import pytest
@@ -12,16 +12,14 @@ import pytest
 from repro import EternalSystem, FTProperties, ReplicationStyle
 from repro.apps.kvstore import make_kvstore_factory
 from repro.apps.packet_driver import PacketDriverServant
-from repro.core.config import EternalConfig
+from repro.core import replication
 
 KVSTORE = "IDL:repro/KvStore:1.0"
 DRIVER = "IDL:repro/PacketDriver:1.0"
 
 
-def deploy(max_log_messages, checkpoint_interval=60.0,
-           eternal_config=None):
+def deploy(max_log_messages, checkpoint_interval=60.0):
     system = EternalSystem(["m", "c1", "s1", "s2"],
-                           eternal_config=eternal_config,
                            keep_trace_records=False)
     system.register_factory(KVSTORE, make_kvstore_factory(1000),
                             nodes=["s1", "s2"])
@@ -50,11 +48,11 @@ def test_bound_forces_checkpoints_despite_huge_interval():
     assert system.tracer.count("recovery.checkpoint_initiated") >= 3
 
 
-def test_unbounded_log_grows_without_checkpoints():
+def test_unbounded_log_grows_without_checkpoints(monkeypatch):
     # group bound of 0 falls back to the deployment default, so that has
     # to be switched off too for a truly unbounded log
-    system, store = deploy(max_log_messages=0,
-                           eternal_config=EternalConfig(max_log_length=0))
+    monkeypatch.setattr(replication, "MAX_LOG_LENGTH", 0)
+    system, store = deploy(max_log_messages=0)
     system.run_for(1.0)
     assert system.tracer.count("recovery.checkpoint_initiated") == 0
     backup = [n for n in ("s1", "s2") if n != store.primary_node()][0]
@@ -81,21 +79,20 @@ def test_failover_replay_bounded():
     assert replay_len < 300
 
 
-def test_deployment_default_bound_applies_when_group_unset():
-    # no per-group bound: EternalConfig.max_log_length kicks in
-    system, store = deploy(max_log_messages=0,
-                           eternal_config=EternalConfig(max_log_length=100))
+def test_deployment_default_bound_applies_when_group_unset(monkeypatch):
+    # no per-group bound: replication.MAX_LOG_LENGTH kicks in
+    monkeypatch.setattr(replication, "MAX_LOG_LENGTH", 100)
+    system, store = deploy(max_log_messages=0)
     system.run_for(1.0)
     assert system.tracer.count("recovery.checkpoint_initiated") >= 3
     primary = store.primary_node()
     assert store.binding_on(primary).log.log_length < 300
 
 
-def test_group_bound_overrides_deployment_default():
+def test_group_bound_overrides_deployment_default(monkeypatch):
     # a tight group bound wins over a loose deployment default
-    system, store = deploy(max_log_messages=100,
-                           eternal_config=EternalConfig(
-                               max_log_length=100_000))
+    monkeypatch.setattr(replication, "MAX_LOG_LENGTH", 100_000)
+    system, store = deploy(max_log_messages=100)
     system.run_for(1.0)
     assert system.tracer.count("recovery.checkpoint_initiated") >= 3
 
@@ -104,5 +101,3 @@ def test_invalid_bound_rejected():
     from repro.errors import PropertyError
     with pytest.raises(PropertyError):
         FTProperties(max_log_messages=-1)
-    with pytest.raises(ValueError):
-        EternalConfig(max_log_length=-1)

@@ -18,10 +18,10 @@ Totem total order.  These tests pin the safety story:
 import pytest
 
 from repro.apps.kvstore import make_kvstore_factory
+from repro.apps.packet_driver import ReadMixDriver
 from repro.core.config import EternalConfig
 from repro.simnet.system import EternalSystem
 from repro.ftcorba.properties import FTProperties, ReplicationStyle
-from repro.live.loadgen import ReadMixDriver
 from repro.totem.wire import ReadFastRequest
 
 KVSTORE_TYPE = "IDL:repro/KvStore:1.0"

@@ -18,15 +18,16 @@ import json
 import pytest
 
 from repro.apps.counter import CounterServant
+from repro.apps.packet_driver import ClosedLoopDriver
 from repro.ftcorba.properties import FTProperties
 from repro.live.health_http import start_health_server
-from repro.live.loadgen import DRIVER_TYPE, make_driver_factory
 from repro.live.system import LiveSystem
 from repro.obs.report import (
     load_trace_jsonl,
     stitch_invocations,
     stitch_jsonl_streams,
 )
+from repro.obs import telemetry
 from repro.obs.telemetry import TelemetryConfig
 
 pytestmark = pytest.mark.live
@@ -49,7 +50,7 @@ async def _telemetry_scenario(flight_dir: str):
     # Full wire fidelity (no exclusions) so the stitched timelines carry
     # the per-node ring_deliver stage too.
     system = LiveSystem(NODES, telemetry=TelemetryConfig(
-        flight_dir=flight_dir, sample_interval=0.1, flight_exclude=()))
+        flight_dir=flight_dir, sample_interval=0.1))
     auditor = system.attach_auditor()
     health_server = None
     try:
@@ -72,10 +73,11 @@ async def _telemetry_scenario(flight_dir: str):
 
         iogr = group.iogr().stringify()
         system.register_factory(
-            DRIVER_TYPE, make_driver_factory(iogr, "increment"),
+            ClosedLoopDriver.type_id,
+            lambda: ClosedLoopDriver(iogr, "increment"),
             nodes=["n1"])
         driver_group = system.create_group(
-            "driver", DRIVER_TYPE,
+            "driver", ClosedLoopDriver.type_id,
             FTProperties(initial_replicas=1, min_replicas=1,
                          fault_monitoring_interval=0.5),
             nodes=["n1"],
@@ -122,7 +124,9 @@ async def _telemetry_scenario(flight_dir: str):
         system.close()
 
 
-def test_live_flight_dump_history_and_stitched_timelines(tmp_path):
+def test_live_flight_dump_history_and_stitched_timelines(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(telemetry, "FLIGHT_EXCLUDE", ())
     flight_dir = str(tmp_path)
     auditor = asyncio.run(_telemetry_scenario(flight_dir))
     auditor.finish(raise_on_findings=True)

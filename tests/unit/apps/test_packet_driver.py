@@ -1,8 +1,10 @@
-"""Unit tests for the packet-driver client (with a stub container)."""
+"""Unit tests for the closed-loop client and its three configurations
+(with a stub container)."""
 
 import pytest
 
-from repro.apps.packet_driver import PacketDriverServant
+from repro.apps.packet_driver import (ClosedLoopDriver, PacketDriverServant,
+                                      ReadMixDriver)
 from repro.ftcorba.checkpointable import InvalidState
 from repro.giop.ior import IOR
 from repro.giop.messages import ReplyMessage, ReplyStatus
@@ -63,7 +65,7 @@ def test_reply_triggers_next_invocation():
     proxy = driver._eternal_container.proxy
     proxy.callbacks[0](reply(0))
     assert driver.acked == 1
-    assert driver.last_token == 0
+    assert driver.last_result == 0
     assert proxy.invocations[-1] == ("echo", (1,))
 
 
@@ -91,7 +93,7 @@ def test_max_invocations_bounds_stream():
 
 def test_resume_reissues_inflight():
     driver = make_driver()
-    driver.set_state({"sent": 5, "acked": 4, "last_token": 3})
+    driver.set_state({"sent": 5, "acked": 4, "last_result": 3})
     driver.resume()
     proxy = driver._eternal_container.proxy
     assert proxy.invocations == [("echo", (4,))]   # token of in-flight #5
@@ -100,7 +102,7 @@ def test_resume_reissues_inflight():
 
 def test_resume_with_nothing_outstanding_sends_next():
     driver = make_driver()
-    driver.set_state({"sent": 3, "acked": 3, "last_token": 2})
+    driver.set_state({"sent": 3, "acked": 3, "last_result": 2})
     driver.resume()
     assert driver._eternal_container.proxy.invocations == []
     # nothing in flight and already started: wait for normal stream
@@ -112,19 +114,48 @@ def test_resume_on_fresh_state_starts():
     assert driver.sent == 1
 
 
-def test_token_base_offsets_tokens():
-    driver = make_driver(payload_token_base=100)
-    driver.start()
-    assert driver._eternal_container.proxy.invocations == [("echo", (100,))]
-
-
 def test_state_roundtrip():
     driver = make_driver()
-    driver.set_state({"sent": 9, "acked": 8, "last_token": 7})
-    assert driver.get_state() == {"sent": 9, "acked": 8, "last_token": 7,
+    driver.set_state({"sent": 9, "acked": 8, "last_result": 7})
+    assert driver.get_state() == {"sent": 9, "acked": 8, "last_result": 7,
                                   "scribbles_sent": 0, "scribbles_acked": 0}
 
 
 def test_set_state_validates():
     with pytest.raises(InvalidState):
         make_driver().set_state({"sent": 1})
+
+
+# ---------------------------------------------------------------------------
+# The recovery contract every configuration of the one client keeps
+# ---------------------------------------------------------------------------
+
+CONFIGURATIONS = {
+    "echo": lambda: PacketDriverServant(IOR_TEXT),
+    "scribble-mix": lambda: PacketDriverServant(IOR_TEXT, scribble_every=2),
+    "read-mix": lambda: ReadMixDriver(IOR_TEXT, write_every=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+def test_every_configuration_keeps_the_recovery_contract(name):
+    driver = CONFIGURATIONS[name]()
+    assert isinstance(driver, ClosedLoopDriver)
+    driver._eternal_container = StubContainer()
+    proxy = driver._eternal_container.proxy
+    driver.start()
+    driver.start()
+    assert len(proxy.invocations) == 1              # start issues once
+    for _ in range(5):                              # stream a few replies
+        proxy.callbacks[-1](reply(len(proxy.invocations) - 1))
+    in_flight = proxy.invocations[-1]
+    state = driver.get_state()
+
+    recovered = CONFIGURATIONS[name]()
+    recovered._eternal_container = StubContainer()
+    recovered.set_state(state)
+    assert recovered.get_state() == state           # round-trips
+    recovered.resume()
+    # exactly the invocation the state says is in flight, nothing new
+    assert recovered._eternal_container.proxy.invocations == [in_flight]
+    assert recovered.get_state() == state

@@ -10,6 +10,7 @@ from zlib import crc32
 
 import pytest
 
+from repro.core import bulk
 from repro.core.bulk import (
     BulkLane,
     PageManifest,
@@ -18,7 +19,6 @@ from repro.core.bulk import (
     decode_manifest,
     encode_manifest,
 )
-from repro.core.config import EternalConfig
 from repro.errors import StateTransferError
 from repro.obs.audit import state_digest
 from repro.runtime.trace import Tracer
@@ -72,13 +72,19 @@ class FakeEndpoint:
         self.handlers[type(payload)](src, payload)
 
 
-def make_lane(**config_kwargs):
-    config_kwargs.setdefault("bulk_burst_pages", 4)
-    config = EternalConfig(**config_kwargs)
-    host = FakeHost()
-    endpoint = FakeEndpoint()
-    lane = BulkLane(host, endpoint, config, Tracer(), "target")
-    return lane, host, endpoint
+@pytest.fixture
+def make_lane(monkeypatch):
+    """``make_lane(**constants)`` builds a lane with those
+    :mod:`repro.core.bulk` constants patched (``BURST_PAGES`` is 4 unless
+    given)."""
+    def make(**constants):
+        constants.setdefault("BURST_PAGES", 4)
+        for name, value in constants.items():
+            monkeypatch.setattr(bulk, name, value)
+        host = FakeHost()
+        endpoint = FakeEndpoint()
+        return BulkLane(host, endpoint, Tracer(), "target"), host, endpoint
+    return make
 
 
 BLOB = bytes(range(256)) * 22          # 5632 B -> 6 pages of 1024
@@ -131,11 +137,11 @@ def test_runs_collapses_contiguous_indices():
 # BulkStore (responder side)
 # ---------------------------------------------------------------------------
 
-def test_store_serves_fetch_in_paced_bursts():
+def test_store_serves_fetch_in_paced_bursts(make_lane):
     lane, host, endpoint = make_lane()
     lane.store.stash("t1", "g", BLOB, 1024)
     endpoint.deliver("target", BulkFetch("t1", "target", 0, 5))
-    # First burst (bulk_burst_pages=4) goes out synchronously…
+    # First burst (BURST_PAGES=4) goes out synchronously…
     pages = [f for _, f, oob in endpoint.sent if isinstance(f, BulkPage)]
     assert [p.index for p in pages] == [0, 1, 2, 3]
     assert all(oob for _, f, oob in endpoint.sent)
@@ -147,7 +153,7 @@ def test_store_serves_fetch_in_paced_bursts():
     assert all(crc32(p.page) == p.crc for p in pages)
 
 
-def test_store_nacks_unknown_and_pending():
+def test_store_nacks_unknown_and_pending(make_lane):
     lane, host, endpoint = make_lane()
     endpoint.deliver("target", BulkFetch("nope", "target", 0, 1))
     lane.store.note_pending("soon")
@@ -156,7 +162,7 @@ def test_store_nacks_unknown_and_pending():
     assert [n.reason for n in nacks] == ["unknown", "pending"]
 
 
-def test_store_expires_stash_after_ttl():
+def test_store_expires_stash_after_ttl(make_lane):
     lane, host, endpoint = make_lane()
     lane.store.stash("t1", "g", BLOB, 1024)
     assert len(lane.store) == 1
@@ -197,8 +203,8 @@ def start_session(lane, sponsors):
     return manifest, results
 
 
-def test_session_stripes_across_sponsors_and_completes():
-    lane, host, endpoint = make_lane(bulk_stripe_width=2)
+def test_session_stripes_across_sponsors_and_completes(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=2)
     manifest, results = start_session(lane, ["s1", "s2", "s3"])
     fetch_dsts = {dst for dst, f, _ in endpoint.sent
                   if isinstance(f, BulkFetch)}
@@ -208,8 +214,8 @@ def test_session_stripes_across_sponsors_and_completes():
     assert lane.snapshot()["sessions_active"] == 0
 
 
-def test_session_ignores_corrupt_page_and_refetches():
-    lane, host, endpoint = make_lane(bulk_stripe_width=1)
+def test_session_ignores_corrupt_page_and_refetches(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=1)
     manifest, results = start_session(lane, ["s1"])
     serve(endpoint, manifest, BLOB, corrupt={2})
     assert results == []                           # page 2 still missing
@@ -219,9 +225,9 @@ def test_session_ignores_corrupt_page_and_refetches():
     assert results == [BLOB]
 
 
-def test_session_drops_stalled_sponsor_and_restripes():
-    lane, host, endpoint = make_lane(bulk_stripe_width=2,
-                                     bulk_max_retries=1)
+def test_session_drops_stalled_sponsor_and_restripes(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=2,
+                                     MAX_RETRIES=1)
     manifest, results = start_session(lane, ["dead", "s2"])
     serve(endpoint, manifest, BLOB, mute={"dead"})
     assert results == []
@@ -234,9 +240,9 @@ def test_session_drops_stalled_sponsor_and_restripes():
     assert results == [BLOB]
 
 
-def test_session_fails_when_all_sponsors_exhausted():
-    lane, host, endpoint = make_lane(bulk_stripe_width=2,
-                                     bulk_max_retries=1)
+def test_session_fails_when_all_sponsors_exhausted(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=2,
+                                     MAX_RETRIES=1)
     manifest, results = start_session(lane, ["dead1", "dead2"])
     for _ in range(8):
         host.fire()                                # watchdogs, no pages ever
@@ -244,8 +250,8 @@ def test_session_fails_when_all_sponsors_exhausted():
     assert lane.snapshot()["sessions_active"] == 0
 
 
-def test_session_nack_unknown_drops_sponsor_immediately():
-    lane, host, endpoint = make_lane(bulk_stripe_width=2)
+def test_session_nack_unknown_drops_sponsor_immediately(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=2)
     manifest, results = start_session(lane, ["gone", "s2"])
     del endpoint.sent[:]
     endpoint.deliver("gone", BulkNack("t1", "gone", "unknown"))
@@ -254,9 +260,9 @@ def test_session_nack_unknown_drops_sponsor_immediately():
     assert results == [BLOB]
 
 
-def test_session_nack_pending_keeps_sponsor():
-    lane, host, endpoint = make_lane(bulk_stripe_width=1,
-                                     bulk_max_retries=1)
+def test_session_nack_pending_keeps_sponsor(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=1,
+                                     MAX_RETRIES=1)
     manifest, results = start_session(lane, ["slow"])
     del endpoint.sent[:]
     for _ in range(5):
@@ -268,14 +274,14 @@ def test_session_nack_pending_keeps_sponsor():
     assert results == [BLOB]
 
 
-def test_session_no_sponsors_fails_immediately():
+def test_session_no_sponsors_fails_immediately(make_lane):
     lane, host, endpoint = make_lane()
     manifest, results = start_session(lane, [])
     assert results == [None]
 
 
-def test_abort_session_suppresses_callback():
-    lane, host, endpoint = make_lane(bulk_stripe_width=1)
+def test_abort_session_suppresses_callback(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=1)
     manifest, results = start_session(lane, ["s1"])
     lane.abort_session("t1")
     serve(endpoint, manifest, BLOB)
@@ -283,8 +289,8 @@ def test_abort_session_suppresses_callback():
     assert results == []
 
 
-def test_snapshot_gauges():
-    lane, host, endpoint = make_lane(bulk_stripe_width=2)
+def test_snapshot_gauges(make_lane):
+    lane, host, endpoint = make_lane(STRIPE_WIDTH=2)
     lane.store.stash("other", "g", BLOB, 1024)
     manifest, results = start_session(lane, ["s1", "s2"])
     snap = lane.snapshot()

@@ -187,3 +187,36 @@ def test_store_gauges_round_trip():
 def test_store_section_absent_without_stores():
     text = render_health(deploy().system)
     assert "eternal_store_" not in text
+
+
+def test_store_gauges_cover_every_ring_of_a_sharded_facade():
+    """A sharded facade merges its rings' durable stores the way it merges
+    their stacks, so health renders every node's store gauges."""
+    from repro.apps.kvstore import make_kvstore_factory
+    from repro.ftcorba.properties import FTProperties
+    from repro.simnet.sharded import ShardedEternalSystem
+    from repro.store.memory import MemoryStore
+
+    system = ShardedEternalSystem(
+        rings=2, store_factory=lambda node_id: MemoryStore())
+    assert system.wait_for(system.ring_formed, timeout=10.0)
+    replicas = {}
+    for name, sub in system.rings.items():
+        replicas[name] = [f"{name}.s1", f"{name}.s2"]
+        sub.register_factory("IDL:repro/KvStore:1.0",
+                             make_kvstore_factory(4_000),
+                             nodes=replicas[name])
+        system.create_group(f"store.{name}", "IDL:repro/KvStore:1.0",
+                            FTProperties(initial_replicas=2,
+                                         checkpoint_interval=0.1),
+                            nodes=replicas[name])
+    system.run_for(0.5)
+    series = {(name, tuple(sorted(labels.items()))): value
+              for name, labels, value
+              in parse_exposition(render_health(system))}
+
+    for name, nodes in replicas.items():
+        for node in nodes:
+            key = (("group", f"store.{name}"), ("node", node))
+            assert series[("eternal_store_checkpoints_written", key)] >= 1.0
+            assert series[("eternal_store_bytes", key)] > 0

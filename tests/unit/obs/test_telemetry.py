@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.deployments import build_client_server
 from repro.ftcorba.properties import ReplicationStyle
+from repro.obs import telemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import load_trace_jsonl
 from repro.obs.telemetry import (
@@ -22,10 +23,17 @@ from repro.obs.telemetry import (
 from repro.runtime.trace import Tracer
 
 
-def make_recorder(**overrides):
-    config = TelemetryConfig(**overrides)
+def make_recorder(*, exclude=None, capacity=None, **overrides):
+    """A recorder on its own tracer; ``exclude`` / ``capacity`` stand in
+    for ``FLIGHT_EXCLUDE`` / ``FLIGHT_CAPACITY`` while it is built."""
     clock = {"now": 0.0}
-    recorder = FlightRecorder(config, lambda: clock["now"])
+    with pytest.MonkeyPatch.context() as patch:
+        if exclude is not None:
+            patch.setattr(telemetry, "FLIGHT_EXCLUDE", exclude)
+        if capacity is not None:
+            patch.setattr(telemetry, "FLIGHT_CAPACITY", capacity)
+        recorder = FlightRecorder(TelemetryConfig(**overrides),
+                                  lambda: clock["now"])
     tracer = Tracer()
     tracer.bind_clock(lambda: clock["now"])
     tracer.subscribe(recorder.note)
@@ -37,7 +45,7 @@ def make_recorder(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_rings_partition_by_node_and_merge_with_global_lane():
-    recorder, tracer, clock = make_recorder(flight_exclude=())
+    recorder, tracer, clock = make_recorder(exclude=())
     tracer.emit("admin", "group_created", group="g")          # no node
     clock["now"] = 1.0
     tracer.emit("replica", "executed", node="s1", seq=1)
@@ -53,8 +61,8 @@ def test_rings_partition_by_node_and_merge_with_global_lane():
 
 
 def test_ring_keeps_at_least_capacity_most_recent_records():
-    recorder, tracer, _ = make_recorder(flight_capacity=8,
-                                        flight_exclude=())
+    recorder, tracer, _ = make_recorder(capacity=8,
+                                        exclude=())
     for seq in range(100):
         tracer.emit("replica", "executed", node="s1", seq=seq)
     kept = [r.fields["seq"] for r in recorder.records_for("s1")]
@@ -65,7 +73,7 @@ def test_ring_keeps_at_least_capacity_most_recent_records():
 
 def test_crash_record_auto_dumps_the_dead_nodes_ring(tmp_path):
     recorder, tracer, clock = make_recorder(flight_dir=str(tmp_path),
-                                            flight_exclude=())
+                                            exclude=())
     tracer.emit("replica", "executed", node="s1", seq=1)
     tracer.emit("replica", "executed", node="s2", seq=2)
     clock["now"] = 3.0
@@ -121,7 +129,7 @@ def test_dump_all_covers_every_node_or_global_lane(tmp_path):
 
 def test_flight_exclude_skips_categories_and_single_events():
     recorder, tracer, _ = make_recorder(
-        flight_exclude=("net", "totem.deliver"))
+        exclude=("net", "totem.deliver"))
     tracer.emit("net", "unicast", node="s1")           # whole category
     tracer.emit("totem", "deliver", node="s1")         # one event
     tracer.emit("totem", "frame", node="s1")           # same category, kept
@@ -131,12 +139,12 @@ def test_flight_exclude_skips_categories_and_single_events():
 
 def test_flight_exclude_whole_category_wins_over_event_entries():
     recorder, _, _ = make_recorder(
-        flight_exclude=("totem.deliver", "totem", "totem.frame"))
+        exclude=("totem.deliver", "totem", "totem.frame"))
     assert recorder._skip["totem"] is True
 
 
 def test_default_exclusions_drop_fanout_but_keep_causal_stream():
-    recorder, tracer, _ = make_recorder()     # default flight_exclude
+    recorder, tracer, _ = make_recorder()     # default FLIGHT_EXCLUDE
     tracer.emit("totem", "deliver", node="s1", seq=1)
     tracer.emit("net", "unicast", node="s1")
     tracer.emit("replication", "duplicate", node="s1")

@@ -22,14 +22,6 @@ def test_count_of_unknown_key_is_zero():
     assert Tracer().count("nope.never") == 0
 
 
-def test_enabled_categories_filter_records_not_counters():
-    tracer = Tracer(enabled_categories={"keep"})
-    tracer.emit("keep", "a")
-    tracer.emit("drop", "b")
-    assert len(tracer.records) == 1
-    assert tracer.count("drop.b") == 1
-
-
 def test_bind_clock_stamps_records():
     tracer = Tracer()
     clock = {"now": 0.0}
@@ -70,15 +62,16 @@ def test_clear_resets_everything():
     assert tracer.records == [] and tracer.count("cat.ev") == 0
 
 
-def test_enabled_categories_filter_subscribers_like_retention():
-    tracer = Tracer(enabled_categories={"keep"})
+def test_muted_events_reach_no_consumer_but_still_count():
+    tracer = Tracer()
     seen = []
     tracer.subscribe(seen.append)
-    tracer.emit("keep", "a")
-    tracer.emit("drop", "b")
-    assert [r.category for r in tracer.records] == ["keep"]
-    assert [r.category for r in seen] == ["keep"]
-    assert tracer.count("drop.b") == 1      # counters still unconditional
+    tracer.set_muted_events({"cat.drop"})
+    tracer.emit("cat", "keep")
+    tracer.emit("cat", "drop")
+    assert [r.event for r in tracer.records] == ["keep"]
+    assert [r.event for r in seen] == ["keep"]
+    assert tracer.count("cat.drop") == 1    # counters still unconditional
 
 
 def test_null_tracer_is_completely_inert():

@@ -112,11 +112,12 @@ def test_substrates_do_not_import_each_other():
 
 def keywords_set_outside(own_modules):
     """Names passed as a keyword argument in any call (``EternalConfig(x=)``,
-    ``replace(cfg, x=)``, a test helper's ``deploy(x=)`` …) or defaulted
-    into a kwargs dict (``kw.setdefault("x", …)``) under the four code
-    roots, outside the config modules themselves."""
+    ``replace(cfg, x=)``, a helper's ``deploy(x=)`` …) or defaulted into a
+    kwargs dict (``kw.setdefault("x", …)``) under ``src/``, ``benchmarks/``
+    and ``examples/``, outside the config modules themselves.  A test is no
+    caller: it monkeypatches the module constant instead."""
     names = set()
-    for root in ("src", "tests", "benchmarks", "examples"):
+    for root in ("src", "benchmarks", "examples"):
         for path in (REPO_ROOT / root).rglob("*.py"):
             if path in own_modules:
                 continue
@@ -132,16 +133,19 @@ def keywords_set_outside(own_modules):
 
 
 def test_every_config_field_is_set_by_someone():
-    """A knob stays only if a bench sweeps it, an ablation names it, or a
-    test sets it; one nobody sets becomes a module constant beside its
-    reader (see the ``repro.core.config`` docstring)."""
+    """A knob stays only if a bench sweeps it, an ablation names it, or
+    the program itself sets it; one only a test turns becomes a module
+    constant beside its reader (see the ``repro.core.config`` docstring)."""
     from repro.core import config as eternal
+    from repro.obs.profiling import ProfilingConfig
+    from repro.obs.telemetry import TelemetryConfig
     from repro.totem import config as totem
 
     used = keywords_set_outside({Path(eternal.__file__).resolve(),
                                  Path(totem.__file__).resolve()})
     unset = [f"{cls.__name__}.{field.name}"
-             for cls in (eternal.EternalConfig, totem.TotemConfig)
+             for cls in (eternal.EternalConfig, totem.TotemConfig,
+                         TelemetryConfig, ProfilingConfig)
              for field in dataclasses.fields(cls)
              if field.name not in used]
     assert unset == []
@@ -149,14 +153,14 @@ def test_every_config_field_is_set_by_someone():
 
 def test_totem_config_has_grown_no_field():
     """Token pacing, the forward-time send and the hold cancel are all
-    decided from what a visit observes; a new ring behaviour that needs a
-    knob has to argue for it here."""
+    decided from what a visit observes, and the windows nobody varies are
+    ``member`` constants; a new ring behaviour that needs a knob has to
+    argue for it here."""
     from repro.totem.config import TotemConfig
 
     assert [field.name for field in dataclasses.fields(TotemConfig)] == [
         "token_hold", "token_timeout", "gather_timeout", "join_interval",
-        "max_burst", "frame_packing", "retain_safe_slack", "max_queue",
-        "probe_interval", "ring_name"]
+        "frame_packing", "probe_interval", "ring_name"]
 
 
 # ---------------------------------------------------------------------------

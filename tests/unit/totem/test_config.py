@@ -7,6 +7,7 @@ from repro.simnet.endpoint import Endpoint
 from repro.simnet.network import Network
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
+from repro.totem import member as member_module
 from repro.totem.config import TotemConfig
 from repro.totem.member import TotemMember
 
@@ -22,8 +23,11 @@ def test_token_timeout_must_exceed_hold():
 
 
 def test_max_burst_validated():
-    with pytest.raises(ValueError):
-        TotemConfig(max_burst=0)
+    """The burst window is a module constant, not a field: a visit must
+    always be able to send at least one frame."""
+    assert member_module.MAX_BURST >= 1
+    with pytest.raises(TypeError):
+        TotemConfig(max_burst=4)
 
 
 def build_pair(config):
@@ -40,10 +44,10 @@ def build_pair(config):
     return scheduler, members, delivered
 
 
-def test_burst_window_paces_large_backlogs():
-    """With max_burst=4, a 12-message backlog takes 3 token visits."""
-    config = TotemConfig(max_burst=4)
-    scheduler, members, delivered = build_pair(config)
+def test_burst_window_paces_large_backlogs(monkeypatch):
+    """With MAX_BURST=4, a 12-message backlog takes 3 token visits."""
+    monkeypatch.setattr(member_module, "MAX_BURST", 4)
+    scheduler, members, delivered = build_pair(TotemConfig())
     scheduler.run_until(0.05)
     for i in range(12):
         members["A"].multicast(bytes([i]))
@@ -55,9 +59,9 @@ def test_burst_window_paces_large_backlogs():
     assert delivered["A"] == delivered["B"]
 
 
-def test_retained_messages_garbage_collected():
-    config = TotemConfig(retain_safe_slack=8)
-    scheduler, members, delivered = build_pair(config)
+def test_retained_messages_garbage_collected(monkeypatch):
+    monkeypatch.setattr(member_module, "RETAIN_SAFE_SLACK", 8)
+    scheduler, members, delivered = build_pair(TotemConfig())
     scheduler.run_until(0.05)
     for i in range(200):
         members["A"].multicast(bytes([i % 256]))
@@ -65,7 +69,7 @@ def test_retained_messages_garbage_collected():
     # all delivered, and held buffers pruned down to the slack window
     assert len(delivered["B"]) == 200
     for member in members.values():
-        assert len(member._held) <= 8 + config.max_burst + 4
+        assert len(member._held) <= 8 + member_module.MAX_BURST + 4
 
 
 def test_probe_interval_controls_probe_traffic():

@@ -10,6 +10,7 @@ from repro.simnet.network import Network
 from repro.simnet.process import Process
 from repro.simnet.scheduler import Scheduler
 from repro.totem.config import TotemConfig
+from repro.totem import member as member_module
 from repro.totem.member import (TOKEN_PROCESSING_TIME, MemberState,
                                 TotemMember)
 from repro.totem.messages import DataMsg, HoldCancel, Token
@@ -208,9 +209,9 @@ def test_shutdown_member_rejects_multicast():
         ring.members["A"].multicast(b"x")
 
 
-def test_send_queue_overflow_guarded():
-    config = TotemConfig(max_queue=5)
-    ring = Ring(config=config)
+def test_send_queue_overflow_guarded(monkeypatch):
+    monkeypatch.setattr(member_module, "MAX_QUEUE", 5)
+    ring = Ring()
     ring.run(0.1)
     ring.faults.partition([{"A"}, {"B", "C"}])   # A can't drain its queue
     # A's token is lost; it gathers forever and queues pile up
@@ -263,10 +264,12 @@ def test_no_spurious_retransmissions_in_steady_state():
     assert tracer.count("totem.retransmit") == 0
 
 
-def test_rejoined_member_collects_safe_messages_from_its_join_point():
+def test_rejoined_member_collects_safe_messages_from_its_join_point(
+        monkeypatch):
     """Collection pops forward from a lower bound on the held sequence
     numbers; a fresh member's bound starts where it joined, not at 1."""
-    config = TotemConfig(retain_safe_slack=8, frame_packing=False)
+    monkeypatch.setattr(member_module, "RETAIN_SAFE_SLACK", 8)
+    config = TotemConfig(frame_packing=False)
     ring = Ring(config=config)
     ring.run(0.1)
     for i in range(100):
@@ -283,7 +286,7 @@ def test_rejoined_member_collects_safe_messages_from_its_join_point():
     ring.run(0.5)
     assert len(ring.delivered["C"]) == 100
     for member in ring.members.values():
-        assert len(member._held) <= 8 + config.max_burst + 4
+        assert len(member._held) <= 8 + member_module.MAX_BURST + 4
         assert min(member._held) >= member._held_low
 
 
@@ -509,10 +512,10 @@ def test_forward_time_send_keeps_a_laggards_watermark():
                                                     received - 1, "A")
 
 
-def test_forward_time_send_respects_the_burst_window():
+def test_forward_time_send_respects_the_burst_window(monkeypatch):
+    monkeypatch.setattr(member_module, "MAX_BURST", 2)
     ring, tracer = _paced_ring(TotemConfig(
-        token_hold=1e-3, token_timeout=0.25, max_burst=2,
-        frame_packing=False))
+        token_hold=1e-3, token_timeout=0.25, frame_packing=False))
     visit = _queue_during_hold(ring, tracer, "B",
                                [b"1", b"2", b"3", b"4", b"5"], after=0.3e-3)
     ring.run(0.05)
