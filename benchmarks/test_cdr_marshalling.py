@@ -1,11 +1,12 @@
 """Microbenchmark: CDR marshalling throughput.
 
 CDR encoding sits on every hot path — GIOP request/reply headers, state
-transfer envelopes, and (since the binary live codec) every Totem frame
-the live runtime sends.  This benchmark exercises the primitive-write
-loop and the frame codec directly, so regressions in
+transfer envelopes, and (in the same layout, through the Totem codec's
+own struct helpers) every Totem frame the live runtime sends.  This
+benchmark exercises the primitive-write loop of
 :class:`repro.giop.cdr.CdrOutputStream` (alignment padding, struct
-packing) show up without running a whole deployment.
+packing) and the frame codec of :mod:`repro.totem.wire` directly, so
+regressions in either show up without running a whole deployment.
 
 Unlike the simulation benchmarks these use real repeated rounds: the
 cost being measured *is* wall-clock Python execution.
@@ -13,7 +14,7 @@ cost being measured *is* wall-clock Python execution.
 
 from repro.giop.cdr import CdrInputStream, CdrOutputStream
 from repro.totem.messages import DataMsg, PackedDataMsg, PackedPayload
-from repro.totem.wire import decode_frame_payload, encode_frame_payload
+from repro.totem.wire import decode_frame_payload, encode_frame_payload_into
 
 PRIMITIVE_ROUNDS = 200       # mixed-primitive records per encode pass
 CHUNK = bytes(range(256)) * 4
@@ -60,9 +61,15 @@ def test_totem_frame_round_trip(benchmark):
         for s in range(8)
     ]
 
+    scratch = bytearray()
+
     def round_trip():
-        return [decode_frame_payload(encode_frame_payload(f))
-                for f in frames]
+        decoded = []
+        for frame in frames:
+            del scratch[:]
+            encode_frame_payload_into(scratch, frame)
+            decoded.append(decode_frame_payload(bytes(scratch)))
+        return decoded
 
     decoded = benchmark(round_trip)
     assert decoded == frames

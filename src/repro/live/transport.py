@@ -11,12 +11,12 @@ between two loopback sockets in order: the transport is FIFO between
 any two nodes.
 
 Frames carry a small header (magic, source node id) followed by the
-Totem frame in the versioned binary CDR codec of
-:mod:`repro.totem.wire` — the same marshalling layer the IIOP stack
-uses.  Unlike the pickle encoding this transport started with, decoding
-a hostile datagram can only ever produce Totem message objects, and a
-frame from an incompatible build is rejected by its version octet
-instead of being mis-parsed.
+Totem frame in the versioned binary codec of :mod:`repro.totem.wire`,
+which lays frames out in the CDR encoding the IIOP stack uses.  Unlike
+the pickle encoding this transport started with, decoding a hostile
+datagram can only ever produce Totem message objects, and a frame from
+an incompatible build is rejected by its version octet instead of being
+mis-parsed.
 
 Raw-speed structure of the hot path:
 

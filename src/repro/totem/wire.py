@@ -6,10 +6,11 @@ types — plus the out-of-band bulk-lane frames (:class:`BulkFetch`,
 :class:`BulkPage`, :class:`BulkNack`) the recovery state transfer sends
 point-to-point outside the total order, and the read-lease fast-path
 frames (:class:`ReadFastRequest`, :class:`ReadFastReply`,
-:class:`ReadFastNack`) — in CDR (reusing :mod:`repro.giop.cdr`, the same
-marshalling the IIOP layer uses) behind a one-octet format version,
-replacing the pickle encoding the live transport started with: the codec
-is
+:class:`ReadFastNack`) — in the big-endian CDR layout the IIOP layer
+uses (primitives aligned to their size relative to the frame start,
+strings as length + UTF-8 + NUL, octet sequences as length + bytes)
+behind a one-octet format version, replacing the pickle encoding the
+live transport started with: the codec is
 
 * **safe** — decoding attacker-controlled bytes can only yield Totem
   message objects, never arbitrary Python objects;
@@ -19,21 +20,25 @@ is
   header, close to the simulator's declared ``size_bytes`` and far below
   pickle's overhead.
 
-The three frame types on the token-rotation hot path (``DataMsg``,
-``PackedDataMsg``, ``Token``) additionally have hand-specialized
-encoders/decoders: straight-line code over prebuilt :class:`struct.Struct`
-instances with inlined CDR alignment arithmetic, appending to a caller
-supplied (reusable) ``bytearray`` on encode and — when handed a
-``memoryview`` — returning zero-copy sub-views for chunk bodies on
-decode, so a packed frame's sub-payloads are never copied out of the
-datagram buffer (they materialize lazily, only if a consumer converts
-them).  The specialized paths are byte-identical to the generic CDR
-ones (property-tested), which remain the reference and serve every
-other tag.
+Every frame type has exactly one encoder and one decoder, reached
+through one table (class → encoder, tag → decoder).  Encoders are
+straight-line code over prebuilt :class:`struct.Struct` instances,
+appending to a caller-supplied (reusable) ``bytearray``; decoders handed
+a ``memoryview`` return zero-copy sub-views for octet-sequence bodies,
+so a packed frame's sub-payloads are never copied out of the datagram
+buffer (they materialize lazily, only if a consumer converts them).
 
-Unknown tags and malformed bodies raise :class:`~repro.errors.ProtocolError`
-(or the CDR layer's :class:`~repro.errors.UnmarshalError`); the transport
-maps both onto dropped frames.
+The layout is pinned to CDR by test, not by shared code: the property
+suite (``tests/properties/test_live_codec_properties.py``) checks, for
+all thirteen frame types, that this codec's bytes equal those of an
+independent reference written on :mod:`repro.giop.cdr`'s streams
+(``tests/properties/cdr_oracle.py``) and that the reference's bytes
+decode back to the original frame.
+
+Unknown tags raise :class:`~repro.errors.ProtocolError`, malformed
+bodies :class:`~repro.errors.UnmarshalError` and out-of-range fields on
+encode :class:`~repro.errors.MarshalError`; the transport maps all three
+onto :class:`~repro.errors.NetworkError`.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.errors import ProtocolError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import MarshalError, ProtocolError, UnmarshalError
 from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
                                   PackedDataMsg, PackedPayload, ProbeMsg,
                                   Token)
@@ -50,22 +54,6 @@ from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
 #: Format version octet leading every encoded frame (bump on layout change).
 #: v2: data frames and packed payloads carry a trailing trace-id string.
 WIRE_VERSION = 2
-
-_TAG_DATA = 1
-_TAG_PACKED = 2
-_TAG_TOKEN = 3
-_TAG_JOIN = 4
-_TAG_FORM = 5
-_TAG_PROBE = 6
-_TAG_BULK_FETCH = 7
-_TAG_BULK_PAGE = 8
-_TAG_BULK_NACK = 9
-_TAG_READFAST_REQ = 10
-_TAG_READFAST_REPLY = 11
-_TAG_READFAST_NACK = 12
-_TAG_HOLD_CANCEL = 13
-
-TotemFrame = object     # DataMsg | PackedDataMsg | Token | JoinMsg | ...
 
 
 # ---------------------------------------------------------------------------
@@ -190,65 +178,21 @@ class ReadFastNack:
         return READFAST_CTRL_SIZE
 
 
-#: Extension frame types (tags 64-255): embedders may register additional
-#: payload classes; the core protocol keeps tags below 64.
-_EXT_BY_CLASS: dict = {}
-_EXT_BY_TAG: dict = {}
-
-
-def register_wire_type(tag: int, cls, encode, decode) -> None:
-    """Register an extension frame type.
-
-    ``encode(out, obj)`` writes the body onto a :class:`CdrOutputStream`;
-    ``decode(inp)`` rebuilds the object from a :class:`CdrInputStream`.
-    Exact-class match only (no MRO walk): the codec must reproduce the
-    precise type it was handed, because the transport dispatches received
-    payloads by class.
-    """
-    if not 64 <= tag <= 255:
-        raise ValueError(f"extension tag {tag} outside 64..255")
-    _EXT_BY_CLASS[cls] = (tag, encode)
-    _EXT_BY_TAG[tag] = decode
-
-
-def _write_msg_id(out: CdrOutputStream, msg_id) -> None:
-    out.write_string(msg_id[0])
-    out.write_ulonglong(msg_id[1])
-
-
-def _read_msg_id(inp: CdrInputStream):
-    return (inp.read_string(), inp.read_ulonglong())
-
-
-def _write_members(out: CdrOutputStream, members) -> None:
-    out.write_ulong(len(members))
-    for member in members:
-        out.write_string(member)
-
-
-def _read_members(inp: CdrInputStream):
-    return tuple(inp.read_string() for _ in range(inp.read_ulong()))
-
-
 # ---------------------------------------------------------------------------
-# Hand-specialized hot-path codec (DataMsg / PackedDataMsg / Token)
+# Primitives
 # ---------------------------------------------------------------------------
 #
-# CDR alignment is relative to the start of the stream; the version and
-# tag octets occupy positions 0 and 1, so the leading ulonglong of all
-# three hot frame types lands at offset 8 after six bytes of padding.
-# The prefix constants below bake version+tag+padding into one append.
+# CDR alignment is relative to the start of the frame; the version and
+# tag octets occupy positions 0 and 1, so every encoder starts writing at
+# offset 2 and every decoder starts reading there.
 
+_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _QQ = struct.Struct(">QQ")      # DataMsg/PackedDataMsg: ring_id, seq
 _QQQ = struct.Struct(">QQQ")    # Token: ring_id, seq, aru
 
 _PAD = tuple(b"\x00" * n for n in range(8))
-
-_DATA_PREFIX = bytes([WIRE_VERSION, _TAG_DATA]) + b"\x00" * 6
-_PACKED_PREFIX = bytes([WIRE_VERSION, _TAG_PACKED]) + b"\x00" * 6
-_TOKEN_PREFIX = bytes([WIRE_VERSION, _TAG_TOKEN]) + b"\x00" * 6
 
 
 def _w_u32(buf: bytearray, value: int) -> None:
@@ -275,6 +219,12 @@ def _w_str(buf: bytearray, value: str) -> None:
 def _w_octets(buf: bytearray, value) -> None:
     _w_u32(buf, len(value))
     buf += value
+
+
+def _w_members(buf: bytearray, members) -> None:
+    _w_u32(buf, len(members))
+    for member in members:
+        _w_str(buf, member)
 
 
 def _r_u32(data, pos: int):
@@ -308,8 +258,21 @@ def _r_octets(data, pos: int):
     return data[pos:end], end
 
 
+def _r_members(data, pos: int):
+    count, pos = _r_u32(data, pos)
+    members = []
+    for _ in range(count):
+        member, pos = _r_str(data, pos)
+        members.append(member)
+    return tuple(members), pos
+
+
+# ---------------------------------------------------------------------------
+# Ring frames (repro.totem.member)
+# ---------------------------------------------------------------------------
+
 def _encode_data_into(buf: bytearray, msg: DataMsg) -> None:
-    buf += _DATA_PREFIX
+    buf += _PAD[6]
     buf += _QQ.pack(msg.ring_id, msg.seq)
     _w_str(buf, msg.sender)
     msg_id = msg.msg_id
@@ -337,7 +300,7 @@ def _decode_data(data) -> DataMsg:
 
 
 def _encode_packed_into(buf: bytearray, msg: PackedDataMsg) -> None:
-    buf += _PACKED_PREFIX
+    buf += _PAD[6]
     buf += _QQ.pack(msg.ring_id, msg.seq)
     _w_str(buf, msg.sender)
     buf.append(1 if msg.retransmit else 0)
@@ -370,7 +333,7 @@ def _decode_packed(data) -> PackedDataMsg:
 
 
 def _encode_token_into(buf: bytearray, msg: Token) -> None:
-    buf += _TOKEN_PREFIX
+    buf += _PAD[6]
     buf += _QQQ.pack(msg.ring_id, msg.seq, msg.aru)
     _w_str(buf, msg.aru_id)
     _w_u32(buf, len(msg.rtr))
@@ -378,7 +341,7 @@ def _encode_token_into(buf: bytearray, msg: Token) -> None:
         _w_u64(buf, seq)
     _w_u64(buf, msg.rotations)
     _w_u32(buf, msg.ring_key)
-    buf.append(msg.commit_phase)
+    buf += _U8.pack(msg.commit_phase)
 
 
 def _decode_token(data) -> Token:
@@ -396,160 +359,261 @@ def _decode_token(data) -> Token:
                  commit_phase)
 
 
+def _encode_join_into(buf: bytearray, msg: JoinMsg) -> None:
+    _w_str(buf, msg.sender)
+    _w_u64(buf, msg.ring_id_seen)
+    _w_u64(buf, msg.delivered_aru)
+    _w_u32(buf, len(msg.held))
+    for seq in sorted(msg.held):
+        _w_u64(buf, seq)
+    buf.append(1 if msg.fresh else 0)
+    _w_members(buf, msg.view_members)
+    _w_u64(buf, msg.base_seen)
+
+
+def _decode_join(data) -> JoinMsg:
+    sender, pos = _r_str(data, 2)
+    ring_id_seen, pos = _r_u64(data, pos)
+    delivered_aru, pos = _r_u64(data, pos)
+    count, pos = _r_u32(data, pos)
+    held = []
+    for _ in range(count):
+        seq, pos = _r_u64(data, pos)
+        held.append(seq)
+    fresh = data[pos] != 0
+    view_members, pos = _r_members(data, pos + 1)
+    base_seen, pos = _r_u64(data, pos)
+    return JoinMsg(sender, ring_id_seen, delivered_aru, frozenset(held),
+                   fresh, view_members, base_seen)
+
+
+def _encode_form_into(buf: bytearray, msg: FormMsg) -> None:
+    _w_u64(buf, msg.ring_id)
+    _w_str(buf, msg.leader)
+    _w_members(buf, msg.members)
+    _w_u64(buf, msg.flush_seq)
+    _w_u64(buf, msg.base_seq)
+    _w_u32(buf, len(msg.holders))
+    for seq in sorted(msg.holders):
+        _w_u64(buf, seq)
+        _w_str(buf, msg.holders[seq])
+    _w_members(buf, msg.fresh_members)
+
+
+def _decode_form(data) -> FormMsg:
+    ring_id, pos = _r_u64(data, 2)
+    leader, pos = _r_str(data, pos)
+    members, pos = _r_members(data, pos)
+    flush_seq, pos = _r_u64(data, pos)
+    base_seq, pos = _r_u64(data, pos)
+    count, pos = _r_u32(data, pos)
+    holders = {}
+    for _ in range(count):
+        seq, pos = _r_u64(data, pos)
+        holder, pos = _r_str(data, pos)
+        holders[seq] = holder
+    fresh_members, pos = _r_members(data, pos)
+    return FormMsg(ring_id, leader, members, flush_seq, base_seq, holders,
+                   fresh_members)
+
+
+def _encode_probe_into(buf: bytearray, msg: ProbeMsg) -> None:
+    _w_u64(buf, msg.ring_id)
+    _w_str(buf, msg.sender)
+    _w_members(buf, msg.members)
+
+
+def _decode_probe(data) -> ProbeMsg:
+    ring_id, pos = _r_u64(data, 2)
+    sender, pos = _r_str(data, pos)
+    members, pos = _r_members(data, pos)
+    return ProbeMsg(ring_id, sender, members)
+
+
+def _encode_hold_cancel_into(buf: bytearray, msg: HoldCancel) -> None:
+    _w_u64(buf, msg.ring_id)
+    _w_str(buf, msg.sender)
+
+
+def _decode_hold_cancel(data) -> HoldCancel:
+    ring_id, pos = _r_u64(data, 2)
+    sender, pos = _r_str(data, pos)
+    return HoldCancel(ring_id, sender)
+
+
+# ---------------------------------------------------------------------------
+# Bulk-lane and read-lease frames (out of band)
+# ---------------------------------------------------------------------------
+
+def _encode_bulk_fetch_into(buf: bytearray, msg: BulkFetch) -> None:
+    _w_str(buf, msg.session_id)
+    _w_str(buf, msg.requester)
+    _w_u32(buf, msg.first_page)
+    _w_u32(buf, msg.last_page)
+
+
+def _decode_bulk_fetch(data) -> BulkFetch:
+    session_id, pos = _r_str(data, 2)
+    requester, pos = _r_str(data, pos)
+    first_page, pos = _r_u32(data, pos)
+    last_page, pos = _r_u32(data, pos)
+    return BulkFetch(session_id, requester, first_page, last_page)
+
+
+def _encode_bulk_page_into(buf: bytearray, msg: BulkPage) -> None:
+    _w_str(buf, msg.session_id)
+    _w_str(buf, msg.sender)
+    _w_u32(buf, msg.index)
+    _w_u32(buf, msg.crc)
+    _w_octets(buf, msg.page)
+
+
+def _decode_bulk_page(data) -> BulkPage:
+    session_id, pos = _r_str(data, 2)
+    sender, pos = _r_str(data, pos)
+    index, pos = _r_u32(data, pos)
+    crc, pos = _r_u32(data, pos)
+    page, pos = _r_octets(data, pos)
+    return BulkPage(session_id, sender, index, crc, page)
+
+
+def _encode_bulk_nack_into(buf: bytearray, msg: BulkNack) -> None:
+    _w_str(buf, msg.session_id)
+    _w_str(buf, msg.sender)
+    _w_str(buf, msg.reason)
+
+
+def _decode_bulk_nack(data) -> BulkNack:
+    session_id, pos = _r_str(data, 2)
+    sender, pos = _r_str(data, pos)
+    reason, pos = _r_str(data, pos)
+    return BulkNack(session_id, sender, reason)
+
+
+def _encode_readfast_request_into(buf: bytearray,
+                                  msg: ReadFastRequest) -> None:
+    _w_str(buf, msg.group_id)
+    _w_str(buf, msg.conn)
+    _w_u64(buf, msg.request_id)
+    _w_str(buf, msg.requester)
+    _w_u64(buf, msg.ring_id)
+    _w_octets(buf, msg.iiop_bytes)
+
+
+def _decode_readfast_request(data) -> ReadFastRequest:
+    group_id, pos = _r_str(data, 2)
+    conn, pos = _r_str(data, pos)
+    request_id, pos = _r_u64(data, pos)
+    requester, pos = _r_str(data, pos)
+    ring_id, pos = _r_u64(data, pos)
+    iiop_bytes, pos = _r_octets(data, pos)
+    return ReadFastRequest(group_id, conn, request_id, requester, ring_id,
+                           iiop_bytes)
+
+
+def _encode_readfast_reply_into(buf: bytearray, msg: ReadFastReply) -> None:
+    _w_str(buf, msg.group_id)
+    _w_str(buf, msg.conn)
+    _w_u64(buf, msg.request_id)
+    _w_u64(buf, msg.ring_id)
+    _w_octets(buf, msg.iiop_bytes)
+
+
+def _decode_readfast_reply(data) -> ReadFastReply:
+    group_id, pos = _r_str(data, 2)
+    conn, pos = _r_str(data, pos)
+    request_id, pos = _r_u64(data, pos)
+    ring_id, pos = _r_u64(data, pos)
+    iiop_bytes, pos = _r_octets(data, pos)
+    return ReadFastReply(group_id, conn, request_id, ring_id, iiop_bytes)
+
+
+def _encode_readfast_nack_into(buf: bytearray, msg: ReadFastNack) -> None:
+    _w_str(buf, msg.group_id)
+    _w_str(buf, msg.conn)
+    _w_u64(buf, msg.request_id)
+    _w_str(buf, msg.reason)
+
+
+def _decode_readfast_nack(data) -> ReadFastNack:
+    group_id, pos = _r_str(data, 2)
+    conn, pos = _r_str(data, pos)
+    request_id, pos = _r_u64(data, pos)
+    reason, pos = _r_str(data, pos)
+    return ReadFastNack(group_id, conn, request_id, reason)
+
+
+# ---------------------------------------------------------------------------
+# The codec table and its two entry points
+# ---------------------------------------------------------------------------
+
+#: One row per core frame type: (tag, class, encoder, decoder).  Tags
+#: below 64 are the protocol's; 64-255 are left to :func:`register_wire_type`.
+_ROWS = (
+    (1, DataMsg, _encode_data_into, _decode_data),
+    (2, PackedDataMsg, _encode_packed_into, _decode_packed),
+    (3, Token, _encode_token_into, _decode_token),
+    (4, JoinMsg, _encode_join_into, _decode_join),
+    (5, FormMsg, _encode_form_into, _decode_form),
+    (6, ProbeMsg, _encode_probe_into, _decode_probe),
+    (7, BulkFetch, _encode_bulk_fetch_into, _decode_bulk_fetch),
+    (8, BulkPage, _encode_bulk_page_into, _decode_bulk_page),
+    (9, BulkNack, _encode_bulk_nack_into, _decode_bulk_nack),
+    (10, ReadFastRequest, _encode_readfast_request_into,
+     _decode_readfast_request),
+    (11, ReadFastReply, _encode_readfast_reply_into, _decode_readfast_reply),
+    (12, ReadFastNack, _encode_readfast_nack_into, _decode_readfast_nack),
+    (13, HoldCancel, _encode_hold_cancel_into, _decode_hold_cancel),
+)
+
+#: Exact class -> (version + tag octets, encoder); no MRO walk — the
+#: transport dispatches received payloads by class, so the codec must
+#: reproduce the precise type it was handed.
+_ENCODERS = {cls: (bytes((WIRE_VERSION, tag)), encode)
+             for tag, cls, encode, _ in _ROWS}
+#: Tag -> decoder of the whole frame.
+_DECODERS = {tag: decode for tag, _, _, decode in _ROWS}
+
+
+def register_wire_type(tag: int, cls, encode, decode) -> None:
+    """Register an extension frame type in the codec table.
+
+    ``encode(obj)`` returns the frame body as bytes; ``decode(body)``
+    rebuilds the object from it (a ``memoryview`` when the transport
+    decodes a received datagram).
+    """
+    if not 64 <= tag <= 255:
+        raise ValueError(f"extension tag {tag} outside 64..255")
+
+    def encode_into(buf: bytearray, obj) -> None:
+        buf += encode(obj)
+
+    _ENCODERS[cls] = (bytes((WIRE_VERSION, tag)), encode_into)
+    _DECODERS[tag] = lambda data: decode(data[2:])
+
+
 def encode_frame_payload_into(buf: bytearray, msg) -> None:
     """Append one encoded Totem frame to ``buf`` (a reusable buffer).
 
     CDR alignment is computed from the start of ``buf``, so the frame
     must begin at offset 0 or a multiple of 8 (callers reuse a scratch
-    buffer they clear between frames)."""
-    kind = type(msg)
-    if kind is DataMsg:
-        _encode_data_into(buf, msg)
-        return
-    if kind is PackedDataMsg:
-        _encode_packed_into(buf, msg)
-        return
-    if kind is Token:
-        _encode_token_into(buf, msg)
-        return
-    buf += _encode_generic(msg)
-
-
-def encode_frame_payload(msg) -> bytes:
-    """Serialize one Totem frame (any of the registered message types)."""
-    kind = type(msg)
-    if kind is DataMsg or kind is PackedDataMsg or kind is Token:
-        buf = bytearray()
-        encode_frame_payload_into(buf, msg)
-        return bytes(buf)
-    return _encode_generic(msg)
-
-
-def _encode_generic(msg) -> bytes:
-    """Reference CDR encoder covering every frame type (the specialized
-    hot-path encoders above must stay byte-identical to it)."""
-    out = CdrOutputStream()
-    out.write_octet(WIRE_VERSION)
-    extension = _EXT_BY_CLASS.get(type(msg))
-    if extension is not None:
-        tag, encode = extension
-        out.write_octet(tag)
-        encode(out, msg)
-    elif isinstance(msg, DataMsg):
-        out.write_octet(_TAG_DATA)
-        out.write_ulonglong(msg.ring_id)
-        out.write_ulonglong(msg.seq)
-        out.write_string(msg.sender)
-        _write_msg_id(out, msg.msg_id)
-        out.write_ulong(msg.frag_index)
-        out.write_ulong(msg.frag_count)
-        out.write_boolean(msg.retransmit)
-        out.write_octets(msg.chunk)
-        out.write_string(msg.trace_id)
-    elif isinstance(msg, PackedDataMsg):
-        out.write_octet(_TAG_PACKED)
-        out.write_ulonglong(msg.ring_id)
-        out.write_ulonglong(msg.seq)
-        out.write_string(msg.sender)
-        out.write_boolean(msg.retransmit)
-        out.write_ulong(len(msg.payloads))
-        for payload in msg.payloads:
-            _write_msg_id(out, payload.msg_id)
-            out.write_ulong(payload.frag_index)
-            out.write_ulong(payload.frag_count)
-            out.write_octets(payload.chunk)
-            out.write_string(payload.trace_id)
-    elif isinstance(msg, Token):
-        out.write_octet(_TAG_TOKEN)
-        out.write_ulonglong(msg.ring_id)
-        out.write_ulonglong(msg.seq)
-        out.write_ulonglong(msg.aru)
-        out.write_string(msg.aru_id)
-        out.write_ulong(len(msg.rtr))
-        for seq in msg.rtr:
-            out.write_ulonglong(seq)
-        out.write_ulonglong(msg.rotations)
-        out.write_ulong(msg.ring_key)
-        out.write_octet(msg.commit_phase)
-    elif isinstance(msg, JoinMsg):
-        out.write_octet(_TAG_JOIN)
-        out.write_string(msg.sender)
-        out.write_ulonglong(msg.ring_id_seen)
-        out.write_ulonglong(msg.delivered_aru)
-        out.write_ulong(len(msg.held))
-        for seq in sorted(msg.held):
-            out.write_ulonglong(seq)
-        out.write_boolean(msg.fresh)
-        _write_members(out, msg.view_members)
-        out.write_ulonglong(msg.base_seen)
-    elif isinstance(msg, FormMsg):
-        out.write_octet(_TAG_FORM)
-        out.write_ulonglong(msg.ring_id)
-        out.write_string(msg.leader)
-        _write_members(out, msg.members)
-        out.write_ulonglong(msg.flush_seq)
-        out.write_ulonglong(msg.base_seq)
-        out.write_ulong(len(msg.holders))
-        for seq in sorted(msg.holders):
-            out.write_ulonglong(seq)
-            out.write_string(msg.holders[seq])
-        _write_members(out, msg.fresh_members)
-    elif isinstance(msg, ProbeMsg):
-        out.write_octet(_TAG_PROBE)
-        out.write_ulonglong(msg.ring_id)
-        out.write_string(msg.sender)
-        _write_members(out, msg.members)
-    elif isinstance(msg, HoldCancel):
-        out.write_octet(_TAG_HOLD_CANCEL)
-        out.write_ulonglong(msg.ring_id)
-        out.write_string(msg.sender)
-    elif isinstance(msg, BulkFetch):
-        out.write_octet(_TAG_BULK_FETCH)
-        out.write_string(msg.session_id)
-        out.write_string(msg.requester)
-        out.write_ulong(msg.first_page)
-        out.write_ulong(msg.last_page)
-    elif isinstance(msg, BulkPage):
-        out.write_octet(_TAG_BULK_PAGE)
-        out.write_string(msg.session_id)
-        out.write_string(msg.sender)
-        out.write_ulong(msg.index)
-        out.write_ulong(msg.crc)
-        out.write_octets(msg.page)
-    elif isinstance(msg, BulkNack):
-        out.write_octet(_TAG_BULK_NACK)
-        out.write_string(msg.session_id)
-        out.write_string(msg.sender)
-        out.write_string(msg.reason)
-    elif isinstance(msg, ReadFastRequest):
-        out.write_octet(_TAG_READFAST_REQ)
-        out.write_string(msg.group_id)
-        out.write_string(msg.conn)
-        out.write_ulonglong(msg.request_id)
-        out.write_string(msg.requester)
-        out.write_ulonglong(msg.ring_id)
-        out.write_octets(msg.iiop_bytes)
-    elif isinstance(msg, ReadFastReply):
-        out.write_octet(_TAG_READFAST_REPLY)
-        out.write_string(msg.group_id)
-        out.write_string(msg.conn)
-        out.write_ulonglong(msg.request_id)
-        out.write_ulonglong(msg.ring_id)
-        out.write_octets(msg.iiop_bytes)
-    elif isinstance(msg, ReadFastNack):
-        out.write_octet(_TAG_READFAST_NACK)
-        out.write_string(msg.group_id)
-        out.write_string(msg.conn)
-        out.write_ulonglong(msg.request_id)
-        out.write_string(msg.reason)
-    else:
+    buffer they clear between frames).  A field out of its wire range
+    raises :class:`MarshalError`, leaving ``buf`` partly written."""
+    entry = _ENCODERS.get(type(msg))
+    if entry is None:
         raise ProtocolError(
             f"cannot encode Totem frame {type(msg).__name__}")
-    return out.getvalue()
+    head, encode = entry
+    buf += head
+    try:
+        encode(buf, msg)
+    except struct.error as exc:
+        raise MarshalError(
+            f"unencodable {type(msg).__name__} field: {exc}") from exc
 
 
 def decode_frame_payload(data):
-    """Inverse of :func:`encode_frame_payload`.
+    """Inverse of :func:`encode_frame_payload_into`.
 
     Accepts ``bytes`` or a ``memoryview``; with a view, chunk bodies in
     the decoded messages are zero-copy sub-views of the datagram buffer.
@@ -559,118 +623,11 @@ def decode_frame_payload(data):
     version = data[0]
     if version != WIRE_VERSION:
         raise ProtocolError(f"unknown Totem wire version {version}")
-    tag = data[1]
+    decode = _DECODERS.get(data[1])
+    if decode is None:
+        raise ProtocolError(f"unknown Totem frame tag {data[1]}")
     try:
-        if tag == _TAG_DATA:
-            return _decode_data(data)
-        if tag == _TAG_PACKED:
-            return _decode_packed(data)
-        if tag == _TAG_TOKEN:
-            return _decode_token(data)
+        return decode(data)
     except (struct.error, IndexError) as exc:
-        raise UnmarshalError(f"truncated Totem frame (tag {tag}): {exc}") \
-            from exc
-    inp = CdrInputStream(data)
-    inp.read_octet()            # version (validated above)
-    inp.read_octet()            # tag
-    return _decode_generic(tag, inp)
-
-
-def _decode_generic(tag: int, inp: CdrInputStream):
-    """Reference CDR decoder for every non-hot tag (and the equivalence
-    oracle the specialized decoders are property-tested against)."""
-    if tag == _TAG_DATA:
-        ring_id = inp.read_ulonglong()
-        seq = inp.read_ulonglong()
-        sender = inp.read_string()
-        msg_id = _read_msg_id(inp)
-        frag_index = inp.read_ulong()
-        frag_count = inp.read_ulong()
-        retransmit = inp.read_boolean()
-        chunk = inp.read_octets()
-        trace_id = inp.read_string()
-        return DataMsg(ring_id, seq, sender, msg_id, frag_index,
-                       frag_count, chunk, retransmit, trace_id)
-    if tag == _TAG_PACKED:
-        ring_id = inp.read_ulonglong()
-        seq = inp.read_ulonglong()
-        sender = inp.read_string()
-        retransmit = inp.read_boolean()
-        count = inp.read_ulong()
-        payloads = []
-        for _ in range(count):
-            msg_id = _read_msg_id(inp)
-            frag_index = inp.read_ulong()
-            frag_count = inp.read_ulong()
-            chunk = inp.read_octets()
-            payloads.append(PackedPayload(msg_id, frag_index, frag_count,
-                                          chunk, inp.read_string()))
-        return PackedDataMsg(ring_id, seq, sender, tuple(payloads),
-                             retransmit)
-    if tag == _TAG_TOKEN:
-        ring_id = inp.read_ulonglong()
-        seq = inp.read_ulonglong()
-        aru = inp.read_ulonglong()
-        aru_id = inp.read_string()
-        rtr = [inp.read_ulonglong() for _ in range(inp.read_ulong())]
-        rotations = inp.read_ulonglong()
-        ring_key = inp.read_ulong()
-        commit_phase = inp.read_octet()
-        return Token(ring_id, seq, aru, aru_id, rtr, rotations, ring_key,
-                     commit_phase)
-    if tag == _TAG_JOIN:
-        sender = inp.read_string()
-        ring_id_seen = inp.read_ulonglong()
-        delivered_aru = inp.read_ulonglong()
-        held = frozenset(inp.read_ulonglong()
-                         for _ in range(inp.read_ulong()))
-        fresh = inp.read_boolean()
-        view_members = _read_members(inp)
-        base_seen = inp.read_ulonglong()
-        return JoinMsg(sender, ring_id_seen, delivered_aru, held, fresh,
-                       view_members, base_seen)
-    if tag == _TAG_FORM:
-        ring_id = inp.read_ulonglong()
-        leader = inp.read_string()
-        members = _read_members(inp)
-        flush_seq = inp.read_ulonglong()
-        base_seq = inp.read_ulonglong()
-        holders = {}
-        for _ in range(inp.read_ulong()):
-            seq = inp.read_ulonglong()
-            holders[seq] = inp.read_string()
-        fresh_members = _read_members(inp)
-        return FormMsg(ring_id, leader, members, flush_seq, base_seq,
-                       holders, fresh_members)
-    if tag == _TAG_PROBE:
-        ring_id = inp.read_ulonglong()
-        sender = inp.read_string()
-        members = _read_members(inp)
-        return ProbeMsg(ring_id, sender, members)
-    if tag == _TAG_HOLD_CANCEL:
-        return HoldCancel(inp.read_ulonglong(), inp.read_string())
-    if tag == _TAG_BULK_FETCH:
-        return BulkFetch(inp.read_string(), inp.read_string(),
-                         inp.read_ulong(), inp.read_ulong())
-    if tag == _TAG_BULK_PAGE:
-        return BulkPage(inp.read_string(), inp.read_string(),
-                        inp.read_ulong(), inp.read_ulong(),
-                        inp.read_octets())
-    if tag == _TAG_BULK_NACK:
-        return BulkNack(inp.read_string(), inp.read_string(),
-                        inp.read_string())
-    if tag == _TAG_READFAST_REQ:
-        return ReadFastRequest(inp.read_string(), inp.read_string(),
-                               inp.read_ulonglong(), inp.read_string(),
-                               inp.read_ulonglong(), inp.read_octets())
-    if tag == _TAG_READFAST_REPLY:
-        return ReadFastReply(inp.read_string(), inp.read_string(),
-                             inp.read_ulonglong(), inp.read_ulonglong(),
-                             inp.read_octets())
-    if tag == _TAG_READFAST_NACK:
-        return ReadFastNack(inp.read_string(), inp.read_string(),
-                            inp.read_ulonglong(), inp.read_string())
-    decode = _EXT_BY_TAG.get(tag)
-    if decode is not None:
-        return decode(inp)
-    raise ProtocolError(f"unknown Totem frame tag {tag}")
+        raise UnmarshalError(
+            f"truncated Totem frame (tag {data[1]}): {exc}") from exc

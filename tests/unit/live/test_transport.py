@@ -13,9 +13,11 @@ from repro.live.transport import (
     decode_frame,
     encode_frame,
 )
-from repro.totem.messages import (DataMsg, FormMsg, JoinMsg, PackedDataMsg,
-                                  PackedPayload, ProbeMsg, Token)
-from repro.totem.wire import BulkFetch, BulkNack, BulkPage
+from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
+                                  PackedDataMsg, PackedPayload, ProbeMsg,
+                                  Token)
+from repro.totem.wire import (BulkFetch, BulkNack, BulkPage, ReadFastNack,
+                              ReadFastRequest)
 
 FRAMES = [
     DataMsg(ring_id=3, seq=17, sender="n2", msg_id=("n2", 4),
@@ -61,6 +63,29 @@ def test_non_totem_payload_rejected_at_encode():
     # the original pickle codec would happily carry) are refused.
     with pytest.raises(NetworkError):
         encode_frame("n1", {"op": "echo", "args": (1, "two", b"three")})
+
+
+@pytest.mark.parametrize("msg", [
+    Token(2 ** 64, 1, 1, "n1", [], 0, 0, 0),
+    Token(1, 1, 1, "n1", [], 0, 0, commit_phase=256),
+    Token(1, 1, 1, "n1", [-1]),
+    DataMsg(ring_id=1, seq=-1, sender="n1", msg_id=("n1", 1),
+            frag_index=0, frag_count=1, chunk=b""),
+    PackedDataMsg(ring_id=2 ** 64, seq=1, sender="n1", payloads=()),
+    HoldCancel(2 ** 64, "n1"),
+    JoinMsg(sender="n1", ring_id_seen=0, delivered_aru=0,
+            held=frozenset({2 ** 64}), fresh=False),
+    BulkFetch(session_id="s", requester="n1", first_page=0,
+              last_page=2 ** 32),
+    ReadFastRequest(group_id="g", conn="c", request_id=-1, requester="n1",
+                    ring_id=1, iiop_bytes=b""),
+    ReadFastNack(group_id="g", conn="c", request_id=2 ** 64),
+], ids=lambda m: type(m).__name__)
+def test_out_of_range_field_raises_network_error_for_every_frame(msg):
+    # The encode contract is one exception type whatever the frame: a
+    # field outside its wire range never escapes as a raw struct.error.
+    with pytest.raises(NetworkError):
+        encode_frame("n1", msg)
 
 
 def test_encoded_data_frame_is_compact():

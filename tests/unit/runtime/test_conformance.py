@@ -41,8 +41,8 @@ class PingSub(Ping):
 for _tag, _cls in ((64, Ping), (65, Pong), (66, PingSub)):
     register_wire_type(
         _tag, _cls,
-        lambda out, obj: out.write_string(obj.value),
-        lambda inp, c=_cls: c(inp.read_string()),
+        lambda obj: obj.value.encode("utf-8"),
+        lambda body, c=_cls: c(str(body, "utf-8")),
     )
 
 

@@ -11,6 +11,7 @@ the committed baselines under ``benchmarks/profiles/``.
 import argparse
 import ast
 import dataclasses
+import importlib
 import re
 import subprocess
 from pathlib import Path
@@ -164,43 +165,60 @@ def test_totem_config_has_grown_no_field():
 
 
 # ---------------------------------------------------------------------------
-# Every frame a ring member listens for crosses the live wire: it needs a
-# tag in the codec and a strategy in the codec's property test, or it
-# ships un-fuzzed (FormMsg and ProbeMsg did, for thirteen PRs).
+# Every frame a ring member, the bulk lane or the read-lease coordinator
+# listens for crosses the live wire: it needs a row in the codec table and
+# a strategy in the codec's property test, or it ships un-fuzzed (FormMsg
+# and ProbeMsg did, for thirteen PRs).
 # ---------------------------------------------------------------------------
 
-def function_named(path, name):
-    return next(node for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.FunctionDef) and node.name == name)
+FRAME_LISTENERS = (("totem.member", "TotemMember"),
+                   ("core.bulk", "BulkLane"),
+                   ("core.readfast", "ReadFastCoordinator"))
 
 
-def name_arguments(function, callee):
-    """Every bare-name argument of the ``callee(...)`` calls inside
-    ``function``: the ``X`` (and ``msg``) of ``isinstance(msg, X)``."""
-    return {arg.id for node in ast.walk(function)
-            if isinstance(node, ast.Call)
-            and callee == getattr(node.func, "attr",
-                                  getattr(node.func, "id", None))
-            for arg in node.args if isinstance(arg, ast.Name)}
+def registered_payload_classes():
+    """The ``X`` of every ``register(X, handler)`` call in each frame
+    listener's ``__init__``, resolved in the listener's module."""
+    classes = []
+    for module_name, class_name in FRAME_LISTENERS:
+        path = SRC.joinpath(*module_name.split(".")).with_suffix(".py")
+        owner = next(node for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == class_name)
+        init = next(node for node in owner.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "__init__")
+        module = importlib.import_module(f"repro.{module_name}")
+        classes += [getattr(module, node.args[0].id)
+                    for node in ast.walk(init)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "register"
+                    and isinstance(node.args[0], ast.Name)]
+    return classes
 
 
 def test_every_registered_ring_frame_has_a_wire_tag_and_a_fuzz_strategy():
+    from repro.totem import wire
     from tests.properties.test_live_codec_properties import FRAME_STRATEGIES
 
-    registered = name_arguments(
-        function_named(SRC / "totem" / "member.py", "__init__"), "register")
-    assert len(registered) >= 7
-    wire = SRC / "totem" / "wire.py"
-    encoded = name_arguments(function_named(wire, "_encode_generic"),
-                             "isinstance")
-    decoded = {node.func.id
-               for node in ast.walk(function_named(wire, "_decode_generic"))
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name)}
-    fuzzed = {cls.__name__ for cls in FRAME_STRATEGIES}
-    assert sorted(registered - encoded) == []
-    assert sorted(registered - decoded) == []
-    assert sorted(registered - fuzzed) == []
+    registered = registered_payload_classes()
+    assert len(registered) >= 13
+    tags = [tag for tag, _, _, _ in wire._ROWS]
+    assert len(set(tags)) == len(tags)
+    tabled = {cls for _, cls, _, _ in wire._ROWS}
+    assert sorted(cls.__name__ for cls in registered
+                  if cls not in tabled) == []
+    assert sorted(cls.__name__ for cls in registered
+                  if cls not in FRAME_STRATEGIES) == []
+    # The codec owns its layout: CDR is pinned by the property test's
+    # oracle, not by importing the GIOP marshaller.
+    imported = {node.module if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(ast.parse(
+                    (SRC / "totem" / "wire.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert sorted(name for name in imported
+                  if name and name.startswith("repro.giop")) == []
 
 
 # ---------------------------------------------------------------------------
