@@ -7,11 +7,9 @@ retain delivered messages until they are *safe* (received by all members,
 as witnessed by the token's ``aru``), which lets them service retransmission
 requests and flush messages to survivors during membership changes.
 
-State machine::
-
-    OPERATIONAL --token timeout / JOIN seen--> GATHER
-    GATHER      --gather deadline, leader FORM--> RECOVERY
-    RECOVERY    --flushed + commit rotation--> OPERATIONAL (view installed)
+The member's phases — what each does with every frame, the deadlines it
+arms, and the edges between them — are PROTOCOL.md §5.1, rendered from
+``MEMBER_TRANSITIONS`` (a tier-1 test keeps the two identical).
 
 Installation is gated on a two-pass *commit token* rotation of the forming
 ring (phase 1 confirms every member flushed; phase 2 installs), so a FORM
@@ -79,11 +77,28 @@ MAX_QUEUE = 100_000
 
 
 class MemberState(enum.Enum):
-    """Ring-member protocol phase (see the module docstring)."""
+    """Ring-member protocol phase (PROTOCOL.md §5.1)."""
 
     GATHER = "gather"
     RECOVERY = "recovery"
     OPERATIONAL = "operational"
+    STOPPED = "stopped"
+
+
+#: Every phase change a member may make.  ``TotemMember._set_state`` is
+#: the only writer of ``state``; it rejects anything else, and ends every
+#: timer of the phase it leaves.
+MEMBER_TRANSITIONS = frozenset({
+    (MemberState.GATHER, MemberState.GATHER),          # no FORM came
+    (MemberState.GATHER, MemberState.RECOVERY),        # a FORM naming us
+    (MemberState.RECOVERY, MemberState.GATHER),        # JOIN, or no install
+    (MemberState.RECOVERY, MemberState.OPERATIONAL),   # commit rotation
+    (MemberState.OPERATIONAL, MemberState.GATHER),     # token loss, JOIN,
+                                                       # a foreign ring
+    (MemberState.GATHER, MemberState.STOPPED),         # crash, teardown
+    (MemberState.RECOVERY, MemberState.STOPPED),
+    (MemberState.OPERATIONAL, MemberState.STOPPED),
+})
 
 
 @dataclass(frozen=True)
@@ -148,27 +163,22 @@ class TotemMember:
         self._pending_form: Optional[FormMsg] = None
         self._ring_key = 0              # fingerprint of the installed ring
         self._base_seen = 0             # base_seq of the installed ring
-        self._commit_started = False
         self._stashed_commit: Optional[Token] = None
-        self._commit_retry: Optional[TimerHandle] = None
-        self._commit_retries = 0
+        self._commit_retries = 0        # > 0: the commit rotation started
         self._ring_kicked = False
         self._sent_token: Optional[Tuple[Token, str]] = None
-        self._token_retx: Optional[TimerHandle] = None
         self._last_token_rot = -1
         self._prev_token_seq = 0        # token.seq as received last visit
-        # The hold in progress (step 6 of a token visit), and — while that
-        # hold is a quiet ring's long one — the token it is sleeping on,
-        # which a multicast here or a HoldCancel from a peer releases.
-        self._hold_timer: Optional[TimerHandle] = None
+        # The token a quiet ring's long hold (step 6 of a token visit) is
+        # sleeping on, which a multicast here or a HoldCancel from a peer
+        # releases.
         self._parked: Optional[Token] = None
         self._ring_quiet = False        # our last visit parked the token
         self._woken = False             # a peer's cancel: next visit is busy
-        self._gather_deadline: Optional[TimerHandle] = None
-        self._join_timer: Optional[TimerHandle] = None
-        self._token_timer: Optional[TimerHandle] = None
-        self._recovery_deadline: Optional[TimerHandle] = None
-        self._active = True
+        # The current phase's timers by role ("join", "gather", "recovery",
+        # "commit", "token", "retx", "hold"): armed only by _arm, all
+        # cancelled by _set_state.
+        self._timers: Dict[str, TimerHandle] = {}
 
         self._last_probe = 0.0
         endpoint.register(DataMsg, self._on_data)
@@ -206,7 +216,7 @@ class TotemMember:
         fragmented into multiple sequenced frames.  ``trace_id`` rides
         every fragment to the delivery emit on each member, tying the ring
         hop into the sender's end-to-end invocation trace."""
-        if not self._active:
+        if self.state is MemberState.STOPPED:
             raise NotInRing(f"{self.node_id}: member is shut down")
         if len(self._send_queue) >= MAX_QUEUE:
             raise TotemError(f"{self.node_id}: send queue overflow")
@@ -226,24 +236,46 @@ class TotemMember:
                              role="sent")
 
     def shutdown(self) -> None:
-        """Deactivate (process crash or stack teardown): cancel all timers
-        and stop reacting to frames.  Volatile ring state is abandoned."""
-        if not self._active:
-            return
-        self._active = False
+        """Stop (process crash or stack teardown): no timer stays armed and
+        no frame is acted on.  Volatile ring state is abandoned."""
+        if self.state is not MemberState.STOPPED:
+            self._set_state(MemberState.STOPPED)
+
+    # ------------------------------------------------------------------
+    # Phases and their timers
+    # ------------------------------------------------------------------
+
+    def _set_state(self, state: MemberState) -> None:
+        """The only writer of ``state``: take one ``MEMBER_TRANSITIONS``
+        edge, ending the hold and every timer of the phase left (the new
+        phase arms its own)."""
+        if (self.state, state) not in MEMBER_TRANSITIONS:
+            raise TotemError(f"{self.node_id}: illegal phase change "
+                             f"{self.state.value} -> {state.value}")
         self._drop_hold()
-        for event in (self._gather_deadline, self._join_timer,
-                      self._token_timer, self._recovery_deadline,
-                      self._commit_retry, self._token_retx):
-            if event is not None:
-                event.cancel()
+        for handle in self._timers.values():
+            handle.cancel()
+        self._timers.clear()
+        self.state = state
+
+    def _arm(self, role: str, delay: float, fn: Callable[..., None],
+             *args) -> None:
+        """Schedule this phase's ``role`` timer, replacing a pending one."""
+        self._disarm(role)
+        self._timers[role] = self.endpoint.process.call_after(delay, fn,
+                                                              *args)
+
+    def _disarm(self, role: str) -> None:
+        handle = self._timers.pop(role, None)
+        if handle is not None:
+            handle.cancel()
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
 
     def _on_data(self, src: str, msg: DataMsg) -> None:
-        if not self._active:
+        if self.state is MemberState.STOPPED:
             return
         if self.state is MemberState.OPERATIONAL \
                 and msg.sender not in self.members:
@@ -322,8 +354,6 @@ class TotemMember:
     # ------------------------------------------------------------------
 
     def _on_token_frame(self, src: str, token: Token) -> None:
-        if not self._active:
-            return
         if token.commit_phase:
             self._on_commit_token(token)
             return
@@ -338,10 +368,8 @@ class TotemMember:
             # increasing value on genuine receipts.
             return
         self._last_token_rot = token.rotations
-        if self._token_retx is not None:
-            self._token_retx.cancel()
-            self._token_retx = None
-        self._reset_token_timer()
+        self._disarm("retx")
+        self._arm("token", self.config.token_timeout, self._on_token_timeout)
         self.tracer.emit("totem", "token", node=self.node_id, seq=token.seq,
                          aru=token.aru, src=src)
         # What the ring did since our previous visit decides how long we
@@ -429,10 +457,8 @@ class TotemMember:
             hold = min(hold, TOKEN_PROCESSING_TIME)
         self._ring_quiet = hold > TOKEN_PROCESSING_TIME and not backlog
         self._parked = token if self._ring_quiet else None
-        self._hold_timer = self.endpoint.process.call_after(
-            hold, self._forward_token, token, self._successor(),
-            not sent_frames,
-        )
+        self._arm("hold", hold, self._forward_token, token,
+                  self._successor(self.members), not sent_frames)
 
     def _release_parked(self) -> None:
         """End the quiet hold now: the parked token goes through the one
@@ -441,17 +467,15 @@ class TotemMember:
         queued here leaves by the forward-time send."""
         token = self._parked
         self._drop_hold()
-        self._hold_timer = self.endpoint.process.call_after(
-            0, self._forward_token, token, self._successor(), True)
+        self._arm("hold", 0, self._forward_token, token,
+                  self._successor(self.members), True)
         self.tracer.emit("totem", "hold_cancel", node=self.node_id,
                          role="released")
 
     def _drop_hold(self) -> None:
         """Cancel the hold in progress, if any, and forget the quiet-ring
         state that goes with it."""
-        if self._hold_timer is not None:
-            self._hold_timer.cancel()
-            self._hold_timer = None
+        self._disarm("hold")
         self._parked = None
         self._ring_quiet = False
         self._woken = False
@@ -461,7 +485,7 @@ class TotemMember:
         on the token forwards it; everyone else treats its next visit as
         busy, so the token does not park again one hop short of the
         sender."""
-        if not self._active or self.state is not MemberState.OPERATIONAL:
+        if self.state is not MemberState.OPERATIONAL:
             return
         if (cancel.ring_id != self.ring_id or cancel.sender == self.node_id
                 or cancel.sender not in self.members):
@@ -507,11 +531,7 @@ class TotemMember:
 
     def _forward_token(self, token: Token, successor: str,
                        may_send: bool) -> None:
-        self._hold_timer = self._parked = None
-        if not self._active or self.state is not MemberState.OPERATIONAL:
-            return
-        if token.ring_key != self._ring_key:
-            return
+        self._parked = None
         if may_send and self._send_queue:
             # The visit broadcast nothing at receipt, and a payload was
             # queued while the token was held (a reply to what this very
@@ -524,18 +544,8 @@ class TotemMember:
         # Retain a private copy for loss repair: the in-flight object is
         # mutated by the receiver's processing, so the retransmission must
         # snapshot the state as sent.
-        self._sent_token = (Token(token.ring_id, token.seq, token.aru,
-                                  token.aru_id, list(token.rtr),
-                                  token.rotations, token.ring_key),
-                            successor)
-        self._arm_token_retx()
-
-    def _arm_token_retx(self) -> None:
-        if self._token_retx is not None:
-            self._token_retx.cancel()
-        self._token_retx = self.endpoint.process.call_after(
-            self.config.token_timeout / 4, self._on_token_retx
-        )
+        self._sent_token = (replace(token, rtr=list(token.rtr)), successor)
+        self._arm("retx", self.config.token_timeout / 4, self._on_token_retx)
 
     def _on_token_retx(self) -> None:
         """The ring has been silent since we forwarded the token: assume
@@ -543,26 +553,18 @@ class TotemMember:
         copy.  Every holder upstream of the loss point does the same; all
         but the one bridging the lost hop are dropped as duplicates by the
         rotation-count check in _on_token_frame."""
-        self._token_retx = None
-        if not self._active or self.state is not MemberState.OPERATIONAL:
-            return
-        if self._sent_token is None:
-            return
         token, successor = self._sent_token
-        if token.ring_key != self._ring_key:
-            return
         self.tracer.emit("totem", "token_retx", node=self.node_id,
                          seq=token.seq, rotation=token.rotations)
         # Clone per retransmission: a delivered copy is mutated by its
         # receiver, and the snapshot must stay pristine for further tries.
-        resend = Token(token.ring_id, token.seq, token.aru, token.aru_id,
-                       list(token.rtr), token.rotations, token.ring_key)
+        resend = replace(token, rtr=list(token.rtr))
         self.endpoint.unicast(successor, resend, resend.size_bytes)
-        self._arm_token_retx()
+        self._arm("retx", self.config.token_timeout / 4, self._on_token_retx)
 
-    def _successor(self) -> str:
-        index = self.members.index(self.node_id)
-        return self.members[(index + 1) % len(self.members)]
+    def _successor(self, members: Tuple[str, ...]) -> str:
+        index = members.index(self.node_id)
+        return members[(index + 1) % len(members)]
 
     def _rotation_span_id(self, rotation: int) -> str:
         if self.config.ring_name:
@@ -623,23 +625,14 @@ class TotemMember:
                              size=msg.size_bytes)
         self.endpoint.broadcast(msg, msg.size_bytes)
 
-    def _reset_token_timer(self) -> None:
-        if self._token_timer is not None:
-            self._token_timer.cancel()
-        self._token_timer = self.endpoint.process.call_after(
-            self.config.token_timeout, self._on_token_timeout
-        )
-
     def _on_token_timeout(self) -> None:
-        if not self._active or self.state is not MemberState.OPERATIONAL:
-            return
         self.tracer.emit("totem", "token_timeout", node=self.node_id)
         self._enter_gather()
 
     def _on_probe(self, src: str, probe: ProbeMsg) -> None:
         """A probe from a ring we are not part of means a healed partition:
         disturb both rings into a merging gather."""
-        if not self._active or self.state is not MemberState.OPERATIONAL:
+        if self.state is not MemberState.OPERATIONAL:
             return
         if probe.sender in self.members:
             return
@@ -652,26 +645,17 @@ class TotemMember:
     # ------------------------------------------------------------------
 
     def _enter_gather(self) -> None:
-        self.state = MemberState.GATHER
+        self._set_state(MemberState.GATHER)
         self._pending_form = None
-        self._commit_started = False
         self._stashed_commit = None
         self._commit_retries = 0
         self._ring_kicked = False
         self._joins = {}
-        self._drop_hold()
-        for event in (self._token_timer, self._recovery_deadline,
-                      self._commit_retry, self._token_retx):
-            if event is not None:
-                event.cancel()
         self.tracer.emit("totem", "gather", node=self.node_id)
-        self._record_own_join()
         self._broadcast_join()
-        self._arm_join_timer()
-        self._extend_gather_deadline()
-
-    def _record_own_join(self) -> None:
-        self._joins[self.node_id] = self._make_join()
+        self._arm("join", self.config.join_interval, self._join_tick)
+        self._arm("gather", self.config.gather_timeout,
+                  self._on_gather_deadline)
 
     def _make_join(self) -> JoinMsg:
         return JoinMsg(
@@ -689,52 +673,32 @@ class TotemMember:
         self._joins[self.node_id] = join
         self.endpoint.broadcast(join, join.size_bytes)
 
-    def _arm_join_timer(self) -> None:
-        if self._join_timer is not None:
-            self._join_timer.cancel()
-        self._join_timer = self.endpoint.process.call_after(
-            self.config.join_interval, self._join_tick
-        )
-
     def _join_tick(self) -> None:
-        if not self._active or self.state is not MemberState.GATHER:
-            return
         self._broadcast_join()
-        self._arm_join_timer()
-
-    def _extend_gather_deadline(self) -> None:
-        if self._gather_deadline is not None:
-            self._gather_deadline.cancel()
-        self._gather_deadline = self.endpoint.process.call_after(
-            self.config.gather_timeout, self._on_gather_deadline
-        )
+        self._arm("join", self.config.join_interval, self._join_tick)
 
     def _on_join(self, src: str, join: JoinMsg) -> None:
-        if not self._active:
+        if self.state is MemberState.STOPPED or src == self.node_id:
+            # Stopped, or our own loopback copy: recorded when sent, and it
+            # must not "interrupt" a recovery we started after sending it.
             return
-        if src == self.node_id:
-            # Our own loopback copy: already recorded locally, and it must
-            # not "interrupt" a recovery we started after broadcasting it.
-            return
-        if self.state is MemberState.OPERATIONAL:
-            # A member (re)joining disturbs the ring: reform it.
-            self._enter_gather()
-        elif self.state is MemberState.RECOVERY:
-            # Recovery interrupted by a new gather round.
+        if self.state is not MemberState.GATHER:
+            # A member (re)joining disturbs the ring, or interrupts the
+            # recovery of the one forming: gather anew.
             self._enter_gather()
         is_new = src not in self._joins
         self._joins[src] = join
         if is_new:
-            self._extend_gather_deadline()
+            self._arm("gather", self.config.gather_timeout,
+                      self._on_gather_deadline)
 
     def _on_gather_deadline(self) -> None:
-        if not self._active or self.state is not MemberState.GATHER:
-            return
+        # Await the leader's FORM — the leader too: its own copy crosses
+        # the network like everyone's — and restart gather if none comes.
+        self._arm("recovery", self.config.gather_timeout * 5,
+                  self._on_recovery_timeout)
         candidates = sorted(self._joins)
-        leader = candidates[0]
-        if leader != self.node_id:
-            # Await the leader's FORM; restart gather if it never comes.
-            self._arm_recovery_deadline()
+        if candidates[0] != self.node_id:
             return
         form = self._compute_form(candidates)
         self.tracer.emit("totem", "form", node=self.node_id,
@@ -838,40 +802,31 @@ class TotemMember:
     # ------------------------------------------------------------------
 
     def _on_form(self, src: str, form: FormMsg) -> None:
-        if not self._active:
-            return
-        if (self.state is MemberState.RECOVERY
-                and self._pending_form is not None
-                and self._form_ring_key(form)
-                == self._form_ring_key(self._pending_form)):
+        if self.state is MemberState.RECOVERY:
+            if (self._form_ring_key(form)
+                    != self._form_ring_key(self._pending_form)):
+                return
             # Leader retransmission of the FORM we are already flushing:
             # some flush frame was probably lost.  Repair by re-running our
             # holder rebroadcasts and keep waiting.
-            self._arm_recovery_deadline()
-            self._rebroadcast_holders(form)
-            self._maybe_install()
+        elif (self.state is MemberState.GATHER
+              and self.node_id in form.members):
+            self._set_state(MemberState.RECOVERY)
+            if self.node_id in form.fresh_members:
+                # Our pre-merge history lost the primary-component vote:
+                # rejoin as a history-less member (the Eternal layer
+                # re-synchronizes replica state above us).
+                self.fresh = True
+                self.delivered_aru = 0
+                self._held.clear()
+                self._reassembler = Reassembler(observer=self._on_reassembly)
+            self._pending_form = form
+        else:
+            # A FORM without us is too late for this round: keep gathering,
+            # which will disturb the new ring into admitting us.
             return
-        if self.state is not MemberState.GATHER:
-            return
-        if self.node_id not in form.members:
-            # Too late for this round; keep gathering, which will disturb
-            # the new ring into admitting us.
-            return
-        if self._join_timer is not None:
-            self._join_timer.cancel()
-        if self._gather_deadline is not None:
-            self._gather_deadline.cancel()
-        if self.node_id in form.fresh_members:
-            # Our pre-merge history lost the primary-component vote: rejoin
-            # as a history-less member (the Eternal layer re-synchronizes
-            # replica state above us).
-            self.fresh = True
-            self.delivered_aru = 0
-            self._held.clear()
-            self._reassembler = Reassembler(observer=self._on_reassembly)
-        self.state = MemberState.RECOVERY
-        self._pending_form = form
-        self._arm_recovery_deadline()
+        self._arm("recovery", self.config.gather_timeout * 5,
+                  self._on_recovery_timeout)
         self._rebroadcast_holders(form)
         self._maybe_install()
 
@@ -883,24 +838,12 @@ class TotemMember:
                 if held is not None:
                     self._broadcast_frame(replace(held, retransmit=True))
 
-    def _arm_recovery_deadline(self) -> None:
-        if self._recovery_deadline is not None:
-            self._recovery_deadline.cancel()
-        self._recovery_deadline = self.endpoint.process.call_after(
-            self.config.gather_timeout * 5, self._on_recovery_timeout
-        )
-
     def _on_recovery_timeout(self) -> None:
-        if not self._active:
-            return
-        if self.state in (MemberState.RECOVERY, MemberState.GATHER):
-            self.tracer.emit("totem", "recovery_timeout", node=self.node_id)
-            self._enter_gather()
+        self.tracer.emit("totem", "recovery_timeout", node=self.node_id)
+        self._enter_gather()
 
     def _maybe_install(self) -> None:
         form = self._pending_form
-        if form is None:
-            return
         if self.fresh:
             # Skip pre-join traffic; Eternal recovers replica state above us.
             self.delivered_aru = max(self.delivered_aru, form.base_seq)
@@ -915,12 +858,11 @@ class TotemMember:
         # sender missed joins under loss) can never install and deliver a
         # history that diverges from the ring the excluded members form.
         if form.leader == self.node_id:
-            if not self._commit_started:
-                self._commit_started = True
+            if not self._commit_retries:    # the rotation has not started
                 token = Token(form.ring_id, form.flush_seq, form.flush_seq,
                               ring_key=self._form_ring_key(form),
                               commit_phase=1)
-                self._send_commit(token, self._form_successor(form),
+                self._send_commit(token, self._successor(form.members),
                                   retry=True)
         elif self._stashed_commit is not None:
             token, self._stashed_commit = self._stashed_commit, None
@@ -931,49 +873,33 @@ class TotemMember:
         return crc32(f"{form.ring_id}:{form.leader}:"
                      f"{','.join(form.members)}".encode())
 
-    def _form_successor(self, form: FormMsg) -> str:
-        index = form.members.index(self.node_id)
-        return form.members[(index + 1) % len(form.members)]
-
     def _send_commit(self, token: Token, successor: str,
                      retry: bool = False) -> None:
-        if not self._active:
-            return
-        self.endpoint.unicast(successor, token, token.size_bytes)
-        if retry:
-            self._arm_commit_retry(token, successor)
+        """Pass a commit token on; with ``retry``, the leader's loss repair.
 
-    def _arm_commit_retry(self, token: Token, successor: str) -> None:
-        """Leader-side loss repair: a commit token is a unicast chain, so a
-        single drop would otherwise stall the rotation until the recovery
-        deadline forces a full (and expensive) re-gather.  The leader
-        re-injects the current pass a few times; every other member
-        re-forwards duplicates, and the kick guard keeps the completed ring
-        from starting twice."""
-        if self._commit_retry is not None:
-            self._commit_retry.cancel()
-        if self._commit_retries >= 4:
-            return
-        self._commit_retries += 1
-        self._commit_retry = self.endpoint.process.call_after(
-            self.config.gather_timeout, self._retry_commit, token, successor,
-        )
+        A commit token is a unicast chain, so a single drop would otherwise
+        stall the rotation until the recovery deadline forces a full (and
+        expensive) re-gather.  The leader re-injects the current pass a few
+        times; every other member re-forwards duplicates, and the kick
+        guard keeps the completed ring from starting twice."""
+        self.endpoint.unicast(successor, token, token.size_bytes)
+        if retry and self._commit_retries < 4:
+            self._commit_retries += 1
+            self._arm("commit", self.config.gather_timeout,
+                      self._retry_commit, token, successor)
 
     def _retry_commit(self, token: Token, successor: str) -> None:
-        if not self._active:
-            return
-        form = self._pending_form
-        if (form is not None and self.state is MemberState.RECOVERY
-                and token.ring_key == self._form_ring_key(form)):
+        if self.state is MemberState.RECOVERY:
             # Phase 1 may be stalled on a member that lost its flush
             # rebroadcasts rather than the token: re-send the FORM so every
             # holder repairs its frames (see _on_form).
+            form = self._pending_form
             self.endpoint.broadcast(form, form.size_bytes)
         self._send_commit(token, successor, retry=True)
 
     def _on_commit_token(self, token: Token) -> None:
-        form = self._pending_form
-        if self.state is MemberState.RECOVERY and form is not None:
+        if self.state is MemberState.RECOVERY:
+            form = self._pending_form
             if token.ring_key != self._form_ring_key(form):
                 return  # a sibling ring's commit token; not our form
             if self.delivered_aru < form.flush_seq:
@@ -981,8 +907,9 @@ class TotemMember:
                 # rebroadcasts catch us up (see _maybe_install).
                 self._stashed_commit = token
                 return
-            self._arm_recovery_deadline()
-            successor = self._form_successor(form)
+            self._arm("recovery", self.config.gather_timeout * 5,
+                      self._on_recovery_timeout)
+            successor = self._successor(form.members)
             if token.commit_phase == 1:
                 if form.leader == self.node_id:
                     # Confirm pass complete: every member flushed.  Install
@@ -999,8 +926,7 @@ class TotemMember:
             return
         if (self.state is MemberState.OPERATIONAL
                 and token.commit_phase == 2
-                and token.ring_key == self._ring_key
-                and self.members):
+                and token.ring_key == self._ring_key):
             if self.node_id == self.members[0]:
                 # Leader receiving the completed install pass back: every
                 # member is operational in the new ring — begin normal token
@@ -1009,35 +935,26 @@ class TotemMember:
                 if self._ring_kicked:
                     return
                 self._ring_kicked = True
-                if self._commit_retry is not None:
-                    self._commit_retry.cancel()
-                    self._commit_retry = None
+                self._disarm("commit")
                 first = Token(self.ring_id, self.delivered_aru,
                               self.delivered_aru, ring_key=self._ring_key)
-                self._hold_timer = self.endpoint.process.call_after(
-                    self.config.token_hold, self._on_token_frame,
-                    self.node_id, first,
-                )
+                self._arm("hold", self.config.token_hold,
+                          self._on_token_frame, self.node_id, first)
             else:
                 # Already installed: keep re-forwarding the install pass so
                 # a leader retransmission still reaches members past us.
-                index = self.members.index(self.node_id)
-                self._send_commit(
-                    token, self.members[(index + 1) % len(self.members)])
+                self._send_commit(token, self._successor(self.members))
 
     def _install(self, form: FormMsg) -> None:
+        self._set_state(MemberState.OPERATIONAL)
         self._pending_form = None
         self._commit_retries = 0
         self._ring_kicked = False
         self._sent_token = None
         self._last_token_rot = -1
         self._prev_token_seq = self.delivered_aru
-        self._drop_hold()
-        if self._recovery_deadline is not None:
-            self._recovery_deadline.cancel()
         self.ring_id = form.ring_id
         self.members = form.members
-        self.state = MemberState.OPERATIONAL
         self._ring_key = self._form_ring_key(form)
         self._base_seen = form.base_seq
         # New configuration: restart the delivery-order hash from a seed
@@ -1072,4 +989,4 @@ class TotemMember:
                          ring_id=self.ring_id, members=self.members)
         if self.on_view_change is not None:
             self.on_view_change(self.view)
-        self._reset_token_timer()
+        self._arm("token", self.config.token_timeout, self._on_token_timeout)

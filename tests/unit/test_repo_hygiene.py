@@ -377,3 +377,18 @@ def test_nothing_in_src_opens_a_segment_dispatcher():
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
                                  f"names a segment_addr")
     assert offenders == []
+
+
+def test_ring_member_schedules_timers_only_through_arm():
+    """Every timer a ring member holds belongs to its current phase
+    (PROTOCOL.md §5.1): ``_arm`` files it in the table ``_set_state``
+    empties, so no other code in the module may schedule one."""
+    path = SRC / "totem" / "member.py"
+    tree = ast.parse(path.read_text(), str(path))
+    scheduling = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("call_after", "call_at")]
+    callers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if node in scheduling]
+    assert callers == ["_arm"] and len(scheduling) == 1

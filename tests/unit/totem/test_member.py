@@ -1,5 +1,7 @@
 """Unit/behaviour tests for the Totem ring member state machine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import NotInRing, TotemError
@@ -13,7 +15,8 @@ from repro.totem.config import TotemConfig
 from repro.totem import member as member_module
 from repro.totem.member import (TOKEN_PROCESSING_TIME, MemberState,
                                 TotemMember)
-from repro.totem.messages import DataMsg, HoldCancel, Token
+from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
+                                  Token)
 
 
 class Ring:
@@ -298,14 +301,20 @@ def test_rejoined_member_collects_safe_messages_from_its_join_point(
 PACED = TotemConfig(token_hold=1e-3, token_timeout=0.25)
 
 
-def _paced_ring(config=PACED):
-    """A formed, quiet three-member ring with the live runtime's 1 ms hold,
-    every member tracing into one record-keeping tracer."""
-    ring = Ring(config=config)
+def _traced(ring):
+    """Every member of ``ring`` traces into one record-keeping tracer."""
     tracer = Tracer()
     tracer.bind_clock(lambda: ring.scheduler.now)
     for member in ring.members.values():
         member.tracer = tracer
+    return tracer
+
+
+def _paced_ring(config=PACED):
+    """A formed, quiet three-member ring with the live runtime's 1 ms hold,
+    every member tracing into one record-keeping tracer."""
+    ring = Ring(config=config)
+    tracer = _traced(ring)
     ring.run(0.2)
     assert ring.all_operational()
     return ring, tracer
@@ -720,20 +729,245 @@ def _watch_timers(ring, node_id):
                           and handle in ring.scheduler._heap)
 
 
+G, R, O, S = (MemberState.GATHER, MemberState.RECOVERY,
+              MemberState.OPERATIONAL, MemberState.STOPPED)
+
+#: What B (not the leader) has pending once it has taken each edge: the
+#: new phase's own timers, and nothing the old phase armed.
+EDGE_TIMERS = {
+    (O, G): ["_join_tick", "_on_gather_deadline"],
+    (G, R): ["_on_recovery_timeout"],
+    (R, O): ["_on_token_timeout"],
+    (R, G): ["_join_tick", "_on_gather_deadline"],
+    (G, S): [],
+    (R, S): [],
+    (O, S): [],
+}
+
+
+def _join_from(ring, src, dst):
+    ring.members[dst].endpoint.deliver(src, ring.members[src]._make_join())
+
+
+@pytest.mark.parametrize("edge", list(EDGE_TIMERS),
+                         ids=lambda edge: f"{edge[0].value}-{edge[1].value}")
 @pytest.mark.parametrize("hold", [PACED.token_hold, TOKEN_PROCESSING_TIME])
-def test_member_stopped_mid_hold_leaves_no_ring_timer(hold):
+def test_no_timer_outlives_its_phase(hold, edge):
+    old, new = edge
     ring, tracer = _paced_ring(TotemConfig(token_hold=hold,
                                            token_timeout=0.25))
     member = ring.members["B"]
     pending = _watch_timers(ring, "B")
-    ring.scheduler.run_while(lambda: member._hold_timer is None, 0.05)
-    assert "_forward_token" in pending()
-    member._enter_gather()
-    assert pending() == ["_join_tick", "_on_gather_deadline"]
-    assert member._hold_timer is None and member._parked is None
+    # Into the old phase with its timers pending: operational mid-hold,
+    # gathering, or flushing the FORM.
+    ring.scheduler.run_while(lambda: "_forward_token" not in pending(), 0.05)
+    if old is not O:
+        _join_from(ring, "C", "B")
+    if old is R:
+        ring.scheduler.run_while(lambda: member.state is G, 0.5)
+    assert member.state is old and pending()
 
-    ring.run(0.5)                       # the ring re-forms with B in it
+    if new is S:
+        member.shutdown()
+    elif new is G:
+        _join_from(ring, "C", "B")
+    else:
+        ring.scheduler.run_while(lambda: member.state is old, 0.5)
+    assert member.state is new
+    assert pending() == EDGE_TIMERS[edge]
+    assert member._parked is None
+
+
+# ----------------------------------------------------------------------
+# Membership paths no other scenario takes: each driven by drop filters
+# ----------------------------------------------------------------------
+
+def _is_commit(payload, phase=None):
+    return (isinstance(payload, Token) and payload.commit_phase > 0
+            and phase in (None, payload.commit_phase))
+
+
+def test_gather_leader_that_loses_its_own_form_forms_again():
+    """The leader waits for its own FORM like everyone else: a lost
+    loopback copy (a real datagram on the live runtime) costs one
+    recovery deadline, not the ring."""
+    ring = Ring()
+    lost = []
+
+    def drop_own_form(src, dst, payload, size):
+        if isinstance(payload, FormMsg) and src == dst == "A" and not lost:
+            lost.append(payload)
+            return True
+        return False
+
+    ring.network.add_filter(drop_own_form)
+    ring.run(0.5)
+    assert lost
     assert ring.all_operational()
-    ring.scheduler.run_while(lambda: member._hold_timer is None, 0.05)
-    member.shutdown()
-    assert pending() == []
+
+
+def test_recovery_that_never_installs_times_out_and_gathers_again():
+    ring = Ring()
+    tracer = _traced(ring)
+
+    def drop_commits(src, dst, payload, size):
+        return _is_commit(payload)
+
+    ring.network.add_filter(drop_commits)
+    ring.scheduler.run_while(
+        lambda: not tracer.count("totem.recovery_timeout"), 1.0)
+    assert tracer.count("totem.recovery_timeout")
+    assert tracer.count("totem.install") == 0
+    ring.network.remove_filter(drop_commits)
+    ring.run(0.3)
+    assert ring.all_operational()
+
+
+def test_commit_token_ahead_of_the_flush_waits_for_it():
+    ring = Ring()
+    ring.run(0.1)
+    member = ring.members["B"]
+    starved = []
+
+    def starve_b(src, dst, payload, size):
+        # B loses A's frame and every repair of it, and the token that
+        # would request one: the ring re-forms with the frame to flush.
+        if dst == "B" and isinstance(payload, DataMsg):
+            starved.append(payload)
+            return True
+        return bool(starved) and isinstance(payload, Token) \
+            and not payload.commit_phase
+
+    ring.network.add_filter(starve_b)
+    ring.members["A"].multicast(b"x")
+    assert ring.scheduler.run_while(
+        lambda: member._stashed_commit is None, 1.0)
+    assert member.state is R
+    assert member.delivered_aru < member._pending_form.flush_seq
+    ring.network.remove_filter(starve_b)
+    ring.run(0.2)
+    assert member._stashed_commit is None
+    assert ring.all_operational()
+    assert ring.delivered["B"] == [("A", b"x")]
+
+
+def test_install_pass_lost_for_good_ends_in_token_timeout():
+    # The token timeout outlasts the leader's four commit retries, one
+    # gather_timeout apart; the others' recovery deadline outlasts both.
+    ring = Ring(config=TotemConfig(token_timeout=0.045))
+    tracer = _traced(ring)
+    leader = ring.members["A"]
+    sent = []
+
+    def drop_install_pass(src, dst, payload, size):
+        if src == "A" and _is_commit(payload, phase=2):
+            sent.append(payload)
+            return True
+        return False
+
+    ring.network.add_filter(drop_install_pass)
+    ring.scheduler.run_while(
+        lambda: not tracer.count("totem.token_timeout"), 1.0)
+    assert len(sent) == 5                # the pass and its four retries
+    assert leader.state is G
+    assert [r.fields["node"] for r in tracer.find("totem", "install")] \
+        == ["A"]
+    assert tracer.count("totem.recovery_timeout") == 0
+    ring.network.remove_filter(drop_install_pass)
+    ring.run(0.3)
+    assert ring.all_operational()
+
+
+def test_commit_token_of_a_sibling_ring_is_ignored():
+    ring = Ring()
+    sent = []
+
+    def drop_commits(src, dst, payload, size):
+        if src == "B" and _is_commit(payload):
+            sent.append(payload)
+        return _is_commit(payload)
+
+    ring.network.add_filter(drop_commits)
+    member = ring.members["B"]
+    ring.scheduler.run_while(lambda: member.state is not R, 0.5)
+    form = member._pending_form
+    # Same ring id, a divergent member set: the collision ring_key is for.
+    sibling_key = TotemMember._form_ring_key(
+        replace(form, members=form.members[:2]))
+    member.endpoint.deliver("A", Token(form.ring_id, form.flush_seq,
+                                       form.flush_seq, ring_key=sibling_key,
+                                       commit_phase=1))
+    assert member.state is R
+    assert member._stashed_commit is None and sent == []
+    ring.network.remove_filter(drop_commits)
+    ring.run(0.3)
+    assert ring.all_operational()
+
+
+def test_duplicate_install_pass_kicks_the_ring_once():
+    ring = Ring()
+    returned = []
+
+    def keep_install_pass(src, dst, payload, size):
+        if dst == "A" and _is_commit(payload, phase=2):
+            returned.append(replace(payload, rtr=list(payload.rtr)))
+        return False
+
+    ring.network.add_filter(keep_install_pass)
+    ring.run(0.1)
+    assert ring.all_operational() and returned
+    pending = _watch_timers(ring, "A")
+    ring.members["A"].endpoint.deliver("C", returned[0])
+    assert "_on_token_frame" not in pending()
+
+
+def test_member_left_out_of_a_form_keeps_gathering():
+    ring = Ring()
+    member = ring.members["C"]
+    left_out = []
+
+    def hide_c_from_a(src, dst, payload, size):
+        if src == "C" and dst == "A" and isinstance(payload, JoinMsg):
+            return True
+        if (dst == "C" and isinstance(payload, FormMsg)
+                and "C" not in payload.members):
+            left_out.append(payload)
+            return True
+        return False
+
+    ring.run(0.1)
+    ring.network.add_filter(hide_c_from_a)
+    _join_from(ring, "B", "A")          # a re-formation C's JOINs miss
+    ring.scheduler.run_while(lambda: not left_out, 0.5)
+    member.endpoint.deliver("A", left_out[0])
+    assert member.state is G and member._pending_form is None
+    ring.network.remove_filter(hide_c_from_a)
+    ring.run(0.5)
+    assert ring.all_operational()
+    assert member.view.members == ("A", "B", "C")
+
+
+def test_token_from_a_superseded_ring_is_ignored():
+    ring = Ring()
+    old = []
+
+    def keep_a_token(src, dst, payload, size):
+        if dst == "A" and isinstance(payload, Token) \
+                and not payload.commit_phase:
+            old[:] = [replace(payload, rtr=list(payload.rtr))]
+        return False
+
+    ring.network.add_filter(keep_a_token)
+    ring.run(0.5)
+    ring.network.remove_filter(keep_a_token)
+    ring.faults.crash("C")
+    ring.run(0.1)
+    leader = ring.members["A"]
+    assert leader.operational and old[0].ring_key != leader._ring_key
+    # Rotation counts restart with every ring: only the key tells.
+    last_rotation = leader._last_token_rot
+    assert old[0].rotations > last_rotation
+    tracer = _traced(ring)
+    leader.endpoint.deliver("B", old[0])
+    assert tracer.count("totem.token") == 0
+    assert leader._last_token_rot == last_rotation
