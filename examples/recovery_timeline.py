@@ -13,7 +13,7 @@ Run:  python examples/recovery_timeline.py
 from repro.bench.deployments import build_client_server
 from repro.ftcorba.properties import ReplicationStyle
 from repro.obs.health import render_health
-from repro.tools import recovery_summary, render_timeline
+from repro.tools import recovery_phase_report, render_timeline
 
 
 def main():
@@ -47,11 +47,11 @@ def main():
     ))
 
     print("\n=== recovery summary ===")
-    for summary in recovery_summary(system.tracer):
-        duration_ms = (summary.duration or 0) * 1000
-        print(f"  group={summary.group} node={summary.node}  "
-              f"state={summary.state_bytes} B  "
-              f"announced→recovered: {duration_ms:.2f} ms")
+    for report in recovery_phase_report(system.tracer):
+        total_ms = (report.total or 0) * 1000
+        print(f"  group={report.group} node={report.node}  "
+              f"state={report.state_bytes} B  "
+              f"re-launch→reinstated: {total_ms:.2f} ms")
 
     s1 = deployment.server_servant("s1")
     s2 = deployment.server_servant("s2")

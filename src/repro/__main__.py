@@ -60,8 +60,7 @@ def _audit_retained_trace(system):
     """Replay the system's retained trace through a fresh auditor."""
     from repro.obs.audit import ConsistencyAuditor
 
-    auditor = ConsistencyAuditor.from_records(system.tracer.records,
-                                              metrics=system.metrics)
+    auditor = ConsistencyAuditor.from_records(system.tracer.records)
     auditor.finish()
     return auditor
 
@@ -124,7 +123,7 @@ def _cmd_health(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from repro.tools import recovery_summary, render_phase_table, \
+    from repro.tools import recovery_phase_report, render_phase_table, \
         render_timeline
 
     print(f"deploying: 2-way active kv-store ({args.state_size} B state) "
@@ -136,10 +135,11 @@ def _cmd_demo(args) -> int:
     print(render_timeline(system.tracer,
                           categories={"fault", "process", "recovery"},
                           since=deployment.kill_time, group="store"))
-    for summary in recovery_summary(system.tracer):
-        print(f"\nrecovered {summary.group}@{summary.node} in "
-              f"{(summary.duration or 0) * 1000:.2f} ms "
-              f"({summary.state_bytes} B of state)")
+    for report in recovery_phase_report(system.tracer):
+        if report.complete:
+            print(f"\nrecovered {report.group}@{report.node} in "
+                  f"{report.total * 1000:.2f} ms "
+                  f"({report.state_bytes} B of state)")
     print("\nper-phase breakdown (§5.1 steps i–vi):")
     print(render_phase_table(system.tracer))
     if args.trace_out:

@@ -101,14 +101,13 @@ class ObservedSystem:
 
     def attach_auditor(self, auditor=None):
         """Subscribe an online consistency auditor to this system's trace
-        stream (see :mod:`repro.obs.audit`).  Creates one bound to the
-        system's metrics registry unless an instance is supplied.  On a
-        sharded facade it is one auditor for the whole cluster: records
-        carry ``ring=`` labels, so its shadow state (and findings) are
-        ring-scoped."""
+        stream (see :mod:`repro.obs.audit`).  Creates one unless an
+        instance is supplied.  On a sharded facade it is one auditor for
+        the whole cluster: records carry ``ring=`` labels, so its shadow
+        state (and findings) are ring-scoped."""
         if auditor is None:
             from repro.obs.audit import ConsistencyAuditor
-            auditor = ConsistencyAuditor(metrics=self.metrics)
+            auditor = ConsistencyAuditor()
         self.auditor = auditor.bind(self.tracer)
         if self.telemetry.enabled:
             # A consistency violation is exactly when the recent past

@@ -17,8 +17,11 @@ consumer:
 * :mod:`repro.obs.audit` — the online consistency auditor: verifies
   state-digest agreement, delivery-order agreement, duplicate
   suppression, and recovery-window discipline while the simulation runs;
-* :mod:`repro.obs.health` — Prometheus-style text exposition of live
-  system health (membership, roles, queues, suspicion, audit status).
+* :mod:`repro.obs.telemetry` — flight recorder, metrics history, and
+  the one poll that reads live stack state (membership, roles, queues,
+  suspicion) into registry gauges;
+* :mod:`repro.obs.health` — Prometheus-style text exposition of that
+  registry under one ``eternal_`` prefix, plus store and audit status.
 """
 
 from repro.obs.audit import (

@@ -32,11 +32,11 @@ maintain *while the simulation runs*:
   child outside its parent's interval and no ``span_end`` without a start.
 
 Violations surface as structured :class:`AuditFinding` records carrying
-the offending group/node/span/message identifiers, bump
-``audit.findings`` counters in the bound metrics registry, and can be
-promoted to hard test failures with the ``strict_audit`` pytest fixture
-(see ``tests/conftest.py``) or :meth:`ConsistencyAuditor.finish` with
-``raise_on_findings=True``.
+the offending group/node/span/message identifiers, are counted by
+invariant in the health exposition (``eternal_audit_findings_total``),
+and can be promoted to hard test failures with the ``strict_audit``
+pytest fixture (see ``tests/conftest.py``) or
+:meth:`ConsistencyAuditor.finish` with ``raise_on_findings=True``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.runtime.trace import TraceRecord, Tracer
 AUDIT_CATEGORY = "audit"
 
 # Invariant identifiers (the ``invariant`` field of findings and the
-# ``invariant`` label of the ``audit.findings`` counter).
+# ``invariant`` label of ``eternal_audit_findings_total``).
 STATE_DIGEST = "state-digest"
 ORDER_DIGEST = "order-digest"
 DUPLICATE_DELIVERY = "duplicate-delivery"
@@ -127,8 +127,7 @@ class ConsistencyAuditor:
     findings list.
     """
 
-    def __init__(self, *, metrics=None) -> None:
-        self.metrics = metrics
+    def __init__(self) -> None:
         self.findings: List[AuditFinding] = []
         self.records_scanned = 0
         self._finished = False
@@ -178,10 +177,10 @@ class ConsistencyAuditor:
         return self
 
     @classmethod
-    def from_records(cls, records: Iterable[TraceRecord],
-                     *, metrics=None) -> "ConsistencyAuditor":
+    def from_records(cls, records: Iterable[TraceRecord]
+                     ) -> "ConsistencyAuditor":
         """Replay a retained trace through a fresh auditor (not finished)."""
-        auditor = cls(metrics=metrics)
+        auditor = cls()
         for record in records:
             auditor.observe(record)
         return auditor
@@ -205,9 +204,6 @@ class ConsistencyAuditor:
         finding = AuditFinding(invariant=invariant, time=time,
                                detail=detail, **ids)
         self.findings.append(finding)
-        if self.metrics is not None:
-            self.metrics.counter("audit.findings",
-                                 invariant=invariant).inc()
         if self.on_finding is not None:
             self.on_finding(finding)
 
@@ -510,8 +506,6 @@ class ConsistencyAuditor:
                     node=span.attrs.get("node"),
                     span_id=span.span_id,
                 )
-            if self.metrics is not None:
-                self.metrics.gauge("audit.ok").set(1.0 if self.ok else 0.0)
         if raise_on_findings and self.findings:
             raise AuditViolation(self.summary())
         return self.findings

@@ -1,21 +1,31 @@
 """Live health exposition in the Prometheus text format.
 
-:func:`render_health` snapshots a running :class:`EternalSystem` into the
-plain-text exposition format (`name{label="value"} value`, one series per
-line): node liveness, per-replica status/role/queues, outstanding two-way
-invocations, fault-detector suspicion state, audit status, and the whole
-metrics registry (histograms as quantile series plus ``_count``/``_sum``).
+:func:`render_health` snapshots a running system into the plain-text
+exposition format (`name{label="value"} value`, one series per line).  It
+reads no protocol state itself: it runs the telemetry plane's
+:meth:`~repro.obs.telemetry.TelemetryPlane.poll` — the one reader of the
+stacks — and renders the whole metrics registry under the ``eternal_``
+prefix (histograms as quantile series plus ``_count``/``_sum``), so the
+exposition, ``repro top`` and ``/metrics/history`` name every quantity
+the same way.  Two sections are read here on demand instead: the durable
+stores' stats (a journal lists its directory, and the poll does no I/O)
+and the audit verdict of whichever auditor the caller names.
 
-The renderer is read-only and works on any live system — tests, the
-``python -m repro health`` CLI, and ``demo --health`` all use it.
-:func:`parse_exposition` is the matching line-by-line parser (used by the
-tests to pin the format, and handy for piping snapshots elsewhere).
+The renderer is read-only apart from that poll and works on any running
+system — tests, the ``python -m repro health`` CLI, ``demo --health`` and
+the live health server all use it.  :func:`parse_exposition` is the
+matching line-by-line parser (used by the tests and CI to pin the format,
+and handy for piping snapshots elsewhere).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
+
+#: The one exposition prefix: registry series ``a.b`` render as
+#: ``eternal_a_b``.
+PREFIX = "eternal_"
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _LINE = re.compile(
@@ -26,8 +36,8 @@ _LINE = re.compile(
 _LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
-def _metric_name(name: str, prefix: str = "") -> str:
-    return prefix + _NAME_OK.sub("_", name)
+def _metric_name(name: str) -> str:
+    return PREFIX + _NAME_OK.sub("_", name)
 
 
 def _escape(value: Any) -> str:
@@ -68,206 +78,53 @@ def parse_exposition(text: str) -> List[Tuple[str, Dict[str, str], float]]:
 
 
 def render_health(system, *, auditor=None) -> str:
-    """Render one health snapshot of a live :class:`EternalSystem`.
+    """Render one health snapshot of a running system.
 
     ``auditor`` defaults to ``system.auditor`` (attached via
     ``system.attach_auditor()``); pass one explicitly to report on a
     post-hoc replay instead.
     """
     if auditor is None:
-        auditor = getattr(system, "auditor", None)
+        auditor = system.auditor
+    system.telemetry.poll()
     lines: List[str] = [
-        "# Eternal health snapshot "
-        f"(simulated time {system.now:.6f}s)",
-    ]
+        f"# Eternal health snapshot (system clock {system.now:.6f}s)"]
+    typed = set()
 
-    # -- nodes and replicas ------------------------------------------------
-    lines.append("# TYPE eternal_node_alive gauge")
-    for node_id in sorted(system.stacks):
-        stack = system.stacks[node_id]
-        lines.append(_series("eternal_node_alive", {"node": node_id},
-                             1 if stack.process.alive else 0))
+    def emit(name: str, kind: str, labels: Dict[str, Any],
+             value: float) -> None:
+        if name not in typed:
+            typed.add(name)
+            lines.append(f"# TYPE {name} {kind}")
+        lines.append(_series(name, labels, value))
 
-    lines.append("# TYPE eternal_totem_partial_count gauge")
-    for node_id in sorted(system.stacks):
-        stack = system.stacks[node_id]
-        totem = getattr(stack, "totem", None)
-        if totem is None or not stack.process.alive:
-            continue
-        lines.append(_series("eternal_totem_partial_count",
-                             {"node": node_id}, totem.reassembly_pending))
+    for name, labels, metric in system.metrics.find():
+        flat = _metric_name(name)
+        if metric.kind == "histogram":
+            for q in (0.5, 0.95, 0.99):
+                emit(flat, "summary", dict(labels, quantile=f"{q:g}"),
+                     metric.quantile(q))
+            lines.append(_series(f"{flat}_count", labels, metric.count))
+            lines.append(_series(f"{flat}_sum", labels, metric.total))
+        else:
+            emit(flat, metric.kind, labels, metric.value)
 
-    replica_lines: List[str] = []
-    detector_lines: List[str] = []
-    bulk_lines: List[str] = []
-    group_ids: Dict[str, Any] = {}
-    for node_id in sorted(system.stacks):
-        stack = system.stacks[node_id]
-        if not stack.process.alive or stack.mechanisms is None:
-            continue
-        mechanisms = stack.mechanisms
-        for group_id, info in sorted(mechanisms.groups.items()):
-            group_ids.setdefault(group_id, info)
-        for group_id in sorted(mechanisms.bindings):
-            binding = mechanisms.bindings[group_id]
-            info = mechanisms.groups.get(group_id)
-            labels = {"node": node_id, "group": group_id}
-            replica_lines.append(_series(
-                "eternal_replica_operational", labels,
-                1 if binding.operational else 0))
-            role = (info.role_of(node_id) or "?") if info else "?"
-            style = info.style.value if info else "?"
-            replica_lines.append(_series(
-                "eternal_replica_role",
-                dict(labels, role=role, style=style), 1))
-            replica_lines.append(_series(
-                "eternal_replica_queue_depth", labels,
-                binding.container.queue_depth))
-            replica_lines.append(_series(
-                "eternal_replica_outstanding_invocations", labels,
-                binding.interceptor.outstanding_invocations))
-            replica_lines.append(_series(
-                "eternal_replica_enqueued_messages", labels,
-                len(binding.enqueued)))
-            replica_lines.append(_series(
-                "eternal_replica_log_length", labels,
-                binding.log.log_length))
-        bulk = getattr(mechanisms.recovery, "bulk", None)
-        if bulk is not None:
-            state = bulk.snapshot()
-            labels = {"node": node_id}
-            bulk_lines.append(_series(
-                "eternal_bulk_sessions_active", labels,
-                state["sessions_active"]))
-            bulk_lines.append(_series(
-                "eternal_bulk_stripes_in_flight", labels,
-                state["stripes_in_flight"]))
-            bulk_lines.append(_series(
-                "eternal_bulk_store_entries", labels,
-                state["store_entries"]))
-        detector = mechanisms.fault_detector
-        if detector is not None:
-            for group_id, state in detector.snapshot().items():
-                labels = {"node": node_id, "group": group_id}
-                detector_lines.append(_series(
-                    "eternal_fault_detector_strikes", labels,
-                    state["strikes"]))
-                detector_lines.append(_series(
-                    "eternal_fault_detector_reported", labels,
-                    state["reported"]))
-
-    lines.append("# TYPE eternal_replica_operational gauge")
-    lines.extend(replica_lines)
-
-    # -- groups ------------------------------------------------------------
-    lines.append("# TYPE eternal_group_members gauge")
-    for group_id in sorted(group_ids):
-        info = group_ids[group_id]
-        labels = {"group": group_id}
-        lines.append(_series("eternal_group_members", labels,
-                             len(info.member_nodes)))
-        lines.append(_series("eternal_group_operational_members", labels,
-                             len(info.operational_nodes())))
-        lines.append(_series(
-            "eternal_group_style",
-            dict(labels, style=info.style.value), 1))
-        if info.primary_node is not None:
-            lines.append(_series(
-                "eternal_group_primary",
-                dict(labels, node=info.primary_node), 1))
-
-    # -- rings (sharded deployments) ---------------------------------------
-    # Each stack of a sharded facade belongs to a ring-scoped sub-system
-    # (``stack.system.ring_name``); single-ring systems have no ring names
-    # and skip this section entirely.
-    ring_systems: Dict[str, Any] = {}
-    for stack in system.stacks.values():
-        ring = getattr(stack.system, "ring_name", "")
-        if ring:
-            ring_systems.setdefault(ring, stack.system)
-    if ring_systems:
-        lines.append("# TYPE eternal_ring_nodes gauge")
-        for ring in sorted(ring_systems):
-            sub = ring_systems[ring]
-            labels = {"ring": ring}
-            lines.append(_series("eternal_ring_nodes", labels,
-                                 len(sub.stacks)))
-            lines.append(_series(
-                "eternal_ring_nodes_alive", labels,
-                sum(1 for s in sub.stacks.values() if s.process.alive)))
-            lines.append(_series("eternal_ring_formed", labels,
-                                 1 if sub.ring_formed() else 0))
-            ring_groups: set = set()
-            operational = 0
-            for s in sub.stacks.values():
-                if not s.process.alive or s.mechanisms is None:
-                    continue
-                ring_groups.update(s.mechanisms.groups)
-                operational += sum(
-                    1 for b in s.mechanisms.bindings.values()
-                    if b.operational)
-            lines.append(_series("eternal_ring_groups", labels,
-                                 len(ring_groups)))
-            lines.append(_series("eternal_ring_operational_replicas",
-                                 labels, operational))
-        bridge = getattr(system, "bridge", None)
-        if bridge is not None:
-            lines.append(_series("eternal_gateway_forwarded_total", {},
-                                 bridge.forwarded))
-            lines.append(_series("eternal_gateway_duplicates_total", {},
-                                 bridge.duplicates))
-
-    if bulk_lines:
-        lines.append("# TYPE eternal_bulk_sessions_active gauge")
-        lines.extend(bulk_lines)
-
-    # -- durable stores ----------------------------------------------------
-    store_lines: List[str] = []
-    for node_id in sorted(getattr(system, "stores", None) or {}):
-        store = system.stores[node_id]
-        for group_id, stats in store.snapshot().items():
-            labels = {"node": node_id, "group": group_id}
+    stores = system.stores
+    for node_id in sorted(stores):
+        for group_id, stats in stores[node_id].snapshot().items():
             for stat in sorted(stats):
-                store_lines.append(_series(
-                    _metric_name(stat, "eternal_store_"), labels,
-                    stats[stat]))
-    if store_lines:
-        lines.append("# TYPE eternal_store_bytes gauge")
-        lines.extend(store_lines)
+                emit(_metric_name(f"store.{stat}"), "gauge",
+                     {"node": node_id, "group": group_id}, stats[stat])
 
-    if detector_lines:
-        lines.append("# TYPE eternal_fault_detector_strikes gauge")
-        lines.extend(detector_lines)
-
-    # -- audit -------------------------------------------------------------
     if auditor is not None:
-        lines.append("# TYPE eternal_audit_ok gauge")
-        lines.append(_series("eternal_audit_ok", {},
-                             1 if auditor.ok else 0))
-        lines.append(_series("eternal_audit_records_scanned", {},
-                             auditor.records_scanned))
+        emit(f"{PREFIX}audit_ok", "gauge", {}, 1 if auditor.ok else 0)
+        emit(f"{PREFIX}audit_records_scanned", "counter", {},
+             auditor.records_scanned)
         by_invariant = auditor.findings_by_invariant()
         for invariant in sorted(by_invariant):
-            lines.append(_series(
-                "eternal_audit_findings_total",
-                {"invariant": invariant}, len(by_invariant[invariant])))
+            emit(f"{PREFIX}audit_findings_total", "counter",
+                 {"invariant": invariant}, len(by_invariant[invariant]))
         if not by_invariant:
-            lines.append(_series("eternal_audit_findings_total", {}, 0))
-
-    # -- the metrics registry ---------------------------------------------
-    metrics = getattr(system, "metrics", None)
-    if metrics is not None:
-        lines.append("# metrics registry (repro_* namespace)")
-        for name, labels, metric in metrics.find():
-            flat = _metric_name(name, "repro_")
-            if metric.kind == "histogram":
-                for q in (0.5, 0.95, 0.99):
-                    lines.append(_series(
-                        flat, dict(labels, quantile=f"{q:g}"),
-                        metric.quantile(q)))
-                lines.append(_series(f"{flat}_count", labels, metric.count))
-                lines.append(_series(f"{flat}_sum", labels, metric.total))
-            else:
-                lines.append(_series(flat, labels, metric.value))
+            emit(f"{PREFIX}audit_findings_total", "counter", {}, 0)
 
     return "\n".join(lines) + "\n"

@@ -14,9 +14,10 @@ quantile that falls in a bucket holding identical values is exact.
 
 Bound to a :class:`~repro.runtime.trace.Tracer`
 (:meth:`MetricsRegistry.bind`), the registry turns every completed span
-into a latency observation in ``span.<name>`` and maintains the
-``spans.open`` gauge — the bench tables' p50/p95/p99 per recovery phase
-come straight from here.
+into a latency observation in ``span.<name>`` — the bench tables'
+p50/p95/p99 per recovery phase come straight from here.  Gauges of live
+state (queue depths, replica phase, ring membership) are set by one
+poller, :meth:`repro.obs.telemetry.TelemetryPlane.poll`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _labels(record: TraceRecord, keys: Tuple[str, ...]) -> Dict[str, Any]:
+    fields = record.fields
+    return {k: fields[k] for k in keys if k in fields}
 
 
 class CounterMetric:
@@ -197,9 +203,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], Any] = {}
         self._open_spans: Dict[str, TraceRecord] = {}
-        # node -> (last token receipt time, last inter-arrival delta);
-        # feeds the per-peer token RTT/jitter histograms.
-        self._last_token: Dict[str, Tuple[float, Optional[float]]] = {}
+        # node -> last token receipt time (feeds the inter-arrival
+        # histograms).
+        self._last_token: Dict[str, float] = {}
 
     # -- get-or-create -----------------------------------------------------
 
@@ -226,65 +232,49 @@ class MetricsRegistry:
         """The histogram for ``name`` + labels (created on first use)."""
         return self._get(StreamingHistogram, name, labels)
 
+    def remove(self, name: str, **labels: Any) -> None:
+        """Drop one series (a no-op if it does not exist): how a poller
+        retires the gauges of a node that died or a replica that left."""
+        self._metrics.pop((name, _label_key(labels)), None)
+
     # -- tracer binding ----------------------------------------------------
 
     def bind(self, tracer: Tracer) -> None:
         """Subscribe to a tracer: every completed span becomes a duration
-        sample in histogram ``span.<name>`` labelled by the span's ``node``
-        and ``group`` attrs; ``spans.open`` gauges the in-flight count."""
+        sample in histogram ``span.<name>`` labelled by the span's
+        ``node``, ``group`` and ``ring`` attrs."""
         tracer.subscribe(self.observe_record)
 
     def observe_record(self, record: TraceRecord) -> None:
-        """Live trace subscriber (installed by :meth:`bind`)."""
-        if record.category == "fault_detector":
-            self._observe_fault_detector(record)
-            return
-        if record.category == "delta":
-            self._observe_delta(record)
-            return
-        if record.category == "bulk":
-            self._observe_bulk(record)
-            return
-        if record.category == "store":
-            self._observe_store(record)
-            return
-        if (record.category == "recovery"
-                and record.event == "set_state_multicast"):
-            labels = {k: record.fields[k]
-                      for k in ("node", "group", "ring")
-                      if k in record.fields}
-            self.counter("state.bytes", lane="inorder", **labels).inc(
-                record.fields.get("app_bytes", 0))
-        if record.category == "totem" and record.event == "token":
-            self._observe_token(record)
-            return
-        if record.category == "totem" and record.event == "hold_cancel":
-            # Consumers (for the signal inventory): the flight recorder,
-            # test_write_after_a_quiet_spell_wakes_the_parked_token and
-            # test_ordered_invocation_costs_one_rotation_not_two.
-            labels = {k: record.fields[k] for k in ("node", "ring", "role")
-                      if k in record.fields}
-            self.counter("totem.hold_cancel", **labels).inc()
-            return
-        if record.category == "totem" and record.event == "packed_frame":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.histogram("totem.payloads_per_frame", **labels).record(
-                record.fields.get("payloads", 1))
-            return
-        if record.category == "live" and record.event == "recv_batch":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.histogram("live.sys.recv_batch_size", **labels).record(
-                record.fields.get("n", 1))
-            return
-        if record.category == "lease":
-            labels = {k: record.fields[k] for k in ("node", "ring")
-                      if k in record.fields}
-            self.counter(f"lease.{record.event}", **labels).inc()
-            return
-        if record.category != "span":
-            return
+        """Live trace subscriber (installed by :meth:`bind`).
+
+        Each branch feeds a series something outside the tests reads (the
+        README's observability section lists them with their readers)."""
+        category = record.category
+        if category == "span":
+            self._observe_span(record)
+        elif category == "totem":
+            if record.event == "token":
+                self._observe_token(record)
+            elif record.event == "packed_frame":
+                self.histogram("totem.payloads_per_frame",
+                               **_labels(record, ("node", "ring"))).record(
+                    record.fields.get("payloads", 1))
+        elif category == "live":
+            if record.event == "recv_batch":
+                self.histogram("live.sys.recv_batch_size",
+                               **_labels(record, ("node", "ring"))).record(
+                    record.fields.get("n", 1))
+        elif category == "delta" and record.event == "delta_sent":
+            # The checkpoint bench's delta economics (bench.sweeps).
+            labels = _labels(record, ("node", "group", "ring"))
+            self.counter("delta.transfers_delta", **labels).inc()
+            self.counter("delta.wire_bytes", **labels).inc(
+                record.fields.get("wire_bytes", 0))
+            self.counter("delta.full_bytes", **labels).inc(
+                record.fields.get("full_bytes", 0))
+
+    def _observe_span(self, record: TraceRecord) -> None:
         span_id = record.fields.get("span")
         if span_id is None:
             return
@@ -293,156 +283,27 @@ class MetricsRegistry:
         elif record.event == "span_end":
             start = self._open_spans.pop(span_id, None)
             if start is not None:
-                labels = {k: start.fields[k]
-                          for k in ("node", "group", "ring")
-                          if k in start.fields}
                 name = start.fields.get("name", span_id)
-                self.histogram(f"span.{name}", **labels).record(
-                    record.time - start.time
-                )
-        self.gauge("spans.open").set(len(self._open_spans))
-
-    def _observe_delta(self, record: TraceRecord) -> None:
-        """Turn delta-state-transfer trace events into counters: how many
-        transfers went out as page deltas vs. full bodies, the page and
-        byte economics of the deltas, and how often a receiver had to fall
-        back (couldn't reconstruct) or request a resync."""
-        labels = {k: record.fields[k] for k in ("node", "group", "ring")
-                  if k in record.fields}
-        if record.event == "delta_sent":
-            self.counter("delta.transfers_delta", **labels).inc()
-            self.counter("delta.pages_sent", **labels).inc(
-                record.fields.get("pages_sent", 0))
-            self.counter("delta.pages_skipped", **labels).inc(
-                record.fields.get("pages_skipped", 0))
-            self.counter("delta.wire_bytes", **labels).inc(
-                record.fields.get("wire_bytes", 0))
-            self.counter("delta.full_bytes", **labels).inc(
-                record.fields.get("full_bytes", 0))
-        elif record.event == "full_sent":
-            reason = record.fields.get("reason", "unknown")
-            self.counter("delta.transfers_full",
-                         reason=reason, **labels).inc()
-        elif record.event == "fallback":
-            self.counter("delta.fallbacks", **labels).inc()
-        elif record.event == "resync_requested":
-            self.counter("delta.resyncs", **labels).inc()
-
-    def _observe_bulk(self, record: TraceRecord) -> None:
-        """Turn bulk-lane trace events into counters: session outcomes,
-        retransmit/restripe/drop economics, and the out-of-band byte lane
-        (``state.bytes{lane=oob}`` — the in-order complement is counted
-        off the ``set_state_multicast`` event)."""
-        labels = {k: record.fields[k] for k in ("node", "group", "ring")
-                  if k in record.fields}
-        event = record.event
-        if event == "session_start":
-            self.counter("bulk.sessions_started", **labels).inc()
-        elif event == "session_complete":
-            self.counter("bulk.sessions_completed", **labels).inc()
-        elif event == "session_failed":
-            self.counter("bulk.fallbacks", **labels).inc()
-        elif event == "retransmit":
-            self.counter("bulk.retransmits", **labels).inc()
-        elif event == "restripe":
-            self.counter("bulk.restripes", **labels).inc()
-        elif event == "sponsor_dropped":
-            self.counter("bulk.sponsors_dropped", **labels).inc()
-        elif event == "page_crc_bad":
-            self.counter("bulk.page_crc_errors", **labels).inc()
-        elif event == "manifest_sent":
-            self.counter("bulk.manifests_sent", **labels).inc()
-        elif event == "pages_sent":
-            self.counter("bulk.pages_served", **labels).inc(
-                record.fields.get("count", 0))
-            self.counter("state.bytes", lane="oob", **labels).inc(
-                record.fields.get("bytes", 0))
-
-    def _observe_store(self, record: TraceRecord) -> None:
-        """Turn durable-store trace events into metrics: journal I/O
-        economics (fsync latency, torn tails, segment rolls), checkpoint
-        write amplification (delta vs full bytes), and the cold-restart
-        ladder's disk-rung outcomes (restores, replays, corruption
-        fallbacks, cold-boot seeds)."""
-        labels = {k: record.fields[k] for k in ("node", "group", "ring")
-                  if k in record.fields}
-        event = record.event
-        if event == "fsync":
-            self.histogram("store.fsync.seconds", **labels).record(
-                record.fields.get("seconds", 0.0))
-        elif event == "tail_truncated":
-            self.counter("store.tail_truncations", **labels).inc()
-            self.counter("store.bytes.truncated", **labels).inc(
-                record.fields.get("dropped", 0))
-        elif event == "segment_rolled":
-            self.counter("store.segments_rolled", **labels).inc()
-        elif event == "checkpoint_delta":
-            self.counter("store.checkpoints_delta", **labels).inc()
-            self.counter("store.checkpoint.wire_bytes", **labels).inc(
-                record.fields.get("wire_bytes", 0))
-            self.counter("store.checkpoint.full_bytes", **labels).inc(
-                record.fields.get("full_bytes", 0))
-        elif event == "checkpoint_full":
-            self.counter("store.checkpoints_full", **labels).inc()
-            self.counter("store.checkpoint.wire_bytes", **labels).inc(
-                record.fields.get("full_bytes", 0))
-            self.counter("store.checkpoint.full_bytes", **labels).inc(
-                record.fields.get("full_bytes", 0))
-        elif event == "compacted":
-            self.counter("store.compactions", **labels).inc()
-        elif event == "restored":
-            self.counter("store.restores", **labels).inc()
-            self.counter("store.messages.restored", **labels).inc(
-                record.fields.get("messages", 0))
-        elif event == "corrupt":
-            self.counter("store.corruptions", **labels).inc()
-        elif event == "cold_seed_claimed":
-            self.counter("store.cold_seeds", **labels).inc()
-        elif event == "seed_replay":
-            self.counter("store.messages.replayed", **labels).inc(
-                record.fields.get("messages", 0))
+                self.histogram(
+                    f"span.{name}", **_labels(start, ("node", "group", "ring"))
+                ).record(record.time - start.time)
 
     def _observe_token(self, record: TraceRecord) -> None:
-        """Turn token receipts into the ring-health sample streams a
-        phi-accrual failure detector consumes: per-node (and per-upstream-
-        peer) token inter-arrival times and their jitter (the absolute
-        change between consecutive inter-arrival deltas)."""
+        """Turn token receipts into per-node (and per-upstream-peer) token
+        inter-arrival times — ``repro top``'s ``tok-rtt`` column."""
         node = record.fields.get("node")
         if node is None:
             return
         last = self._last_token.get(node)
+        self._last_token[node] = record.time
         if last is None:
-            self._last_token[node] = (record.time, None)
             return
-        last_time, last_delta = last
-        delta = record.time - last_time
-        extra = {k: record.fields[k] for k in ("ring",)
-                 if k in record.fields}
+        labels = _labels(record, ("node", "ring"))
         src = record.fields.get("src")
         if src is not None:
-            self.histogram("totem.token_interarrival",
-                           node=node, peer=src, **extra).record(delta)
-        else:
-            self.histogram("totem.token_interarrival",
-                           node=node, **extra).record(delta)
-        if last_delta is not None:
-            self.histogram("totem.token_jitter",
-                           node=node, **extra).record(abs(delta - last_delta))
-        self._last_token[node] = (record.time, delta)
-
-    def _observe_fault_detector(self, record: TraceRecord) -> None:
-        """Turn fault-detector trace events into counters: a first strike
-        is one suspicion; a refutation before the report threshold is a
-        false positive; a report is a declared replica fault."""
-        labels = {k: record.fields[k] for k in ("node", "group", "ring")
-                  if k in record.fields}
-        if record.event == "suspect":
-            if record.fields.get("strikes") == 1:
-                self.counter("fault_detector.suspicions", **labels).inc()
-        elif record.event == "refuted":
-            self.counter("fault_detector.false_positives", **labels).inc()
-        elif record.event == "report":
-            self.counter("fault_detector.reports", **labels).inc()
+            labels["peer"] = src
+        self.histogram("totem.token_interarrival", **labels).record(
+            record.time - last)
 
     # -- aggregation and reporting ----------------------------------------
 

@@ -12,11 +12,12 @@ Three gaps this module closes over the point-in-time signals of
   per-series rings, so "what was token-rotation latency 5 s before the
   replica died" has an answer (served over ``/metrics/history`` by
   :mod:`repro.live.health_http`, rendered by ``python -m repro top``);
-* **queue depths are first-class** — every sampler tick polls the live
-  stacks (Totem send queue, retransmit buffer, reassembly backlog,
-  outstanding invocations, recovery queues, bulk-lane pages) into gauges
-  before snapshotting, so backpressure is visible as a series, not just a
-  point.
+* **live state is read once** — every sampler tick (and every health
+  snapshot) runs :meth:`TelemetryPlane.poll`, the one reader of the
+  stacks: node liveness, Totem queues, replica phase and queues, the
+  bulk-lane store, fault-detector strikes, group views, rings and the
+  gateway become gauges, so backpressure is visible as a series, not just a
+  point, and every exporter shows the same names.
 
 The whole plane is optional and cheap: with
 ``TelemetryConfig(enabled=False)`` nothing subscribes and nothing samples;
@@ -323,6 +324,8 @@ class TelemetryPlane:
         self._clock = clock
         self._system = None
         self._sampler: Optional[PeriodicTimer] = None
+        #: (name, labels) of every gauge the last :meth:`poll` set.
+        self._polled: set = set()
         self.flight = FlightRecorder(config, clock)
         self.history = MetricsHistory(metrics, HISTORY_CAPACITY)
         if config.enabled:
@@ -355,9 +358,16 @@ class TelemetryPlane:
         self.history.sample(self._clock())
 
     def poll(self) -> None:
-        """Read the live stacks' queue depths into gauges: the
-        backpressure signals the ROADMAP's admission-control and
-        phi-accrual arcs consume as continuous series."""
+        """Read the running system's live state into gauges.
+
+        This is the only code that copies stack and facade state into the
+        registry; the health exposition, ``repro top`` and
+        ``/metrics/history`` all show what it sets.  Every per-node series
+        is labelled ``node`` (plus ``group`` per replica, plus ``ring`` on
+        a sharded facade).  It reads memory only, never the disk, and a
+        series it set on the previous poll but not on this one — a dead
+        node's queues, a replica that left — is removed, so no gauge
+        outlives the state it reports."""
         system = self._system
         if system is None:
             return
@@ -367,36 +377,86 @@ class TelemetryPlane:
             # hot path; reconcile here so this tick's history sample (and
             # the /metrics/history body) sees current profile.* series.
             profiler.flush_to_metrics()
-        for node_id, stack in getattr(system, "stacks", {}).items():
-            if not stack.process.alive:
+        gauge = self.metrics.gauge
+        seen: set = set()
+
+        def put(name: str, value: float, **labels: Any) -> None:
+            gauge(name, **labels).set(value)
+            seen.add((name, tuple(sorted(labels.items()))))
+
+        groups: Dict[str, Tuple[Any, Dict[str, str]]] = {}
+        # ring -> [sub-system, nodes, alive nodes, operational replicas]
+        rings: Dict[str, list] = {}
+        for node_id, stack in sorted(system.stacks.items()):
+            ring = stack.system.ring_name
+            at = {"node": node_id, "ring": ring} if ring else {"node": node_id}
+            alive = stack.process.alive
+            put("node.alive", 1 if alive else 0, **at)
+            if ring:
+                tally = rings.setdefault(ring, [stack.system, 0, 0, 0])
+                tally[1] += 1
+                tally[2] += alive
+            if not alive:
                 continue
             totem = stack.totem
             if totem is not None:
-                self.metrics.gauge("totem.send_queue_depth",
-                                   node=node_id).set(len(totem._send_queue))
-                self.metrics.gauge("totem.retransmit_buffer",
-                                   node=node_id).set(len(totem._held))
-                self.metrics.gauge("totem.reassembly_pending",
-                                   node=node_id).set(
-                                       totem.reassembly_pending)
+                put("totem.send_queue_depth", len(totem._send_queue), **at)
+                put("totem.retransmit_buffer", len(totem._held), **at)
+                put("totem.partial_count", totem.reassembly_pending, **at)
             mechanisms = stack.mechanisms
             if mechanisms is None:
                 continue
+            for group_id, info in mechanisms.groups.items():
+                groups.setdefault(group_id, (info, {"ring": ring} if ring
+                                             else {}))
             for group_id, binding in mechanisms.bindings.items():
-                self.metrics.gauge(
-                    "eternal.outstanding_invocations",
-                    node=node_id, group=group_id,
-                ).set(binding.interceptor.outstanding_invocations)
-                self.metrics.gauge(
-                    "eternal.recovery_queue_depth",
-                    node=node_id, group=group_id,
-                ).set(len(binding.enqueued))
+                info = mechanisms.groups.get(group_id)
+                labels = dict(at, group=group_id)
+                put("replica.operational", 1 if binding.operational else 0,
+                    **labels)
+                put("replica.role", 1,
+                    role=(info.role_of(node_id) or "?") if info else "?",
+                    style=info.style.value if info else "?", **labels)
+                put("replica.queue_depth", binding.container.queue_depth,
+                    **labels)
+                put("replica.outstanding_invocations",
+                    binding.interceptor.outstanding_invocations, **labels)
+                put("replica.enqueued_messages", len(binding.enqueued),
+                    **labels)
+                if ring:
+                    tally[3] += binding.operational
             bulk = getattr(mechanisms.recovery, "bulk", None)
             if bulk is not None:
-                stashes = (len(getattr(bulk, "_stashes", {}))
-                           + len(getattr(bulk, "_sessions", {})))
-                self.metrics.gauge("bulk.store_depth",
-                                   node=node_id).set(stashes)
+                put("bulk.store_entries", bulk.snapshot()["store_entries"],
+                    **at)
+            detector = mechanisms.fault_detector
+            if detector is not None:
+                for group_id, state in detector.snapshot().items():
+                    labels = dict(at, group=group_id)
+                    put("fault_detector.strikes", state["strikes"], **labels)
+                    put("fault_detector.reported", state["reported"],
+                        **labels)
+        for group_id, (info, scope) in groups.items():
+            labels = dict(scope, group=group_id)
+            put("group.members", len(info.member_nodes), **labels)
+            put("group.operational_members", len(info.operational_nodes()),
+                **labels)
+            if info.primary_node is not None:
+                put("group.primary", 1, node=info.primary_node, **labels)
+        for ring, (sub, nodes, alive, operational) in rings.items():
+            put("ring.nodes", nodes, ring=ring)
+            put("ring.nodes_alive", alive, ring=ring)
+            put("ring.formed", 1 if sub.ring_formed() else 0, ring=ring)
+            put("ring.groups", sum(1 for _, scope in groups.values()
+                                   if scope.get("ring") == ring), ring=ring)
+            put("ring.operational_replicas", operational, ring=ring)
+        bridge = getattr(system, "bridge", None)
+        if bridge is not None:
+            put("gateway.forwarded_total", bridge.forwarded)
+            put("gateway.duplicates_total", bridge.duplicates)
+        for name, labels in self._polled - seen:
+            self.metrics.remove(name, **dict(labels))
+        self._polled = seen
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +489,10 @@ _TOP_COLUMNS = (
     ("allocs", "profile.node_alloc_blocks", lambda p: f"{p[1]:g}"),
     ("sendq", "totem.send_queue_depth", lambda p: f"{p[1]:g}"),
     ("held", "totem.retransmit_buffer", lambda p: f"{p[1]:g}"),
-    ("reasm", "totem.reassembly_pending", lambda p: f"{p[1]:g}"),
-    ("pend-op", "eternal.outstanding_invocations", lambda p: f"{p[1]:g}"),
-    ("recovq", "eternal.recovery_queue_depth", lambda p: f"{p[1]:g}"),
-    ("bulk", "bulk.store_depth", lambda p: f"{p[1]:g}"),
+    ("reasm", "totem.partial_count", lambda p: f"{p[1]:g}"),
+    ("pend-op", "replica.outstanding_invocations", lambda p: f"{p[1]:g}"),
+    ("recovq", "replica.enqueued_messages", lambda p: f"{p[1]:g}"),
+    ("bulk", "bulk.store_entries", lambda p: f"{p[1]:g}"),
     ("tok-rtt ms", "totem.token_interarrival",
      lambda p: f"{p[1] * 1000:.2f}"),
     ("rxbatch p50", "live.sys.recv_batch_size", lambda p: f"{p[1]:g}"),
@@ -442,12 +502,15 @@ _TOP_COLUMNS = (
 def render_top(snapshot: Dict[str, Any]) -> str:
     """Render a :meth:`MetricsHistory.snapshot` as the per-node ``top``
     table (latest sample per series; per-group series collapse onto their
-    node, numeric columns summing gauges and keeping the slowest p50)."""
+    node, numeric columns summing gauges and keeping the slowest p50).
+    A series the newest sample did not include — a dead node's queues,
+    retired by :meth:`TelemetryPlane.poll` — shows as ``-``."""
     series = snapshot.get("series", {})
     latest: Dict[Tuple[str, str], list] = {}
     nodes: Dict[str, None] = {}
     rings: Dict[str, None] = {}
-    last_ts = None
+    last_ts = max((slot["points"][-1][0] for slot in series.values()
+                   if slot.get("points")), default=None)
 
     def fold(name: str, row: str, point: list) -> None:
         spot = latest.get((name, row))
@@ -463,15 +526,18 @@ def render_top(snapshot: Dict[str, Any]) -> str:
         points = slot.get("points") or []
         if not points:
             continue
-        point = points[-1]
-        last_ts = point[0] if last_ts is None else max(last_ts, point[0])
         labels = slot.get("labels", {})
         node = labels.get("node")
         if node is None:
             continue
-        name = key.split("{", 1)[0]
         nodes.setdefault(node)
-        point = list(point)
+        ring = labels.get("ring")
+        if ring:
+            rings.setdefault(ring)
+        point = list(points[-1])
+        if point[0] < last_ts:
+            continue
+        name = key.split("{", 1)[0]
         if name in _COUNTER_SERIES:
             ts = point[0]
             delta = 0.0
@@ -485,11 +551,9 @@ def render_top(snapshot: Dict[str, Any]) -> str:
             point = [ts, delta,
                      (ts - prev_ts) if prev_ts is not None else 0.0]
         fold(name, node, point)
-        ring = labels.get("ring")
         if ring:
             # Sharded deployments: the same sample also feeds the per-ring
             # aggregate rows (sums for depths, slowest for latencies).
-            rings.setdefault(ring)
             fold(name, f"ring={ring}", point)
     header = f"{'node':8s} " + " ".join(f"{h:>11s}" for h, _, _ in
                                         _TOP_COLUMNS)

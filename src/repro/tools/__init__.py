@@ -1,17 +1,10 @@
 """Operator tooling built on the trace stream."""
 
-from repro.tools.timeline import (
-    RecoverySummary,
-    recovery_phase_report,
-    recovery_summary,
-    render_phase_table,
-    render_timeline,
-)
+from repro.obs.report import recovery_phase_report, render_phase_table
+from repro.tools.timeline import render_timeline
 
 __all__ = [
-    "RecoverySummary",
     "recovery_phase_report",
-    "recovery_summary",
     "render_phase_table",
     "render_timeline",
 ]

@@ -11,22 +11,15 @@ and used by the examples to narrate what happened.
     print(render_timeline(system.tracer,
                           categories={"recovery", "fault", "process"}))
 
-:func:`recovery_summary` condenses each recovery into its key instants;
-when the trace carries spans (it does whenever the recovery ran through
-the instrumented mechanisms), each summary also exposes the per-phase
-breakdown of §5.1 steps i–vi via its ``phases`` mapping — see
-:mod:`repro.obs.report` for the full per-phase report and table.
+One summary per recovery — start, total, state bytes and the per-phase
+breakdown of §5.1 steps i–vi — is :func:`repro.obs.report.
+recovery_phase_report` (re-exported by :mod:`repro.tools`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.obs.report import (
-    recovery_phase_report,
-    render_phase_table,
-)
 from repro.runtime.trace import TraceRecord, Tracer
 
 _EVENT_LABELS = {
@@ -109,76 +102,3 @@ def render_timeline(
         return "  (no matching trace records — was the tracer keeping " \
                "records?)"
     return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class RecoverySummary:
-    """Key instants of one recovery, extracted from the trace.
-
-    ``phases`` maps §5.1 step names (``announce``, ``quiesce``,
-    ``capture``, ``xfer``, ``apply``, ``assign``, ``drain``) to durations
-    in simulated seconds; it is empty when the trace carries no spans for
-    this recovery.
-    """
-
-    group: str
-    node: str
-    announced_at: float
-    sync_point_at: Optional[float]
-    state_bytes: Optional[int]
-    recovered_at: Optional[float]
-    phases: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.recovered_at is None:
-            return None
-        return self.recovered_at - self.announced_at
-
-
-def _phases_by_recovery(tracer: Tracer) -> Dict[tuple, Dict[str, float]]:
-    """Index the span-derived phase breakdowns by (group, node, start)."""
-    indexed: Dict[tuple, Dict[str, float]] = {}
-    for report in recovery_phase_report(tracer):
-        indexed[(report.group, report.node)] = report.phases
-    return indexed
-
-
-def recovery_summary(tracer: Tracer) -> List[RecoverySummary]:
-    """Extract one summary per observed recovery (join → recovered)."""
-    phase_index = _phases_by_recovery(tracer)
-    summaries: List[RecoverySummary] = []
-    open_by_key: Dict[tuple, dict] = {}
-    for record in tracer.records:
-        if record.category != "recovery":
-            continue
-        key = (record.fields.get("group"), record.fields.get("node"))
-        if record.event == "join_announced":
-            open_by_key[key] = {"announced_at": record.time,
-                                "sync_point_at": None, "state_bytes": None}
-        elif record.event == "sync_point" and key in open_by_key:
-            open_by_key[key]["sync_point_at"] = record.time
-        elif record.event == "recovery_set_received" and key in open_by_key:
-            open_by_key[key]["state_bytes"] = record.fields.get("app_bytes")
-        elif record.event == "recovered" and key in open_by_key:
-            info = open_by_key.pop(key)
-            summaries.append(RecoverySummary(
-                group=key[0], node=key[1],
-                announced_at=info["announced_at"],
-                sync_point_at=info["sync_point_at"],
-                state_bytes=info["state_bytes"],
-                recovered_at=record.time,
-                phases=phase_index.get(key, {}),
-            ))
-    # recoveries still in flight
-    for key, info in open_by_key.items():
-        summaries.append(RecoverySummary(
-            group=key[0], node=key[1],
-            announced_at=info["announced_at"],
-            sync_point_at=info["sync_point_at"],
-            state_bytes=info["state_bytes"],
-            recovered_at=None,
-            phases=phase_index.get(key, {}),
-        ))
-    summaries.sort(key=lambda s: s.announced_at)
-    return summaries

@@ -11,6 +11,7 @@ a healthy run recovers in well under a second.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import dataclasses
 
@@ -182,6 +183,13 @@ async def _put_deployment(make_driver):
     app = dataclasses.replace(LIVE_APPS["kvstore-read"],
                               make_driver=make_driver)
     system = LiveSystem(NODES)
+    system.hold_cancels = collections.Counter()
+
+    def count_hold_cancel(record):
+        if record.category == "totem" and record.event == "hold_cancel":
+            system.hold_cancels[record.fields["role"]] += 1
+
+    system.tracer.subscribe(count_hold_cancel)
     try:
         auditor = system.attach_auditor()
         assert await system.wait_for(system.ring_formed, timeout=15.0)
@@ -192,14 +200,12 @@ async def _put_deployment(make_driver):
 
 
 def _ring_counts(system):
-    """Totem's repair counters, token visits, and hold cancels by role."""
+    """Totem's repair counters, token visits, and hold cancels by role
+    (counted off the ``totem.hold_cancel`` records)."""
     counts = {name: system.tracer.count(f"totem.{name}")
               for name in ("token", "retransmit", "token_timeout")}
     for role in ("sent", "released", "noted"):
-        counts[role] = sum(
-            metric.value
-            for _name, labels, metric in system.metrics.find(
-                "totem.hold_cancel") if labels["role"] == role)
+        counts[role] = system.hold_cancels[role]
     return counts
 
 

@@ -96,7 +96,7 @@ async def _telemetry_scenario(flight_dir: str):
         series = history["series"]
         named = {key.split("{", 1)[0] for key in series}
         assert {"totem.send_queue_depth",
-                "eternal.outstanding_invocations"} <= named
+                "replica.outstanding_invocations"} <= named
         depths = [slot for key, slot in series.items()
                   if key.startswith("totem.send_queue_depth")]
         assert depths and all(len(s["points"]) >= 2 for s in depths), \

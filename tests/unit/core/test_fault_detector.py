@@ -80,13 +80,10 @@ def test_transient_suspicion_refuted_and_counted_as_false_positive():
     system.run_for(info.fault_monitoring_interval * 3)
     assert system.tracer.count("fault_detector.refuted") >= 1
     assert system.tracer.count("fault_detector.report") == 0
-    metrics = system.metrics
-    suspicions = sum(m.value for _, _, m in
-                     metrics.find("fault_detector.suspicions"))
-    false_positives = sum(m.value for _, _, m in
-                          metrics.find("fault_detector.false_positives"))
-    assert suspicions >= 1
-    assert false_positives >= 1
+    first_strikes = [r for r in system.tracer.find("fault_detector",
+                                                   "suspect")
+                     if r.fields.get("strikes") == 1]
+    assert len(first_strikes) >= 1
 
 
 def test_reported_fault_feeds_metrics_counters():
@@ -97,10 +94,18 @@ def test_reported_fault_feeds_metrics_counters():
         lambda: system.tracer.count("fault_detector.report") >= 1,
         timeout=3.0,
     )
-    assert system.metrics.counter("fault_detector.suspicions",
-                                  node="s1", group="store").value == 1
-    assert system.metrics.counter("fault_detector.reports",
-                                  node="s1", group="store").value == 1
+    on_s1 = [(r.event, r.fields.get("strikes"))
+             for r in system.tracer.records
+             if r.category == "fault_detector" and r.fields.get("node") == "s1"
+             and r.fields.get("group") == "store"]
+    assert on_s1.count(("suspect", 1)) == 1
+    assert [event for event, _ in on_s1].count("report") == 1
+    # The health exposition's gauges, set by the telemetry poll.
+    system.telemetry.poll()
+    assert system.metrics.gauge("fault_detector.reported",
+                                node="s1", group="store").value == 1
+    assert system.metrics.gauge("fault_detector.strikes",
+                                node="s1", group="store").value >= 1
 
 
 def test_snapshot_exposes_strikes_and_reported_state():

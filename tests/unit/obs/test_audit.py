@@ -13,7 +13,6 @@ from repro.obs.audit import (
     ConsistencyAuditor,
     state_digest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.trace import Tracer
 
 
@@ -255,16 +254,16 @@ def test_finish_is_idempotent_and_raises_in_hard_fail_mode():
     assert SPAN_STRUCTURE in str(excinfo.value)
 
 
-def test_findings_feed_the_metrics_registry():
-    registry = MetricsRegistry()
+def test_findings_are_counted_by_invariant():
     tracer = Tracer(keep_records=True)
     tracer.bind_clock(lambda: 0.0)
-    auditor = ConsistencyAuditor(metrics=registry).bind(tracer)
+    auditor = ConsistencyAuditor().bind(tracer)
     tracer.emit("replica", "set_state", node="s1", group="g", size=1)
-    assert registry.counter("audit.findings",
-                            invariant=SET_STATE_WINDOW).value == 1
+    assert {invariant: len(findings) for invariant, findings
+            in auditor.findings_by_invariant().items()} == {
+                SET_STATE_WINDOW: 1}
     auditor.finish()
-    assert registry.gauge("audit.ok").value == 0.0
+    assert not auditor.ok
 
 
 def test_from_records_replays_a_retained_trace():

@@ -97,11 +97,11 @@ def test_metrics_registry_histograms_render_as_quantile_series():
     parsed = parse_exposition(render_health(system))
     quantiles = {labels["quantile"]: value
                  for name, labels, value in parsed
-                 if name == "repro_span_demo"}
+                 if name == "eternal_span_demo"}
     assert set(quantiles) == {"0.5", "0.95", "0.99"}
     assert quantiles["0.5"] == pytest.approx(0.25, rel=0.05)
     counts = [value for name, labels, value in parsed
-              if name == "repro_span_demo_count"]
+              if name == "eternal_span_demo_count"]
     assert counts == [1.0]
 
 
@@ -129,9 +129,9 @@ def test_totem_partial_count_gauge_exported():
 
 
 def test_bulk_lane_gauges_and_counters_round_trip():
-    """The bulk lane shows up twice: live session gauges on every hosting
-    node, and lane-split byte counters from the metrics registry — and the
-    whole snapshot still parses."""
+    """The bulk lane's store gauge shows on every hosting node and the
+    whole snapshot still parses; the tracer's lane counters (what the
+    recovery-scale bench reads) show the transfer ran out of band."""
     from repro.bench.deployments import measure_recovery
 
     deployment = build_client_server(style=ReplicationStyle.ACTIVE,
@@ -142,24 +142,45 @@ def test_bulk_lane_gauges_and_counters_round_trip():
     series = {(name, tuple(sorted(labels.items()))): value
               for name, labels, value in parse_exposition(text)}
 
-    # gauges: present for every replica-hosting node, quiescent after
-    # recovery completed
+    # gauges: present for every replica-hosting node, and the lane is
+    # quiescent after recovery completed
     for node in ("s1", "s2"):
-        key = (("node", node),)
-        assert series[("eternal_bulk_sessions_active", key)] == 0.0
-        assert series[("eternal_bulk_stripes_in_flight", key)] == 0.0
-        assert ("eternal_bulk_store_entries", key) in series
+        assert (("eternal_bulk_store_entries", (("node", node),))
+                in series)
+        lane = deployment.system.mechanisms(node).recovery.bulk.snapshot()
+        assert lane["sessions_active"] == lane["stripes_in_flight"] == 0
 
-    # counters (labelled by node/group): the transfer ran out-of-band
-    def total(metric, **want):
-        return sum(value for name, labels, value in parse_exposition(text)
-                   if name == metric
-                   and all(labels.get(k) == v for k, v in want.items()))
+    counters = deployment.system.tracer.counters
+    assert counters["bulk.session_start"] == 1
+    assert counters["bulk.session_complete"] == 1
+    assert counters["bulk.manifest_sent"] >= 1
+    assert counters["bulk.oob.bytes"] >= 256 * 1024
 
-    assert total("repro_bulk_sessions_started") == 1.0
-    assert total("repro_bulk_sessions_completed") == 1.0
-    assert total("repro_bulk_manifests_sent") >= 1.0
-    assert total("repro_state_bytes", lane="oob") >= 256 * 1024
+
+def test_no_series_appears_twice_and_each_quantity_has_one_name():
+    """One reader, one prefix: every (name, labels) pair is unique, and
+    the quantities the poll and the old health walk both exported appear
+    under the health name only."""
+    from repro.bench.deployments import measure_recovery
+
+    deployment = deploy()
+    deployment.system.attach_auditor()
+    measure_recovery(deployment, "s2")
+    parsed = parse_exposition(render_health(deployment.system))
+    pairs = [(name, tuple(sorted(labels.items())))
+             for name, labels, _ in parsed]
+    assert len(pairs) == len(set(pairs))
+    names = {name for name, _ in pairs}
+    assert {"eternal_totem_partial_count",
+            "eternal_replica_outstanding_invocations",
+            "eternal_replica_enqueued_messages", "eternal_audit_ok",
+            "eternal_bulk_store_entries"} <= names
+    assert [name for name in names
+            if not name.startswith("eternal_")] == []
+    assert not names & {"eternal_totem_reassembly_pending",
+                        "eternal_eternal_outstanding_invocations",
+                        "eternal_eternal_recovery_queue_depth",
+                        "eternal_bulk_store_depth"}
 
 
 def test_store_gauges_round_trip():

@@ -165,10 +165,8 @@ def test_registry_bound_to_tracer_records_span_durations():
 
     tracer.emit("span", "span_start", span="s1", name="recovery.capture",
                 node="n1", group="g")
-    assert registry.gauge("spans.open").value == 1
     clock["now"] = 0.25
     tracer.emit("span", "span_end", span="s1")
-    assert registry.gauge("spans.open").value == 0
     hist = registry.histogram("span.recovery.capture", node="n1", group="g")
     assert hist.count == 1
     assert hist.quantile(1.0) == pytest.approx(0.25)
@@ -228,21 +226,14 @@ def test_merge_rejects_kind_conflicts_across_registries():
         merge_registries([a, b])
 
 
-def test_fault_detector_records_feed_counters():
-    tracer = Tracer(keep_records=False)
+def test_remove_drops_one_series_and_tolerates_missing_ones():
     registry = MetricsRegistry()
-    registry.bind(tracer)
-    tracer.emit("fault_detector", "suspect", node="s1", group="g", strikes=1)
-    tracer.emit("fault_detector", "suspect", node="s1", group="g", strikes=2)
-    tracer.emit("fault_detector", "report", node="s1", group="g")
-    tracer.emit("fault_detector", "refuted", node="s2", group="g", strikes=1)
-    # only the FIRST strike of an episode counts as one suspicion
-    assert registry.counter("fault_detector.suspicions",
-                            node="s1", group="g").value == 1
-    assert registry.counter("fault_detector.reports",
-                            node="s1", group="g").value == 1
-    assert registry.counter("fault_detector.false_positives",
-                            node="s2", group="g").value == 1
+    registry.gauge("depth", node="s1").set(6)
+    registry.gauge("depth", node="s2").set(1)
+    registry.remove("depth", node="s1")
+    registry.remove("depth", node="s9")
+    assert [labels for _, labels, _ in registry.find("depth")] == [
+        {"node": "s2"}]
 
 
 def test_format_table_renders_histograms_and_scalars():
@@ -267,20 +258,11 @@ def test_delta_records_feed_counters():
     tracer.emit("delta", "fallback", node="s2", group="g",
                 reason="DeltaMismatch")
     tracer.emit("delta", "resync_requested", node="s2", group="g")
-    assert registry.counter("delta.transfers_delta",
-                            node="s1", group="g").value == 1
-    assert registry.counter("delta.pages_sent",
-                            node="s1", group="g").value == 4
-    assert registry.counter("delta.pages_skipped",
-                            node="s1", group="g").value == 36
-    assert registry.counter("delta.wire_bytes",
-                            node="s1", group="g").value == 5000
-    assert registry.counter("delta.transfers_full", node="s1", group="g",
-                            reason="base_mismatch").value == 1
-    assert registry.counter("delta.fallbacks",
-                            node="s2", group="g").value == 1
-    assert registry.counter("delta.resyncs",
-                            node="s2", group="g").value == 1
+    # Only what the checkpoint bench reads: the delta economics.
+    assert {name: metric.value for name, _, metric
+            in registry.find("delta.")} == {"delta.full_bytes": 40000,
+                                            "delta.transfers_delta": 1,
+                                            "delta.wire_bytes": 5000}
 
 
 def test_packed_frame_records_feed_histogram():
@@ -297,7 +279,7 @@ def test_packed_frame_records_feed_histogram():
 
 
 # ---------------------------------------------------------------------------
-# Token ring health: inter-arrival and jitter streams
+# Token ring health: the inter-arrival stream
 # ---------------------------------------------------------------------------
 
 def token_tracer():
@@ -309,7 +291,7 @@ def token_tracer():
     return tracer, registry, clock
 
 
-def test_token_receipts_feed_interarrival_and_jitter_histograms():
+def test_token_receipts_feed_interarrival_histogram():
     tracer, registry, clock = token_tracer()
     for now in (0.0, 0.10, 0.25, 0.30):
         clock["now"] = now
@@ -319,11 +301,6 @@ def test_token_receipts_feed_interarrival_and_jitter_histograms():
                              peer="s2")
     assert rtt.count == 3
     assert rtt.min == pytest.approx(0.05) and rtt.max == pytest.approx(0.15)
-    # Jitter needs two consecutive deltas: |0.15-0.10| then |0.05-0.15|.
-    jitter = registry.histogram("totem.token_jitter", node="s1")
-    assert jitter.count == 2
-    assert jitter.min == pytest.approx(0.05)
-    assert jitter.max == pytest.approx(0.10)
 
 
 def test_token_without_src_uses_node_only_series():
@@ -351,18 +328,6 @@ def test_token_streams_are_independent_per_node():
                                   node=node, peer="peer")
         assert hist.count == 1
         assert hist.min == pytest.approx(0.10)
-
-
-def test_hold_cancels_are_counted_by_node_and_role():
-    tracer, registry, _clock = token_tracer()
-    for node, role in (("s1", "sent"), ("s2", "released"), ("s3", "noted"),
-                       ("s1", "sent")):
-        tracer.emit("totem", "hold_cancel", node=node, role=role)
-    assert registry.counter("totem.hold_cancel", node="s1",
-                            role="sent").value == 2
-    assert registry.counter("totem.hold_cancel", node="s2",
-                            role="released").value == 1
-    assert len(registry.find("totem.hold_cancel")) == 3
 
 
 def test_token_records_without_node_are_ignored():

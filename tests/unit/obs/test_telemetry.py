@@ -222,22 +222,87 @@ def test_plane_polls_queue_depth_gauges_and_samples_series():
     series = snapshot["series"]
     named = {key.split("{", 1)[0] for key in series}
     assert {"totem.send_queue_depth", "totem.retransmit_buffer",
-            "totem.reassembly_pending", "eternal.outstanding_invocations",
-            "eternal.recovery_queue_depth"} <= named
+            "totem.partial_count", "replica.outstanding_invocations",
+            "replica.enqueued_messages", "node.alive",
+            "replica.operational", "group.members"} <= named
     # The sampler ran repeatedly during the warmup …
-    depth_series = next(points for key, slot in series.items()
-                        for points in [slot["points"]]
-                        if key.startswith("totem.send_queue_depth"))
-    assert len(depth_series) >= 2
-    # … and dead nodes stop being polled: their gauges freeze at the
-    # last pre-kill value (sampling continues, recording the frozen
-    # value — the post-mortem keeps its final reading).
+    key = MetricsHistory.series_key("totem.send_queue_depth", {"node": "s1"})
+    assert len(series[key]["points"]) >= 2
+    # … and the history keeps a dead node's past after the poll retires
+    # its live series.
     system.kill_node("s1")
-    frozen = system.metrics.gauge("totem.send_queue_depth",
-                                  node="s1").value
     system.run_for(0.5)
-    assert system.metrics.gauge("totem.send_queue_depth",
-                                node="s1").value == frozen
+    assert len(system.telemetry.history.series(key)) >= 2
+
+
+TOP_HEADERS = [header for header, _, _ in telemetry._TOP_COLUMNS]
+#: The ``top`` columns :meth:`TelemetryPlane.poll` sets.
+QUEUE_COLUMNS = ("sendq", "held", "reasm", "pend-op", "recovq", "bulk")
+
+
+def live_series(system, node):
+    """The registry's series labelled ``node`` (after one poll)."""
+    system.telemetry.poll()
+    return {name: metric.value for name, labels, metric
+            in system.metrics.find() if labels.get("node") == node
+            and metric.kind == "gauge"}
+
+
+def test_dead_nodes_gauges_are_retired_at_the_next_poll():
+    system = deploy().system
+    system.metrics.gauge("totem.send_queue_depth", node="s2").set(6)
+    system.kill_node("s2")
+    assert live_series(system, "s2") == {"node.alive": 0}
+    # top shows the dead node without its last queue depths
+    system.telemetry.sample_now()
+    row = next(line.split()[1:] for line in render_top(
+        system.telemetry.history.snapshot()).splitlines()
+        if line.startswith("s2 "))
+    cells = dict(zip(TOP_HEADERS, row))
+    assert [cells[column] for column in QUEUE_COLUMNS] == ["-"] * 6
+
+
+def test_a_removed_replicas_gauges_are_retired():
+    deployment = deploy()
+    system = deployment.system
+    assert "replica.operational" in live_series(system, "s2")
+    system.replication_manager.remove_member("store", "s2")
+    system.run_for(0.3)
+    assert not [name for name in live_series(system, "s2")
+                if name.startswith("replica.")]
+
+
+def test_bulk_store_entries_gauge_reads_the_lane():
+    system = deploy().system
+    bulk = system.mechanisms("s1").recovery.bulk
+    bulk.store.stash("probe", "store", b"x" * 2048, 1024)
+    system.telemetry.poll()
+    assert bulk.snapshot()["store_entries"] == 1
+    assert system.metrics.gauge("bulk.store_entries",
+                                node="s1").value == 1
+
+
+def test_per_ring_top_rows_show_queue_depths():
+    from repro.apps.kvstore import make_kvstore_factory
+    from repro.ftcorba.properties import FTProperties
+    from repro.simnet.sharded import ShardedEternalSystem
+
+    system = ShardedEternalSystem(rings=2)
+    assert system.wait_for(system.ring_formed, timeout=10.0)
+    for name, sub in system.rings.items():
+        nodes = [f"{name}.s1", f"{name}.s2"]
+        sub.register_factory("IDL:repro/KvStore:1.0",
+                             make_kvstore_factory(1_000), nodes=nodes)
+        system.create_group(f"store.{name}", "IDL:repro/KvStore:1.0",
+                            FTProperties(initial_replicas=2), nodes=nodes)
+    system.run_for(0.5)
+    rows = {line.split()[0]: line.split()[1:] for line in render_top(
+        system.telemetry.history.snapshot()).splitlines()[2:-1]
+        if not line.startswith("-")}
+    for ring in ("r0", "r1"):
+        cells = dict(zip(TOP_HEADERS, rows[f"ring={ring}"]))
+        assert [column for column in QUEUE_COLUMNS
+                if cells[column] == "-"] == [], ring
 
 
 def test_disabled_plane_neither_rings_nor_samples():

@@ -392,3 +392,117 @@ def test_ring_member_schedules_timers_only_through_arm():
                if isinstance(func, ast.FunctionDef)
                for node in ast.walk(func) if node in scheduling]
     assert callers == ["_arm"] and len(scheduling) == 1
+
+
+# ---------------------------------------------------------------------------
+# One signal plane: the telemetry poll is the one reader of live state, and
+# every series the metrics registry can hold is a row of README's signal
+# inventory naming the code or document that reads it (ROADMAP item 9(a)).
+# ---------------------------------------------------------------------------
+
+#: A registry series is created by ``counter/gauge/histogram("name", …)``
+#: or by the telemetry poll's ``put("name", …)``; an f-string name keeps
+#: its literal head as a family (``f"span.{name}"`` is ``span.*``).
+SERIES_CALL = re.compile(
+    r'\b(?:counter|gauge|histogram|put)\(\s*(f?)"([^"{]+)(\{?)')
+
+
+def created_series():
+    """series (or ``head*`` family) -> the source file creating it."""
+    created = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for fstring, head, brace in SERIES_CALL.findall(path.read_text()):
+            name = head + "*" if fstring and brace else head
+            created.setdefault(name, str(path.relative_to(REPO_ROOT)))
+    return created
+
+
+def inventory():
+    """README's signal inventory as ``{series: consumer path}``, plus the
+    README text outside the table (a README row's reader is prose)."""
+    lines = (REPO_ROOT / "README.md").read_text().splitlines()
+    start = next(index for index, line in enumerate(lines)
+                 if line.startswith("**Signal inventory.**"))
+    while not lines[start].startswith("|"):
+        start += 1
+    end = start
+    while lines[end].startswith("|"):
+        end += 1
+    rows = {}
+    for line in lines[start:end]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0].startswith("`"):
+            consumer = re.search(r"`([\w./-]+\.(?:py|md))`", cells[-1])
+            rows[cells[0].strip("`")] = consumer.group(1) if consumer else ""
+    return rows, "\n".join(lines[:start] + lines[end:])
+
+
+def family(name, rows):
+    """The inventory row covering ``name`` (exact, or a ``head*`` row)."""
+    if name in rows:
+        return name
+    return next((row for row in rows if row.endswith("*")
+                 and name.startswith(row[:-1])), None)
+
+
+def inventory_problems(created, rows, read):
+    """Every mismatch between the series the code creates and the
+    inventory: unlisted series, rows nothing creates, and rows whose
+    reader is a test, missing, or does not name the series.  ``read``
+    maps a consumer path to its text."""
+    problems = [f"{name} ({path}) is not in the inventory"
+                for name, path in sorted(created.items())
+                if family(name, rows) is None]
+    problems += [f"{row} is listed but nothing creates it"
+                 for row in sorted(rows)
+                 if not any(family(name, {row: ""}) for name in created)]
+    for row, consumer in sorted(rows.items()):
+        if not consumer or consumer.startswith("tests/"):
+            problems.append(f"{row}: {consumer or 'no'} reader is no "
+                            f"consumer")
+            continue
+        # The creating call is not a read: strip it before looking.
+        text = SERIES_CALL.sub("", read(consumer))
+        if row.endswith("*"):
+            spelled = re.escape(row[:-1])
+        else:
+            spelled = (f"(?:{re.escape(row)}|eternal_"
+                       f"{re.escape(row.replace('.', '_'))})(?!\\w)")
+        if not re.search(rf"(?<![\w.]){spelled}", text):
+            problems.append(f"{row}: {consumer} does not name it")
+    return problems
+
+
+def read_consumer(prose):
+    def read(path):
+        if path == "README.md":
+            return prose
+        target = REPO_ROOT / path
+        return target.read_text() if target.is_file() else ""
+    return read
+
+
+def test_every_registry_series_is_in_the_inventory_with_its_reader():
+    rows, prose = inventory()
+    assert inventory_problems(created_series(), rows,
+                              read_consumer(prose)) == []
+
+
+def test_an_orphan_series_fails_the_inventory_by_name():
+    rows, prose = inventory()
+    created = dict(created_series(), **{"orphan.depth": "src/repro/x.py"})
+    listed = dict(rows, **{"orphan.depth": "src/repro/obs/telemetry.py"})
+    assert inventory_problems(created, rows, read_consumer(prose)) == [
+        "orphan.depth (src/repro/x.py) is not in the inventory"]
+    assert inventory_problems(created, listed, read_consumer(prose)) == [
+        "orphan.depth: src/repro/obs/telemetry.py does not name it"]
+
+
+def test_health_renders_the_registry_and_walks_no_stack():
+    """``render_health`` polls and renders; it never reads a stack, a
+    node's mechanisms or a replica binding itself."""
+    path = SRC / "obs" / "health.py"
+    touched = sorted({node.attr for node in ast.walk(ast.parse(
+        path.read_text())) if isinstance(node, ast.Attribute)
+        and node.attr in ("stacks", "mechanisms", "bindings")})
+    assert touched == []

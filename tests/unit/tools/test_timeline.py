@@ -1,7 +1,10 @@
 """Unit tests for the trace timeline tool."""
 
+import pytest
+
+from repro.obs.report import recovery_phase_report
 from repro.runtime.trace import Tracer
-from repro.tools.timeline import recovery_summary, render_timeline
+from repro.tools.timeline import render_timeline
 
 
 def make_tracer(records):
@@ -62,33 +65,67 @@ def test_render_empty_message():
     assert "no matching" in render_timeline(Tracer(keep_records=True))
 
 
+def recovery_spans(transfer, node, start, xfer, *, recovered=True,
+                   app_bytes=1234):
+    """Span records of one recovery of ``node``: the root
+    ``recovery.total`` span and its wire-transfer child of ``xfer`` s."""
+    records = [
+        (start, "span", "span_start",
+         {"span": transfer, "name": "recovery.total", "parent": None,
+          "node": node, "group": "store"}),
+        (start + 0.001, "span", "span_start",
+         {"span": f"{transfer}/xfer", "name": "recovery.xfer",
+          "parent": transfer}),
+        (start + 0.001 + xfer, "span", "span_end",
+         {"span": f"{transfer}/xfer", "app_bytes": app_bytes}),
+    ]
+    if recovered:
+        records.append((start + 0.002 + xfer, "span", "span_end",
+                        {"span": transfer}))
+    return records
+
+
 def test_recovery_summary_complete():
-    summaries = recovery_summary(make_tracer(RECOVERY_RECORDS))
-    assert len(summaries) == 1
-    summary = summaries[0]
-    assert summary.group == "store" and summary.node == "s2"
-    assert summary.state_bytes == 1234
-    assert summary.duration is not None
-    assert abs(summary.duration - 0.005) < 1e-9
+    reports = recovery_phase_report(make_tracer(
+        recovery_spans("rec:1", "s2", 0.201, 0.003)))
+    assert len(reports) == 1
+    report = reports[0]
+    assert report.group == "store" and report.node == "s2"
+    assert report.state_bytes == 1234
+    assert report.total == pytest.approx(0.005)
+    assert report.phases["xfer"] == pytest.approx(0.003)
 
 
 def test_recovery_summary_in_flight():
-    records = RECOVERY_RECORDS[:4]     # no 'recovered' yet
-    summaries = recovery_summary(make_tracer(records))
-    assert len(summaries) == 1
-    assert summaries[0].recovered_at is None
-    assert summaries[0].duration is None
+    reports = recovery_phase_report(make_tracer(
+        recovery_spans("rec:1", "s2", 0.201, 0.003, recovered=False)))
+    assert len(reports) == 1
+    assert reports[0].recovered_at is None
+    assert reports[0].total is None and not reports[0].complete
 
 
 def test_recovery_summary_multiple_sorted():
-    records = list(RECOVERY_RECORDS)
-    records += [
-        (0.400, "recovery", "join_announced",
-         {"node": "s1", "group": "store", "transfer": "rec:2"}),
-        (0.410, "recovery", "recovered", {"node": "s1", "group": "store"}),
-    ]
-    summaries = recovery_summary(make_tracer(records))
-    assert [s.node for s in summaries] == ["s2", "s1"]
+    reports = recovery_phase_report(make_tracer(
+        recovery_spans("rec:1", "s2", 0.201, 0.003)
+        + recovery_spans("rec:2", "s1", 0.400, 0.005)))
+    assert [r.node for r in reports] == ["s2", "s1"]
+
+
+def test_two_recoveries_of_one_replica_keep_their_own_phases():
+    """A replica recovered twice gets each recovery's own breakdown, and
+    the tooling exports exactly one per-recovery breakdown (a second
+    one, keyed by group and node only, gave the last recovery's phases
+    to both)."""
+    import repro.tools
+
+    reports = repro.tools.recovery_phase_report(make_tracer(
+        recovery_spans("rec:1", "s2", 0.2, 0.010)
+        + recovery_spans("rec:2", "s2", 1.0, 0.300)))
+    assert [r.phases["xfer"] for r in reports] == [
+        pytest.approx(0.010), pytest.approx(0.300)]
+    assert [r.started_at for r in reports] == [0.2, 1.0]
+    assert [name for name in repro.tools.__all__
+            if name.startswith("recovery_")] == ["recovery_phase_report"]
 
 
 def test_summary_from_live_system():
@@ -96,6 +133,6 @@ def test_summary_from_live_system():
     deployment = build_client_server(server_replicas=2, state_size=500,
                                      warmup=0.1, keep_trace_records=True)
     measure_recovery(deployment, "s2")
-    summaries = recovery_summary(deployment.system.tracer)
-    assert any(s.node == "s2" and s.duration is not None
-               for s in summaries)
+    reports = recovery_phase_report(deployment.system.tracer)
+    assert any(r.node == "s2" and r.complete and r.state_bytes
+               for r in reports)
