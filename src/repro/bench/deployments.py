@@ -155,6 +155,12 @@ def build_client_server(
         nodes=server_nodes,
     )
     system.run_for(0.05)
+    # A slower ring (e.g. LIVE_TOTEM_CONFIG's timeouts) may not have formed
+    # and delivered the group's creation yet; wait until it has.
+    if not system.wait_for(lambda: all(server_group.is_operational_on(node)
+                                       for node in server_nodes)):
+        raise TimeoutError("server group 'store' did not become "
+                           "operational within 10s (simulated)")
     iogr = server_group.iogr().stringify()
     system.register_factory(
         DRIVER_TYPE,

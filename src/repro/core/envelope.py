@@ -7,16 +7,26 @@ All envelopes serialize to real bytes (CDR) so the network model charges
 honest transmission time — in particular a :class:`StateSet` carrying a
 large application state produces a proportionally large multicast message,
 which Totem fragments at the Ethernet MTU: the mechanism behind Figure 6.
+
+Every envelope type has one straight-line encoder and one decoder, reached
+through one table (:data:`_ROWS`: tag, class, encoder, decoder) and
+written on the offset-based CDR primitives of :mod:`repro.giop.cdr`
+(big-endian, aligned relative to the leading tag octet).  The property
+suite pins the layout to a reference written on the CDR streams
+(``tests/properties/giop_oracle.py``).
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from repro.errors import ProtocolError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import MarshalError, ProtocolError, UnmarshalError
+from repro.giop.cdr import (r_double, r_longlong, r_octets,
+                            r_string, r_ulong, w_double, w_longlong,
+                            w_octets, w_string, w_ulong)
 from repro.core.identifiers import (
     ConnectionKey,
     OperationId,
@@ -226,168 +236,247 @@ class StateSet:
 Envelope = Union[IiopEnvelope, GroupUpdate, ReplicaJoin, StateGet, StateSet,
                  ReplicaFault, NodeRestarted, ColdSeed]
 
-_TAG_IIOP = 1
-_TAG_GROUP_UPDATE = 2
-_TAG_REPLICA_JOIN = 5
-_TAG_STATE_GET = 6
-_TAG_STATE_SET = 7
-_TAG_REPLICA_FAULT = 8
-_TAG_NODE_RESTARTED = 9
-_TAG_COLD_SEED = 10
+# ---------------------------------------------------------------------------
+# The codec: one encoder and one decoder per envelope type
+# ---------------------------------------------------------------------------
+#
+# The tag octet sits at offset 0, so every encoder appends to a buffer that
+# already holds it and every decoder starts reading at offset 1.
+
+#: Discriminant octet -> member (a lookup, not an enum construction).
+_OP_KINDS = {kind.value: kind for kind in OpKind}
+_PURPOSES = {purpose.value: purpose for purpose in TransferPurpose}
+_STATE_BODIES = (STATE_BODY_FULL, STATE_BODY_DELTA, STATE_BODY_MANIFEST)
+
+
+def _member(table: dict, raw: int, what: str):
+    try:
+        return table[raw]
+    except KeyError:
+        raise ProtocolError(f"malformed envelope: unknown {what} {raw}") \
+            from None
+
+
+def _encode_iiop(buf: bytearray, envelope: IiopEnvelope) -> None:
+    w_string(buf, envelope.connection.client_group)
+    w_string(buf, envelope.connection.server_group)
+    buf.append(envelope.kind.value)
+    w_ulong(buf, envelope.request_id)
+    w_string(buf, envelope.sender_node)
+    w_octets(buf, envelope.iiop_bytes)
+
+
+def _decode_iiop(data) -> IiopEnvelope:
+    client_group, pos = r_string(data, 1)
+    server_group, pos = r_string(data, pos)
+    kind = _member(_OP_KINDS, data[pos], "operation kind")
+    request_id, pos = r_ulong(data, pos + 1)
+    sender_node, pos = r_string(data, pos)
+    iiop_bytes, pos = r_octets(data, pos)
+    return IiopEnvelope(ConnectionKey(client_group, server_group), kind,
+                        request_id, sender_node, iiop_bytes)
+
+
+def _encode_group_update(buf: bytearray, envelope: GroupUpdate) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.type_id)
+    w_string(buf, envelope.style)
+    w_double(buf, envelope.checkpoint_interval)
+    w_ulong(buf, envelope.app_version)
+    w_ulong(buf, len(envelope.members))
+    for node_id, role, operational in envelope.members:
+        w_string(buf, node_id)
+        w_string(buf, role)
+        buf.append(1 if operational else 0)
+    w_string(buf, envelope.action)
+    w_string(buf, envelope.subject_node)
+    w_double(buf, envelope.fault_monitoring_interval)
+    w_ulong(buf, envelope.max_log_messages)
+
+
+def _decode_group_update(data) -> GroupUpdate:
+    group_id, pos = r_string(data, 1)
+    type_id, pos = r_string(data, pos)
+    style, pos = r_string(data, pos)
+    checkpoint_interval, pos = r_double(data, pos)
+    app_version, pos = r_ulong(data, pos)
+    count, pos = r_ulong(data, pos)
+    members = []
+    for _ in range(count):
+        node_id, pos = r_string(data, pos)
+        role, pos = r_string(data, pos)
+        members.append((node_id, role, data[pos] != 0))
+        pos += 1
+    action, pos = r_string(data, pos)
+    subject_node, pos = r_string(data, pos)
+    fault_monitoring_interval, pos = r_double(data, pos)
+    max_log_messages, pos = r_ulong(data, pos)
+    return GroupUpdate(group_id, type_id, style, checkpoint_interval,
+                       app_version, tuple(members), action, subject_node,
+                       fault_monitoring_interval, max_log_messages)
+
+
+def _encode_replica_join(buf: bytearray, envelope: ReplicaJoin) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.node_id)
+    w_string(buf, envelope.transfer_id)
+    w_octets(buf, envelope.base_digest.encode("ascii"))
+    buf.append(1 if envelope.bulk_ok else 0)
+    w_longlong(buf, envelope.store_position)
+
+
+def _decode_replica_join(data) -> ReplicaJoin:
+    group_id, pos = r_string(data, 1)
+    node_id, pos = r_string(data, pos)
+    transfer_id, pos = r_string(data, pos)
+    base_digest, pos = r_octets(data, pos)
+    bulk_ok = data[pos] != 0
+    store_position, pos = r_longlong(data, pos + 1)
+    return ReplicaJoin(group_id, node_id, transfer_id,
+                       str(base_digest, "ascii"), bulk_ok, store_position)
+
+
+def _encode_state_get(buf: bytearray, envelope: StateGet) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.transfer_id)
+    buf.append(envelope.purpose.value)
+    w_string(buf, envelope.initiator)
+    w_string(buf, envelope.target_node)
+    w_octets(buf, envelope.base_digest.encode("ascii"))
+    buf.append(1 if envelope.bulk_ok else 0)
+
+
+def _decode_state_get(data) -> StateGet:
+    group_id, pos = r_string(data, 1)
+    transfer_id, pos = r_string(data, pos)
+    purpose = _member(_PURPOSES, data[pos], "transfer purpose")
+    initiator, pos = r_string(data, pos + 1)
+    target_node, pos = r_string(data, pos)
+    base_digest, pos = r_octets(data, pos)
+    return StateGet(group_id, transfer_id, purpose, initiator, target_node,
+                    str(base_digest, "ascii"), data[pos] != 0)
+
+
+def _encode_state_set(buf: bytearray, envelope: StateSet) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.transfer_id)
+    buf.append(envelope.purpose.value)
+    w_string(buf, envelope.source_node)
+    w_string(buf, envelope.target_node)
+    if envelope.app_manifest:
+        buf.append(STATE_BODY_MANIFEST)
+    elif envelope.app_delta:
+        buf.append(STATE_BODY_DELTA)
+    else:
+        buf.append(STATE_BODY_FULL)
+    w_octets(buf, envelope.app_state)
+    w_octets(buf, envelope.orb_state)
+    w_octets(buf, envelope.infra_state)
+
+
+def _decode_state_set(data) -> StateSet:
+    group_id, pos = r_string(data, 1)
+    transfer_id, pos = r_string(data, pos)
+    purpose = _member(_PURPOSES, data[pos], "transfer purpose")
+    source_node, pos = r_string(data, pos + 1)
+    target_node, pos = r_string(data, pos)
+    body_kind = data[pos]
+    if body_kind not in _STATE_BODIES:
+        raise ProtocolError(f"unknown StateSet body kind {body_kind}")
+    app_state, pos = r_octets(data, pos + 1)
+    orb_state, pos = r_octets(data, pos)
+    infra_state, pos = r_octets(data, pos)
+    return StateSet(group_id, transfer_id, purpose, source_node,
+                    target_node, app_state, orb_state, infra_state,
+                    app_delta=body_kind == STATE_BODY_DELTA,
+                    app_manifest=body_kind == STATE_BODY_MANIFEST)
+
+
+def _encode_replica_fault(buf: bytearray, envelope: ReplicaFault) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.node_id)
+    w_string(buf, envelope.reason)
+
+
+def _decode_replica_fault(data) -> ReplicaFault:
+    group_id, pos = r_string(data, 1)
+    node_id, pos = r_string(data, pos)
+    reason, pos = r_string(data, pos)
+    return ReplicaFault(group_id, node_id, reason)
+
+
+def _encode_node_restarted(buf: bytearray, envelope: NodeRestarted) -> None:
+    w_string(buf, envelope.node_id)
+    w_ulong(buf, envelope.incarnation)
+
+
+def _decode_node_restarted(data) -> NodeRestarted:
+    node_id, pos = r_string(data, 1)
+    incarnation, pos = r_ulong(data, pos)
+    return NodeRestarted(node_id, incarnation)
+
+
+def _encode_cold_seed(buf: bytearray, envelope: ColdSeed) -> None:
+    w_string(buf, envelope.group_id)
+    w_string(buf, envelope.node_id)
+    w_string(buf, envelope.transfer_id)
+    w_longlong(buf, envelope.store_position)
+
+
+def _decode_cold_seed(data) -> ColdSeed:
+    group_id, pos = r_string(data, 1)
+    node_id, pos = r_string(data, pos)
+    transfer_id, pos = r_string(data, pos)
+    store_position, pos = r_longlong(data, pos)
+    return ColdSeed(group_id, node_id, transfer_id, store_position)
+
+
+#: One row per envelope type: (tag, class, encoder, decoder).
+_ROWS = (
+    (1, IiopEnvelope, _encode_iiop, _decode_iiop),
+    (2, GroupUpdate, _encode_group_update, _decode_group_update),
+    (5, ReplicaJoin, _encode_replica_join, _decode_replica_join),
+    (6, StateGet, _encode_state_get, _decode_state_get),
+    (7, StateSet, _encode_state_set, _decode_state_set),
+    (8, ReplicaFault, _encode_replica_fault, _decode_replica_fault),
+    (9, NodeRestarted, _encode_node_restarted, _decode_node_restarted),
+    (10, ColdSeed, _encode_cold_seed, _decode_cold_seed),
+)
+
+#: Exact class -> (tag octet, encoder).
+_ENCODERS = {cls: (bytes((tag,)), encode) for tag, cls, encode, _ in _ROWS}
+#: Tag -> decoder.
+_DECODERS = {tag: decode for tag, _, _, decode in _ROWS}
 
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """Serialize an envelope for multicast."""
-    out = CdrOutputStream()
-    if isinstance(envelope, IiopEnvelope):
-        out.write_octet(_TAG_IIOP)
-        out.write_string(envelope.connection.client_group)
-        out.write_string(envelope.connection.server_group)
-        out.write_octet(envelope.kind.value)
-        out.write_ulong(envelope.request_id)
-        out.write_string(envelope.sender_node)
-        out.write_octets(envelope.iiop_bytes)
-    elif isinstance(envelope, GroupUpdate):
-        out.write_octet(_TAG_GROUP_UPDATE)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.type_id)
-        out.write_string(envelope.style)
-        out.write_double(envelope.checkpoint_interval)
-        out.write_ulong(envelope.app_version)
-        out.write_ulong(len(envelope.members))
-        for node_id, role, operational in envelope.members:
-            out.write_string(node_id)
-            out.write_string(role)
-            out.write_boolean(operational)
-        out.write_string(envelope.action)
-        out.write_string(envelope.subject_node)
-        out.write_double(envelope.fault_monitoring_interval)
-        out.write_ulong(envelope.max_log_messages)
-    elif isinstance(envelope, ReplicaJoin):
-        out.write_octet(_TAG_REPLICA_JOIN)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.node_id)
-        out.write_string(envelope.transfer_id)
-        out.write_octets(envelope.base_digest.encode("ascii"))
-        out.write_boolean(envelope.bulk_ok)
-        out.write_longlong(envelope.store_position)
-    elif isinstance(envelope, StateGet):
-        out.write_octet(_TAG_STATE_GET)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.transfer_id)
-        out.write_octet(envelope.purpose.value)
-        out.write_string(envelope.initiator)
-        out.write_string(envelope.target_node)
-        out.write_octets(envelope.base_digest.encode("ascii"))
-        out.write_boolean(envelope.bulk_ok)
-    elif isinstance(envelope, StateSet):
-        out.write_octet(_TAG_STATE_SET)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.transfer_id)
-        out.write_octet(envelope.purpose.value)
-        out.write_string(envelope.source_node)
-        out.write_string(envelope.target_node)
-        if envelope.app_manifest:
-            body_kind = STATE_BODY_MANIFEST
-        elif envelope.app_delta:
-            body_kind = STATE_BODY_DELTA
-        else:
-            body_kind = STATE_BODY_FULL
-        out.write_octet(body_kind)
-        out.write_octets(envelope.app_state)
-        out.write_octets(envelope.orb_state)
-        out.write_octets(envelope.infra_state)
-    elif isinstance(envelope, ReplicaFault):
-        out.write_octet(_TAG_REPLICA_FAULT)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.node_id)
-        out.write_string(envelope.reason)
-    elif isinstance(envelope, NodeRestarted):
-        out.write_octet(_TAG_NODE_RESTARTED)
-        out.write_string(envelope.node_id)
-        out.write_ulong(envelope.incarnation)
-    elif isinstance(envelope, ColdSeed):
-        out.write_octet(_TAG_COLD_SEED)
-        out.write_string(envelope.group_id)
-        out.write_string(envelope.node_id)
-        out.write_string(envelope.transfer_id)
-        out.write_longlong(envelope.store_position)
-    else:
-        raise ProtocolError(f"cannot encode envelope {type(envelope).__name__}")
-    return out.getvalue()
+    entry = _ENCODERS.get(type(envelope))
+    if entry is None:
+        raise ProtocolError(
+            f"cannot encode envelope {type(envelope).__name__}")
+    tag, encode = entry
+    buf = bytearray(tag)
+    try:
+        encode(buf, envelope)
+    except struct.error as exc:
+        raise MarshalError(
+            f"unencodable {type(envelope).__name__} field: {exc}") from exc
+    return bytes(buf)
 
 
 def decode_envelope(data: bytes) -> Envelope:
     """Inverse of :func:`encode_envelope`."""
+    if not data:
+        raise UnmarshalError("empty envelope")
+    decode = _DECODERS.get(data[0])
+    if decode is None:
+        raise ProtocolError(f"unknown envelope tag {data[0]}")
     try:
-        return _decode_envelope(data)
+        return decode(data)
+    except (struct.error, IndexError) as exc:
+        raise UnmarshalError(
+            f"truncated envelope (tag {data[0]}): {exc}") from exc
     except ValueError as exc:
-        # invalid enum discriminants in hostile/corrupted bytes
+        # invalid text in hostile/corrupted bytes
         raise ProtocolError(f"malformed envelope: {exc}") from exc
-
-
-def _decode_envelope(data: bytes) -> Envelope:
-    inp = CdrInputStream(data)
-    tag = inp.read_octet()
-    if tag == _TAG_IIOP:
-        connection = ConnectionKey(inp.read_string(), inp.read_string())
-        kind = OpKind(inp.read_octet())
-        request_id = inp.read_ulong()
-        sender_node = inp.read_string()
-        iiop_bytes = inp.read_octets()
-        return IiopEnvelope(connection, kind, request_id, sender_node,
-                            iiop_bytes)
-    if tag == _TAG_GROUP_UPDATE:
-        group_id = inp.read_string()
-        type_id = inp.read_string()
-        style = inp.read_string()
-        checkpoint_interval = inp.read_double()
-        app_version = inp.read_ulong()
-        count = inp.read_ulong()
-        members = tuple(
-            (inp.read_string(), inp.read_string(), inp.read_boolean())
-            for _ in range(count)
-        )
-        action = inp.read_string()
-        subject_node = inp.read_string()
-        fault_monitoring_interval = inp.read_double()
-        max_log_messages = inp.read_ulong()
-        return GroupUpdate(group_id, type_id, style, checkpoint_interval,
-                           app_version, members, action, subject_node,
-                           fault_monitoring_interval, max_log_messages)
-    if tag == _TAG_REPLICA_JOIN:
-        return ReplicaJoin(inp.read_string(), inp.read_string(),
-                           inp.read_string(),
-                           str(inp.read_octets(), "ascii"),
-                           inp.read_boolean(),
-                           inp.read_longlong())
-    if tag == _TAG_STATE_GET:
-        return StateGet(inp.read_string(), inp.read_string(),
-                        TransferPurpose(inp.read_octet()),
-                        inp.read_string(), inp.read_string(),
-                        str(inp.read_octets(), "ascii"),
-                        inp.read_boolean())
-    if tag == _TAG_STATE_SET:
-        group_id = inp.read_string()
-        transfer_id = inp.read_string()
-        purpose = TransferPurpose(inp.read_octet())
-        source_node = inp.read_string()
-        target_node = inp.read_string()
-        body_kind = inp.read_octet()
-        if body_kind not in (STATE_BODY_FULL, STATE_BODY_DELTA,
-                             STATE_BODY_MANIFEST):
-            raise ProtocolError(f"unknown StateSet body kind {body_kind}")
-        return StateSet(group_id, transfer_id, purpose, source_node,
-                        target_node, inp.read_octets(), inp.read_octets(),
-                        inp.read_octets(),
-                        app_delta=body_kind == STATE_BODY_DELTA,
-                        app_manifest=body_kind == STATE_BODY_MANIFEST)
-    if tag == _TAG_REPLICA_FAULT:
-        return ReplicaFault(inp.read_string(), inp.read_string(),
-                            inp.read_string())
-    if tag == _TAG_NODE_RESTARTED:
-        return NodeRestarted(inp.read_string(), inp.read_ulong())
-    if tag == _TAG_COLD_SEED:
-        return ColdSeed(inp.read_string(), inp.read_string(),
-                        inp.read_string(), inp.read_longlong())
-    raise ProtocolError(f"unknown envelope tag {tag}")

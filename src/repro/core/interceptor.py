@@ -4,6 +4,9 @@
 the ORB stack and is located outside the ORB, at the ORB's socket-level
 interface to the operating system."  It captures the IIOP messages intended
 for TCP/IP and diverts them to the Replication Mechanisms for multicasting.
+It reads what it captures the way the paper's interceptor does — the
+header of each message (:func:`repro.giop.messages.peek_request_id`), not
+the body its own ORB has just encoded.
 
 Beyond diversion, the interceptor is where ORB/POA-level request_id
 synchronization is *enforced* from outside the ORB (§4.2.1): a recovered
@@ -25,9 +28,9 @@ from repro.core.infra_state import InfraState
 from repro.core.orb_state import OrbStateTracker
 from repro.giop.messages import (
     ReplyMessage,
-    RequestMessage,
     decode_message,
     encode_message,
+    peek_request_id,
 )
 from repro.obs.spans import SpanEmitter
 from repro.runtime.trace import NULL_TRACER, Tracer
@@ -101,17 +104,19 @@ class Interceptor:
         """Transport hook installed on the replica ORB's client side."""
         connection = ConnectionKey(client_group=self.group_id,
                                    server_group=host)
-        message = decode_message(data)
-        assert isinstance(message, RequestMessage)
+        # The header is all the capture needs; the body is decoded only
+        # to rewrite the request_id of a recovered replica's ORB.
+        request_id, response_expected, operation = peek_request_id(data)
         offset = self._offsets.get(connection, 0)
-        wire_id = message.request_id + offset
+        wire_id = request_id + offset
         if offset:
+            message = decode_message(data)
             data = encode_message(replace(message, request_id=wire_id))
         self._orb_state.observe_outgoing_request(connection, wire_id)
         envelope = IiopEnvelope(connection, OpKind.REQUEST, wire_id,
                                 self.node_id, data)
-        if (message.response_expected and self.fast_path is not None
-                and self.fast_path(connection, wire_id, message.operation,
+        if (response_expected and self.fast_path is not None
+                and self.fast_path(connection, wire_id, operation,
                                    envelope)):
             # Claimed by the leader-lease read fast path: served
             # point-to-point, off the total order and off the infra
@@ -128,16 +133,15 @@ class Interceptor:
                 span_id=self._rpc_span_id(connection, wire_id),
                 node=self.node_id, group=self.group_id,
                 conn=connection.as_str(), request_id=wire_id,
-                operation=message.operation, trace=trace_id,
+                operation=operation, trace=trace_id,
             )
             return
-        if message.response_expected:
+        if response_expected:
             # Track before the reissue check: a suppressed reissue is
             # still awaiting its reply, so it is still outstanding.
             self._open_roundtrips[(connection, wire_id)] = envelope
         is_new = self._infra.record_issued(
-            connection, wire_id, message.operation,
-            message.response_expected,
+            connection, wire_id, operation, response_expected,
         )
         if not is_new:
             # A deterministic re-issue after recovery: already on the wire
@@ -152,7 +156,7 @@ class Interceptor:
         self.tracer.emit("interceptor", "request", node=self.node_id,
                          conn=connection.as_str(), request_id=wire_id,
                          trace=trace_id)
-        if message.response_expected:
+        if response_expected:
             # One round-trip span per two-way invocation: capture here,
             # closed when the matching reply is delivered back to this
             # replica (note_reply_delivered).
@@ -161,21 +165,20 @@ class Interceptor:
                 span_id=self._rpc_span_id(connection, wire_id),
                 node=self.node_id, group=self.group_id,
                 conn=connection.as_str(), request_id=wire_id,
-                operation=message.operation, trace=trace_id,
+                operation=operation, trace=trace_id,
             )
         self._send(envelope)
 
     def capture_server_reply(self, connection: ConnectionKey,
                              data: bytes) -> None:
         """Capture a reply produced by the local server replica."""
-        message = decode_message(data)
-        assert isinstance(message, ReplyMessage)
-        trace_id = self.trace_id(connection, message.request_id)
+        request_id = peek_request_id(data)[0]
+        trace_id = self.trace_id(connection, request_id)
         self.tracer.emit("interceptor", "reply", node=self.node_id,
                          conn=connection.as_str(),
-                         request_id=message.request_id, trace=trace_id)
+                         request_id=request_id, trace=trace_id)
         self._send(IiopEnvelope(connection, OpKind.REPLY,
-                                message.request_id, self.node_id, data))
+                                request_id, self.node_id, data))
 
     # ------------------------------------------------------------------
     # Incoming rewrite (before the ORB sees a reply)

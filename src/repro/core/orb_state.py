@@ -4,7 +4,9 @@ The ORB offers no hooks for its per-connection state, but that state is
 visible *from outside*, in the IIOP byte streams:
 
 * the client-side **request_id counter** is discovered by parsing every
-  outgoing request (§4.2.1, via :func:`repro.giop.messages.peek_request_id`);
+  outgoing request (§4.2.1): the interceptor reads each request's header
+  with :func:`repro.giop.messages.peek_request_id` — never its body — and
+  reports the id through :meth:`OrbStateTracker.observe_outgoing_request`;
 * the **client-server handshake** is discovered by watching delivered
   requests for negotiation ServiceContexts; the whole handshake request
   message is stored so it can later be replayed into a new server replica's

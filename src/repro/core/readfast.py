@@ -45,7 +45,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.envelope import IiopEnvelope
 from repro.core.identifiers import ConnectionKey
-from repro.giop.messages import ReplyMessage, decode_message
+from repro.giop.messages import peek_request_id
 from repro.orb.servant import read_only_operations
 from repro.runtime.interfaces import TimerHandle
 from repro.totem.wire import (
@@ -250,17 +250,15 @@ class ReadFastCoordinator:
         (the ordered capture must then be skipped)."""
         if not self._pending_serve:
             return False
-        message = decode_message(data)
-        if not isinstance(message, ReplyMessage):
-            return False
-        key = (binding.group_id, connection.as_str(), message.request_id)
+        request_id = peek_request_id(data)[0]
+        key = (binding.group_id, connection.as_str(), request_id)
         entry = self._pending_serve.pop(key, None)
         if entry is None:
             return False
         requester, served_ring = entry
         reply = ReadFastReply(
             group_id=binding.group_id, conn=connection.as_str(),
-            request_id=message.request_id, ring_id=served_ring,
+            request_id=request_id, ring_id=served_ring,
             iiop_bytes=data,
         )
         if (not self.totem.operational
@@ -271,7 +269,7 @@ class ReadFastCoordinator:
             # back to the total order instead of answering.
             self._send(requester, ReadFastNack(
                 group_id=binding.group_id, conn=connection.as_str(),
-                request_id=message.request_id, reason="stale_reply"))
+                request_id=request_id, reason="stale_reply"))
             return True
         self._send(requester, reply)
         return True

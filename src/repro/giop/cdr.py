@@ -8,6 +8,15 @@ the GIOP header; the consumer byte-swaps if needed).
 The implementation covers the primitive types, strings, octet sequences, and
 encapsulations (nested CDR streams prefixed with their own endianness octet),
 which is everything GIOP headers and our TypeCode-lite values require.
+
+It comes in two forms.  The offset-based primitives at the top (``r_*``
+readers, ``w_*`` writers) are what the per-message codecs — GIOP messages,
+the ``any`` codec, the multicast envelopes — are written on: straight-line
+``struct`` calls with no stream object per message.  The
+:class:`CdrOutputStream` / :class:`CdrInputStream` pair serves the cold,
+field-by-field formats (IORs, service-context encapsulations, journal
+records, delta and manifest bodies) and is the reference the property
+tests hold the straight-line codecs to.
 """
 
 from __future__ import annotations
@@ -31,6 +40,134 @@ _STRUCTS = {
     for order in ("<", ">")
     for fmt in ("B", "h", "H", "i", "I", "q", "Q", "f", "d")
 }
+
+
+# ---------------------------------------------------------------------------
+# Offset-based primitives
+# ---------------------------------------------------------------------------
+#
+# A reader takes ``(data, pos, le)`` and returns ``(value, next_pos)``; a
+# writer appends to a ``bytearray`` and aligns relative to its start, so a
+# codec begins every CDR body in a fresh buffer.  ``le`` is 0 for
+# big-endian and 1 for little-endian: it indexes the ``(big, little)``
+# struct pairs below.  Readers accept ``bytes`` or a ``memoryview`` (then
+# strings decode in place and octet sequences are zero-copy sub-views).
+# A short buffer surfaces as ``struct.error`` or ``IndexError``; each
+# codec's entry point turns those into :class:`UnmarshalError`, as it
+# turns ``struct.error`` on encode into :class:`MarshalError`.
+
+def _pair(fmt: str) -> tuple:
+    return (struct.Struct(">" + fmt), struct.Struct("<" + fmt))
+
+
+U8 = struct.Struct("B")
+U32 = _pair("I")
+I32 = _pair("i")
+I64 = _pair("q")
+F64 = _pair("d")
+
+
+def r_ulong(data, pos: int, le: int = 0):
+    """Unsigned 32-bit integer, 4-aligned."""
+    pos = (pos + 3) & ~3
+    return U32[le].unpack_from(data, pos)[0], pos + 4
+
+
+def r_long(data, pos: int, le: int = 0):
+    """Signed 32-bit integer, 4-aligned."""
+    pos = (pos + 3) & ~3
+    return I32[le].unpack_from(data, pos)[0], pos + 4
+
+
+def r_longlong(data, pos: int, le: int = 0):
+    """Signed 64-bit integer, 8-aligned."""
+    pos = (pos + 7) & ~7
+    return I64[le].unpack_from(data, pos)[0], pos + 8
+
+
+def r_double(data, pos: int, le: int = 0):
+    """IEEE 754 double, 8-aligned."""
+    pos = (pos + 7) & ~7
+    return F64[le].unpack_from(data, pos)[0], pos + 8
+
+
+def r_string(data, pos: int, le: int = 0):
+    """CDR string: ulong length (including NUL), UTF-8 bytes, NUL."""
+    pos = (pos + 3) & ~3
+    length = U32[le].unpack_from(data, pos)[0]
+    pos += 4
+    end = pos + length
+    if length == 0:
+        raise UnmarshalError("CDR string length 0 (must include NUL)")
+    if end > len(data):
+        raise UnmarshalError(
+            f"truncated CDR string: need {length} bytes at offset {pos}, "
+            f"have {len(data) - pos}")
+    if data[end - 1] != 0:
+        raise UnmarshalError("CDR string missing NUL terminator")
+    try:
+        return str(data[pos:end - 1], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise UnmarshalError(f"invalid UTF-8 in CDR string: {exc}") from exc
+
+
+def r_octets(data, pos: int, le: int = 0):
+    """sequence<octet>: a slice of ``data`` (a sub-view of a memoryview)."""
+    pos = (pos + 3) & ~3
+    length = U32[le].unpack_from(data, pos)[0]
+    pos += 4
+    end = pos + length
+    if end > len(data):
+        raise UnmarshalError(
+            f"truncated CDR octets: need {length} bytes at offset {pos}, "
+            f"have {len(data) - pos}")
+    return data[pos:end], end
+
+
+def w_ulong(buf: bytearray, value: int, le: int = 0) -> None:
+    """Unsigned 32-bit integer, 4-aligned."""
+    r = len(buf) & 3
+    if r:
+        buf += _PADDING[4 - r]
+    buf += U32[le].pack(value)
+
+
+def w_long(buf: bytearray, value: int, le: int = 0) -> None:
+    """Signed 32-bit integer, 4-aligned."""
+    r = len(buf) & 3
+    if r:
+        buf += _PADDING[4 - r]
+    buf += I32[le].pack(value)
+
+
+def w_longlong(buf: bytearray, value: int, le: int = 0) -> None:
+    """Signed 64-bit integer, 8-aligned."""
+    r = len(buf) & 7
+    if r:
+        buf += _PADDING[8 - r]
+    buf += I64[le].pack(value)
+
+
+def w_double(buf: bytearray, value: float, le: int = 0) -> None:
+    """IEEE 754 double, 8-aligned."""
+    r = len(buf) & 7
+    if r:
+        buf += _PADDING[8 - r]
+    buf += F64[le].pack(value)
+
+
+def w_string(buf: bytearray, value: str, le: int = 0) -> None:
+    """CDR string: ulong length (including NUL), UTF-8 bytes, NUL."""
+    encoded = value.encode("utf-8")
+    w_ulong(buf, len(encoded) + 1, le)
+    buf += encoded
+    buf.append(0)
+
+
+def w_octets(buf: bytearray, value, le: int = 0) -> None:
+    """sequence<octet>: ulong length then the bytes."""
+    w_ulong(buf, len(value), le)
+    buf += value
 
 
 class CdrOutputStream:

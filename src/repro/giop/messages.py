@@ -7,26 +7,39 @@ MessageError.  Request and reply bodies carry arguments/results as
 TypeCode-lite ``any`` values, which keeps the stack self-describing without
 compiled IDL stubs.
 
-:func:`peek_request_id` parses only as far as the ``request_id`` field of a
-raw byte string — this is the paper's §4.2.1 technique: "by parsing every
-outgoing IIOP request message sent by a client-side ORB, Eternal can
-discover, and store, the ORB's current setting for the request_id."
+The codec is straight-line: one encoder and one decoder per message type,
+reading and writing at offsets with prebuilt ``struct`` objects (the
+offset-based primitives of :mod:`repro.giop.cdr`) — no stream object,
+header object or enum construction per message.  Alignment inside the
+body is relative to the body's start, as GIOP 1.2 requires.  The property
+suite holds it to a reference written on the CDR streams
+(``tests/properties/giop_oracle.py``): identical bytes, and each side
+decodes the other's.
+
+:func:`peek_request_id` parses only the header of a raw message — as far
+as the ``request_id`` and, for a Request, the ``response_expected`` flag
+and the operation name.  This is the paper's §4.2.1 technique: "by parsing
+every outgoing IIOP request message sent by a client-side ORB, Eternal can
+discover, and store, the ORB's current setting for the request_id"; the
+interceptor reads every request and reply it captures this way instead of
+decoding the whole message.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import struct
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
-from repro.errors import ProtocolError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import MarshalError, ProtocolError, UnmarshalError
+from repro.giop.cdr import (U32, r_octets, r_string, r_ulong, w_octets,
+                            w_string, w_ulong)
 from repro.giop.service_context import (
-    ServiceContext,
     read_service_contexts,
     write_service_contexts,
 )
-from repro.giop.types import Any, read_any, to_any, write_any
+from repro.giop.types import read_any_value, write_any
 
 GIOP_MAGIC = b"GIOP"
 GIOP_VERSION = (1, 2)
@@ -108,145 +121,194 @@ GiopMessage = Union[RequestMessage, ReplyMessage,
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
+#
+# Each body encoder appends to a fresh bytearray (so CDR alignment is
+# relative to the body) in byte order ``le`` (0 big, 1 little).
 
-def _encode_header(out_body: bytes, msg_type: MsgType,
-                   little_endian: bool) -> bytes:
-    header = CdrOutputStream(little_endian)
-    header.write_raw(GIOP_MAGIC)
-    header.write_octet(GIOP_VERSION[0])
-    header.write_octet(GIOP_VERSION[1])
-    header.write_octet(1 if little_endian else 0)  # flags: bit 0 = endianness
-    header.write_octet(int(msg_type))
-    header.write_ulong(len(out_body))
-    return header.getvalue() + out_body
+#: magic, major, minor, flags (bit 0 = little-endian), type, body size.
+_HEADER = (struct.Struct(">4sBBBBI"), struct.Struct("<4sBBBBI"))
+
+
+def _encode_request(buf: bytearray, message: RequestMessage, le: int) -> None:
+    write_service_contexts(buf, message.service_contexts, le)
+    w_ulong(buf, message.request_id, le)
+    buf.append(1 if message.response_expected else 0)
+    w_octets(buf, message.object_key, le)
+    w_string(buf, message.operation, le)
+    w_ulong(buf, len(message.args), le)
+    for arg in message.args:
+        write_any(buf, arg, le)
+
+
+def _encode_reply(buf: bytearray, message: ReplyMessage, le: int) -> None:
+    write_service_contexts(buf, message.service_contexts, le)
+    w_ulong(buf, message.request_id, le)
+    w_ulong(buf, message.reply_status, le)
+    if message.reply_status is not ReplyStatus.NO_EXCEPTION:
+        w_string(buf, message.exception_id, le)
+    write_any(buf, message.result, le)
+
+
+def _encode_empty(buf: bytearray, message, le: int) -> None:
+    pass
+
+
+#: Exact message class -> (GIOP type, body encoder).
+_ENCODERS = {
+    RequestMessage: (MsgType.REQUEST, _encode_request),
+    ReplyMessage: (MsgType.REPLY, _encode_reply),
+    CloseConnectionMessage: (MsgType.CLOSE_CONNECTION, _encode_empty),
+    MessageErrorMessage: (MsgType.MESSAGE_ERROR, _encode_empty),
+}
 
 
 def encode_message(message: GiopMessage, little_endian: bool = False) -> bytes:
     """Serialize a GIOP message to its full wire form (header + body)."""
-    body = CdrOutputStream(little_endian)
-    if isinstance(message, RequestMessage):
-        write_service_contexts(body, list(message.service_contexts))
-        body.write_ulong(message.request_id)
-        body.write_boolean(message.response_expected)
-        body.write_octets(message.object_key)
-        body.write_string(message.operation)
-        body.write_ulong(len(message.args))
-        for arg in message.args:
-            write_any(body, to_any(arg))
-        return _encode_header(body.getvalue(), MsgType.REQUEST, little_endian)
-    if isinstance(message, ReplyMessage):
-        write_service_contexts(body, list(message.service_contexts))
-        body.write_ulong(message.request_id)
-        body.write_ulong(int(message.reply_status))
-        if message.reply_status is ReplyStatus.NO_EXCEPTION:
-            write_any(body, to_any(message.result))
-        else:
-            body.write_string(message.exception_id)
-            write_any(body, to_any(message.result))
-        return _encode_header(body.getvalue(), MsgType.REPLY, little_endian)
-    if isinstance(message, CloseConnectionMessage):
-        return _encode_header(b"", MsgType.CLOSE_CONNECTION, little_endian)
-    if isinstance(message, MessageErrorMessage):
-        return _encode_header(b"", MsgType.MESSAGE_ERROR, little_endian)
-    raise ProtocolError(f"cannot encode {type(message).__name__}")
+    entry = _ENCODERS.get(type(message))
+    if entry is None:
+        raise ProtocolError(f"cannot encode {type(message).__name__}")
+    msg_type, encode = entry
+    le = 1 if little_endian else 0
+    body = bytearray()
+    try:
+        encode(body, message, le)
+        header = _HEADER[le].pack(GIOP_MAGIC, GIOP_VERSION[0],
+                                  GIOP_VERSION[1], le, msg_type, len(body))
+    except struct.error as exc:
+        raise MarshalError(
+            f"unencodable {type(message).__name__} field: {exc}") from exc
+    return header + body
 
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
-def decode_header(data: bytes) -> GiopHeader:
-    """Parse the 12-byte GIOP header (magic, version, flags, type, size)."""
+#: Raw reply status -> member (an index, not an enum construction).
+_REPLY_STATUSES = tuple(ReplyStatus)
+
+
+def _header(data) -> Tuple[int, int, int]:
+    """Check the 12-byte GIOP header; returns ``(type, le, body size)``."""
     if len(data) < _HEADER_LEN:
         raise ProtocolError(f"short GIOP header: {len(data)} bytes")
     if data[:4] != GIOP_MAGIC:
-        raise ProtocolError(f"bad GIOP magic {data[:4]!r}")
-    version = (data[4], data[5])
-    little = bool(data[6] & 1)
-    try:
-        msg_type = MsgType(data[7])
-    except ValueError as exc:
-        raise ProtocolError(f"unknown GIOP message type {data[7]}") from exc
-    size_stream = CdrInputStream(data[8:12], little_endian=little)
-    size = size_stream.read_ulong()
-    return GiopHeader(msg_type, size, little, version)
+        raise ProtocolError(f"bad GIOP magic {bytes(data[:4])!r}")
+    msg_type = data[7]
+    if msg_type > MsgType.FRAGMENT:
+        raise ProtocolError(f"unknown GIOP message type {msg_type}")
+    le = data[6] & 1
+    return msg_type, le, U32[le].unpack_from(data, 8)[0]
+
+
+def decode_header(data: bytes) -> GiopHeader:
+    """Parse the 12-byte GIOP header (magic, version, flags, type, size)."""
+    msg_type, le, size = _header(data)
+    return GiopHeader(MsgType(msg_type), size, bool(le), (data[4], data[5]))
+
+
+def _decode_request(body, le: int) -> RequestMessage:
+    contexts, pos = read_service_contexts(body, 0, le)
+    request_id, pos = r_ulong(body, pos, le)
+    response_expected = body[pos] != 0
+    object_key, pos = r_octets(body, pos + 1, le)
+    operation, pos = r_string(body, pos, le)
+    count, pos = r_ulong(body, pos, le)
+    if count > 1_000_000:
+        raise UnmarshalError(f"implausible argument count {count}")
+    args = []
+    for _ in range(count):
+        arg, pos = read_any_value(body, pos, le)
+        args.append(arg)
+    return RequestMessage(request_id, object_key, operation, tuple(args),
+                          response_expected, contexts)
+
+
+def _decode_reply(body, le: int) -> ReplyMessage:
+    contexts, pos = read_service_contexts(body, 0, le)
+    request_id, pos = r_ulong(body, pos, le)
+    raw_status, pos = r_ulong(body, pos, le)
+    if raw_status >= len(_REPLY_STATUSES):
+        raise ProtocolError(f"unknown reply status {raw_status}")
+    status = _REPLY_STATUSES[raw_status]
+    exception_id = ""
+    if status is not ReplyStatus.NO_EXCEPTION:
+        exception_id, pos = r_string(body, pos, le)
+    result, pos = read_any_value(body, pos, le)
+    return ReplyMessage(request_id, status, result, exception_id, contexts)
+
+
+def _decode_close(body, le: int) -> CloseConnectionMessage:
+    return CloseConnectionMessage()
+
+
+def _decode_message_error(body, le: int) -> MessageErrorMessage:
+    return MessageErrorMessage()
+
+
+#: GIOP type -> body decoder.
+_DECODERS = {
+    MsgType.REQUEST: _decode_request,
+    MsgType.REPLY: _decode_reply,
+    MsgType.CLOSE_CONNECTION: _decode_close,
+    MsgType.MESSAGE_ERROR: _decode_message_error,
+}
 
 
 def decode_message(data: bytes) -> GiopMessage:
     """Parse a full GIOP message from its wire form."""
-    header = decode_header(data)
-    body_bytes = data[_HEADER_LEN:]
-    if len(body_bytes) != header.size:
+    msg_type, le, size = _header(data)
+    if len(data) - _HEADER_LEN != size:
         raise ProtocolError(
-            f"GIOP body size mismatch: header says {header.size}, "
-            f"got {len(body_bytes)}"
+            f"GIOP body size mismatch: header says {size}, "
+            f"got {len(data) - _HEADER_LEN}"
         )
-    body = CdrInputStream(body_bytes, little_endian=header.little_endian)
-    if header.msg_type is MsgType.REQUEST:
-        contexts = tuple(read_service_contexts(body))
-        request_id = body.read_ulong()
-        response_expected = body.read_boolean()
-        object_key = body.read_octets()
-        operation = body.read_string()
-        arg_count = body.read_ulong()
-        if arg_count > 1_000_000:
-            raise UnmarshalError(f"implausible argument count {arg_count}")
-        args = tuple(read_any(body) for _ in range(arg_count))
-        from repro.giop.types import from_any
-        return RequestMessage(
-            request_id=request_id,
-            object_key=object_key,
-            operation=operation,
-            args=tuple(from_any(a) for a in args),
-            response_expected=response_expected,
-            service_contexts=contexts,
-        )
-    if header.msg_type is MsgType.REPLY:
-        contexts = tuple(read_service_contexts(body))
-        request_id = body.read_ulong()
-        raw_status = body.read_ulong()
-        try:
-            status = ReplyStatus(raw_status)
-        except ValueError as exc:
-            raise ProtocolError(f"unknown reply status {raw_status}") from exc
-        from repro.giop.types import from_any
-        if status is ReplyStatus.NO_EXCEPTION:
-            result = from_any(read_any(body))
-            exception_id = ""
-        else:
-            exception_id = body.read_string()
-            result = from_any(read_any(body))
-        return ReplyMessage(
-            request_id=request_id,
-            reply_status=status,
-            result=result,
-            exception_id=exception_id,
-            service_contexts=contexts,
-        )
-    if header.msg_type is MsgType.CLOSE_CONNECTION:
-        return CloseConnectionMessage()
-    if header.msg_type is MsgType.MESSAGE_ERROR:
-        return MessageErrorMessage()
-    raise ProtocolError(f"unsupported GIOP message type {header.msg_type!r}")
+    decode = _DECODERS.get(msg_type)
+    if decode is None:
+        raise ProtocolError(
+            f"unsupported GIOP message type {MsgType(msg_type)!r}")
+    try:
+        return decode(data[_HEADER_LEN:], le)
+    except (struct.error, IndexError) as exc:
+        raise UnmarshalError(f"truncated GIOP body: {exc}") from exc
 
 
-def peek_request_id(data: bytes) -> Optional[int]:
-    """Extract the request_id from raw GIOP bytes without a full decode.
+#: Message types whose body opens with a service-context list before the
+#: request_id (the others with a request_id start with it).
+_CONTEXTS_FIRST = (MsgType.REQUEST, MsgType.REPLY)
+_HAS_REQUEST_ID = (MsgType.REQUEST, MsgType.REPLY, MsgType.CANCEL_REQUEST,
+                   MsgType.LOCATE_REQUEST, MsgType.LOCATE_REPLY)
 
-    Returns None for message types that carry no request_id.  This is the
-    interceptor's fast path for tracking each connection's ``request_id``
-    counter from outside the ORB (paper §4.2.1).
+
+def peek_request_id(data: bytes) -> Optional[Tuple[int, bool, str]]:
+    """Read a raw message's header fields without decoding its body.
+
+    Returns ``(request_id, response_expected, operation)`` for a Request,
+    ``(request_id, False, "")`` for the other message types that carry a
+    request_id, and None for those that carry none.  This is the
+    interceptor's view of every message it captures: it tracks each
+    connection's ``request_id`` counter from outside the ORB (paper
+    §4.2.1) and routes requests by operation, and it never needs the
+    arguments.  The body starts at a multiple of 4 and the peek reads no
+    8-byte field, so it reads ``data`` in place (CDR alignment relative
+    to the message is then the same as relative to the body).
     """
-    header = decode_header(data)
-    if header.msg_type not in (MsgType.REQUEST, MsgType.REPLY,
-                               MsgType.CANCEL_REQUEST,
-                               MsgType.LOCATE_REQUEST, MsgType.LOCATE_REPLY):
+    msg_type, le, _ = _header(data)
+    if msg_type not in _HAS_REQUEST_ID:
         return None
-    body = CdrInputStream(data[_HEADER_LEN:],
-                          little_endian=header.little_endian)
-    if header.msg_type in (MsgType.REQUEST, MsgType.REPLY):
-        count = body.read_ulong()
-        for _ in range(count):
-            body.read_ulong()    # context_id
-            body.read_octets()   # context_data
-    return body.read_ulong()
+    try:
+        pos = _HEADER_LEN
+        if msg_type in _CONTEXTS_FIRST:
+            count, pos = r_ulong(data, pos, le)
+            for _ in range(count):
+                _, pos = r_ulong(data, pos, le)        # context_id
+                _, pos = r_octets(data, pos, le)       # context_data
+        request_id, pos = r_ulong(data, pos, le)
+        if msg_type != MsgType.REQUEST:
+            return request_id, False, ""
+        response_expected = data[pos] != 0
+        _, pos = r_octets(data, pos + 1, le)           # object_key
+        operation, _ = r_string(data, pos, le)
+        return request_id, response_expected, operation
+    except (struct.error, IndexError) as exc:
+        raise UnmarshalError(f"truncated GIOP header fields: {exc}") from exc

@@ -18,10 +18,11 @@ messages" (paper §4.2.2).  Two uses matter for recovery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.giop.cdr import (CdrInputStream, CdrOutputStream, r_octets,
+                            r_ulong, w_octets, w_ulong)
 
 CODE_SETS_ID = 1
 """OMG-standard ServiceContext id for code-set negotiation."""
@@ -43,22 +44,32 @@ class ServiceContext:
     context_data: bytes
 
 
-def write_service_contexts(out: CdrOutputStream,
-                           contexts: List[ServiceContext]) -> None:
-    """Encode a GIOP service-context list (ulong count then entries)."""
-    out.write_ulong(len(contexts))
+def write_service_contexts(buf: bytearray,
+                           contexts: Sequence[ServiceContext],
+                           le: int = 0) -> None:
+    """Append a GIOP service-context list (ulong count then entries) to a
+    message body in byte order ``le`` (0 big-endian, 1 little-endian)."""
+    w_ulong(buf, len(contexts), le)
     for ctx in contexts:
-        out.write_ulong(ctx.context_id)
-        out.write_octets(ctx.context_data)
+        w_ulong(buf, ctx.context_id, le)
+        w_octets(buf, ctx.context_data, le)
 
 
-def read_service_contexts(inp: CdrInputStream) -> List[ServiceContext]:
-    """Decode a GIOP service-context list; guards implausible counts."""
-    count = inp.read_ulong()
+def read_service_contexts(data, pos: int = 0, le: int = 0
+                          ) -> Tuple[Tuple[ServiceContext, ...], int]:
+    """Read a GIOP service-context list at ``pos``; returns ``(contexts,
+    next_pos)``.  Guards implausible counts."""
+    count, pos = r_ulong(data, pos, le)
+    if not count:
+        return (), pos
     if count > 1_000_000:
         raise UnmarshalError(f"implausible service context count {count}")
-    return [ServiceContext(inp.read_ulong(), inp.read_octets())
-            for _ in range(count)]
+    contexts = []
+    for _ in range(count):
+        context_id, pos = r_ulong(data, pos, le)
+        context_data, pos = r_octets(data, pos, le)
+        contexts.append(ServiceContext(context_id, context_data))
+    return tuple(contexts), pos
 
 
 @dataclass(frozen=True)

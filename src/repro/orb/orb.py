@@ -16,10 +16,8 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.errors import ObjectNotFound, OrbError, ProtocolError
 from repro.giop.ior import IOR
 from repro.giop.messages import (
-    MsgType,
     ReplyMessage,
     RequestMessage,
-    decode_header,
     decode_message,
     encode_message,
 )
@@ -191,15 +189,14 @@ class Orb:
         Returns True if it was delivered to the application, False if the
         ORB discarded it (unknown connection or request_id mismatch — the
         Figure 4 failure mode)."""
-        header = decode_header(data)
-        if header.msg_type is not MsgType.REPLY:
+        reply = decode_message(data)
+        if not isinstance(reply, ReplyMessage):
             raise ProtocolError(
-                f"expected Reply on client path, got {header.msg_type!r}"
+                f"expected Reply on client path, got {type(reply).__name__}"
             )
         conn = self._client_conns.get((host, port))
         if conn is None:
             return False
-        reply = decode_message(data)
         entry = conn.match_reply(reply)
         if entry is None:
             return False

@@ -52,8 +52,8 @@ def _label(record: TraceRecord) -> str:
     base = _EVENT_LABELS.get((record.category, record.event),
                              f"{record.category}.{record.event}")
     details = []
-    for key in ("node", "group", "new_primary", "transfer", "app_bytes",
-                "messages", "restarted", "faulty"):
+    for key in ("node", "group", "step", "new_primary", "transfer",
+                "app_bytes", "messages", "restarted", "faulty"):
         if key in record.fields:
             details.append(f"{key}={record.fields[key]}")
     if details:

@@ -1,0 +1,45 @@
+"""Each IIOP message is parsed once per node that uses it.
+
+The interceptor reads the headers of the requests and replies its own ORB
+has just encoded (paper §4.2.1: it learns the ``request_id`` "by parsing
+every outgoing IIOP request message") and never decodes their bodies; the
+only full GIOP decodes of an ordered invocation are the ones the ORBs
+themselves need — each executing server replica's ``decode_request`` and
+the client's ``handle_reply``.
+"""
+
+import sys
+from collections import Counter
+
+from repro.bench.deployments import build_client_server
+from repro.giop import messages
+
+
+def count_decodes(monkeypatch) -> Counter:
+    """Wrap ``decode_message`` in every module that imported it, counting
+    calls by the calling module."""
+    calls: Counter = Counter()
+    original = messages.decode_message
+
+    def counting(data):
+        calls[sys._getframe(1).f_globals["__name__"]] += 1
+        return original(data)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "decode_message", None) is original:
+            monkeypatch.setattr(module, "decode_message", counting)
+    return calls
+
+
+def test_an_ordered_invocation_is_decoded_three_times(monkeypatch):
+    deployment = build_client_server(server_replicas=2, state_size=100,
+                                     warmup=0.2)
+    calls = count_decodes(monkeypatch)
+    before = deployment.driver.acked
+    deployment.system.run_for(0.3)
+    acked = deployment.driver.acked - before
+    assert acked > 100
+    # two server replicas' decode_request plus the client's handle_reply
+    assert sum(calls.values()) <= 3 * acked, calls
+    assert calls["repro.core.interceptor"] == 0
+    assert set(calls) == {"repro.orb.orb"}

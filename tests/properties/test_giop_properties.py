@@ -54,7 +54,8 @@ def test_request_roundtrip(request_id, object_key, operation, args,
     assert decoded.operation == operation
     assert list(decoded.args) == args
     assert decoded.response_expected == response_expected
-    assert peek_request_id(wire) == request_id
+    assert peek_request_id(wire) == (request_id, response_expected,
+                                     operation)
 
 
 @given(
@@ -73,7 +74,7 @@ def test_reply_roundtrip(request_id, status, little):
     decoded = decode_message(wire)
     assert decoded.request_id == request_id
     assert decoded.reply_status is status
-    assert peek_request_id(wire) == request_id
+    assert peek_request_id(wire) == (request_id, False, "")
 
 
 @given(

@@ -53,6 +53,19 @@ def test_build_client_server_deploys_and_streams():
         assert deployment.server_servant(node).echo_count > 100
 
 
+def test_build_client_server_waits_for_a_slow_ring():
+    """Under the live runtime's Totem timeouts the ring is not formed (and
+    the server group not created) 50 ms in; the deployment waits for it
+    instead of asking a ring that knows no group yet for its reference."""
+    from repro.live import LIVE_TOTEM_CONFIG
+
+    deployment = build_client_server(server_replicas=2, state_size=50,
+                                     totem_config=LIVE_TOTEM_CONFIG,
+                                     warmup=0.2)
+    assert deployment.driver.acked > 0
+    assert 0 < measure_recovery(deployment, "s2") < 1.0
+
+
 def test_measure_recovery_returns_positive_time():
     deployment = build_client_server(server_replicas=2, state_size=50,
                                      warmup=0.1)

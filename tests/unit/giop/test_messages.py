@@ -118,18 +118,25 @@ def test_unknown_message_type_rejected():
 
 
 def test_peek_request_id_on_request():
-    assert peek_request_id(encode_message(make_request(request_id=350))) == 350
+    assert peek_request_id(encode_message(make_request(request_id=350))) \
+        == (350, True, "ping")
+
+
+def test_peek_request_id_reads_oneway_flag_and_operation():
+    wire = encode_message(make_request(request_id=4, operation="notify",
+                                       response_expected=False))
+    assert peek_request_id(wire) == (4, False, "notify")
 
 
 def test_peek_request_id_on_reply():
     wire = encode_message(ReplyMessage(request_id=123, result=None))
-    assert peek_request_id(wire) == 123
+    assert peek_request_id(wire) == (123, False, "")
 
 
 def test_peek_request_id_skips_service_contexts():
     ctx = ServiceContext(0x1234, b"\x01\x02\x03")
     wire = encode_message(make_request(request_id=5, service_contexts=(ctx,)))
-    assert peek_request_id(wire) == 5
+    assert peek_request_id(wire) == (5, True, "ping")
 
 
 def test_peek_request_id_none_for_close():
@@ -139,4 +146,4 @@ def test_peek_request_id_none_for_close():
 @pytest.mark.parametrize("little", [False, True])
 def test_peek_respects_endianness(little):
     wire = encode_message(make_request(request_id=0xABCD), little)
-    assert peek_request_id(wire) == 0xABCD
+    assert peek_request_id(wire) == (0xABCD, True, "ping")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.giop.cdr import CdrOutputStream
 from repro.giop.service_context import (
     CODE_SETS_ID,
     CODESET_UTF8,
@@ -19,24 +19,25 @@ from repro.giop.service_context import (
 
 
 def test_context_list_roundtrip():
-    contexts = [ServiceContext(1, b"abc"), ServiceContext(0xFFFF, b"")]
-    out = CdrOutputStream()
-    write_service_contexts(out, contexts)
-    decoded = read_service_contexts(CdrInputStream(out.getvalue()))
+    contexts = (ServiceContext(1, b"abc"), ServiceContext(0xFFFF, b""))
+    buf = bytearray()
+    write_service_contexts(buf, contexts)
+    decoded, end = read_service_contexts(bytes(buf))
     assert decoded == contexts
+    assert end == len(buf)
 
 
 def test_empty_context_list_roundtrip():
-    out = CdrOutputStream()
-    write_service_contexts(out, [])
-    assert read_service_contexts(CdrInputStream(out.getvalue())) == []
+    buf = bytearray()
+    write_service_contexts(buf, ())
+    assert read_service_contexts(bytes(buf)) == ((), 4)
 
 
 def test_implausible_count_rejected():
     out = CdrOutputStream()
     out.write_ulong(2_000_000)
     with pytest.raises(UnmarshalError):
-        read_service_contexts(CdrInputStream(out.getvalue()))
+        read_service_contexts(out.getvalue())
 
 
 def test_codeset_context_roundtrip():

@@ -146,11 +146,15 @@ def test_flight_exclude_whole_category_wins_over_event_entries():
 def test_default_exclusions_drop_fanout_but_keep_causal_stream():
     recorder, tracer, _ = make_recorder()     # default FLIGHT_EXCLUDE
     tracer.emit("totem", "deliver", node="s1", seq=1)
+    tracer.emit("totem", "token", node="s1", seq=1)
+    tracer.emit("totem", "frame", node="s1", seq=2)
+    tracer.emit("totem", "packed_frame", node="s1", seq=2, payloads=3)
+    tracer.emit("totem", "install", node="s1", ring_id=4)
     tracer.emit("net", "unicast", node="s1")
     tracer.emit("replication", "duplicate", node="s1")
     tracer.emit("replication", "delivered", node="s1", kind="REQUEST")
     kept = [(r.category, r.event) for r in recorder.records_for("s1")]
-    assert kept == [("replication", "delivered")]
+    assert kept == [("totem", "install"), ("replication", "delivered")]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,18 @@ def test_plane_polls_queue_depth_gauges_and_samples_series():
 TOP_HEADERS = [header for header, _, _ in telemetry._TOP_COLUMNS]
 #: The ``top`` columns :meth:`TelemetryPlane.poll` sets.
 QUEUE_COLUMNS = ("sendq", "held", "reasm", "pend-op", "recovq", "bulk")
+#: The ``top`` columns read off lifetime histograms nothing retires.
+LIFETIME_COLUMNS = ("rot p50 ms", "tok-rtt ms")
+
+
+def top_rows(system):
+    """``{node: {column: cell}}`` of the ``top`` table's node rows."""
+    rows = {}
+    for line in render_top(system.telemetry.history.snapshot()).splitlines():
+        node, *row = line.split()
+        if len(row) == len(TOP_HEADERS):
+            rows[node] = dict(zip(TOP_HEADERS, row))
+    return rows
 
 
 def live_series(system, node):
@@ -251,15 +267,20 @@ def live_series(system, node):
 def test_dead_nodes_gauges_are_retired_at_the_next_poll():
     system = deploy().system
     system.metrics.gauge("totem.send_queue_depth", node="s2").set(6)
+    system.telemetry.sample_now()
+    # while alive, s2 shows its token interarrival (the rotation span is
+    # the ring leader's, c1's)
+    assert top_rows(system)["s2"]["tok-rtt ms"] != "-"
     system.kill_node("s2")
     assert live_series(system, "s2") == {"node.alive": 0}
-    # top shows the dead node without its last queue depths
+    # top shows the dead node without its last queue depths, and without
+    # the lifetime latencies of its previous life
     system.telemetry.sample_now()
-    row = next(line.split()[1:] for line in render_top(
-        system.telemetry.history.snapshot()).splitlines()
-        if line.startswith("s2 "))
-    cells = dict(zip(TOP_HEADERS, row))
+    cells = top_rows(system)["s2"]
     assert [cells[column] for column in QUEUE_COLUMNS] == ["-"] * 6
+    assert [cells[column] for column in LIFETIME_COLUMNS] == ["-"] * 2
+    cells = top_rows(system)["c1"]
+    assert "-" not in [cells[column] for column in LIFETIME_COLUMNS]
 
 
 def test_a_removed_replicas_gauges_are_retired():

@@ -1,5 +1,7 @@
 """Unit tests for the trace timeline tool."""
 
+import re
+
 import pytest
 
 from repro.obs.report import recovery_phase_report
@@ -59,6 +61,22 @@ def test_render_filters_by_group():
     ]
     text = render_timeline(make_tracer(records), group="store")
     assert "other" not in text
+
+
+def test_the_six_install_steps_render_as_distinct_lines():
+    """A network recovery installs app, ORB and infrastructure state, then
+    replays, goes operational and drains (§5.1): six ``recovery.install``
+    records, which the timeline must tell apart by their step."""
+    from repro.bench.deployments import build_client_server, measure_recovery
+
+    deployment = build_client_server(state_size=100, keep_trace_records=True)
+    measure_recovery(deployment, "s2")
+    lines = [line.split(" ms  ", 1)[1] for line in render_timeline(
+        deployment.system.tracer, categories={"recovery"}).splitlines()
+        if "recovery.install" in line and "node=s2" in line]
+    assert len(lines) == 6 and len(set(lines)) == 6
+    assert [re.search(r"step=(\w+)", line).group(1) for line in lines] == [
+        "app", "orb", "infra", "replay", "operational", "drain"]
 
 
 def test_render_empty_message():
