@@ -402,6 +402,14 @@ def _cmd_live(args) -> int:
     return run_live(args)
 
 
+def _cmd_fuzz(args) -> int:
+    from repro.tools.fuzz import fuzz, replay
+
+    if args.replay is not None:
+        return replay(args.replay)
+    return fuzz(args.seeds, args.budget)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser, every sub-command on it."""
     parser = argparse.ArgumentParser(
@@ -577,6 +585,17 @@ def build_parser() -> argparse.ArgumentParser:
                            "audit violation, crash, or SIGINT, and for "
                            "every node at shutdown")
     add_profile_flags(live)
+    fuzz = sub.add_parser(
+        "fuzz", help="seeded membership faults against a simulated ring; "
+                     "exit 1 if any seed breaks an invariant")
+    fuzz.add_argument("--seeds", type=int, default=150,
+                      help="how many consecutive seeds, from 0, to run "
+                           "at most")
+    fuzz.add_argument("--budget", type=float, default=90.0,
+                      help="CPU seconds after which no new seed starts")
+    fuzz.add_argument("--replay", type=int, default=None, metavar="SEED",
+                      help="re-run one seed, printing its scenario, "
+                           "membership trace and findings")
     return parser
 
 
@@ -598,6 +617,7 @@ def main(argv=None) -> int:
         "top": _cmd_top,
         "profile": _cmd_profile,
         "live": _cmd_live,
+        "fuzz": _cmd_fuzz,
     }
     if args.command is None:
         parser.print_help()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import MarshalError, ProtocolError, UnmarshalError
 from repro.giop.cdr import (r_double, r_longlong, r_octets,
@@ -69,9 +69,14 @@ class IiopEnvelope:
     @property
     def target_group(self) -> str:
         """Requests go to the server group; replies to the client group."""
-        if self.kind is OpKind.REQUEST:
-            return self.connection.server_group
-        return self.connection.client_group
+        return _target_group(self.kind, self.connection.client_group,
+                             self.connection.server_group)
+
+
+def _target_group(kind: OpKind, client_group: str, server_group: str) -> str:
+    """The rule of :attr:`IiopEnvelope.target_group`, which
+    :func:`iiop_target_group` applies to an encoded header."""
+    return server_group if kind is OpKind.REQUEST else client_group
 
 
 @dataclass(frozen=True)
@@ -431,9 +436,11 @@ def _decode_cold_seed(data) -> ColdSeed:
     return ColdSeed(group_id, node_id, transfer_id, store_position)
 
 
+_IIOP_TAG = 1
+
 #: One row per envelope type: (tag, class, encoder, decoder).
 _ROWS = (
-    (1, IiopEnvelope, _encode_iiop, _decode_iiop),
+    (_IIOP_TAG, IiopEnvelope, _encode_iiop, _decode_iiop),
     (2, GroupUpdate, _encode_group_update, _decode_group_update),
     (5, ReplicaJoin, _encode_replica_join, _decode_replica_join),
     (6, StateGet, _encode_state_get, _decode_state_get),
@@ -463,6 +470,24 @@ def encode_envelope(envelope: Envelope) -> bytes:
         raise MarshalError(
             f"unencodable {type(envelope).__name__} field: {exc}") from exc
     return bytes(buf)
+
+
+def iiop_target_group(data: bytes) -> Optional[str]:
+    """The group an encoded :class:`IiopEnvelope` is addressed to, read
+    from its header (the two group names and the kind) without decoding
+    the rest; ``None`` for any other envelope, or a header
+    :func:`decode_envelope` would reject."""
+    if not data or data[0] != _IIOP_TAG:
+        return None
+    try:
+        client_group, pos = r_string(data, 1)
+        server_group, pos = r_string(data, pos)
+        kind = _OP_KINDS.get(data[pos])
+    except (struct.error, IndexError, ValueError):
+        return None
+    if kind is None:
+        return None
+    return _target_group(kind, client_group, server_group)
 
 
 def decode_envelope(data: bytes) -> Envelope:

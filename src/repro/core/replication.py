@@ -36,6 +36,7 @@ from repro.core.envelope import (
     StateSet,
     decode_envelope,
     encode_envelope,
+    iiop_target_group,
 )
 from repro.core.groupinfo import (
     GroupInfo,
@@ -245,10 +246,12 @@ class ReplicationMechanisms:
             self.store.handle_crash()
 
     def _on_deliver(self, origin: str, payload: bytes) -> None:
+        target = iiop_target_group(payload)
+        if target is not None:
+            self._handle_iiop(target, payload)
+            return
         envelope = decode_envelope(payload)
-        if isinstance(envelope, IiopEnvelope):
-            self._handle_iiop(envelope)
-        elif isinstance(envelope, GroupUpdate):
+        if isinstance(envelope, GroupUpdate):
             self._handle_group_update(envelope)
         elif isinstance(envelope, ReplicaJoin):
             self.recovery.handle_replica_join(envelope)
@@ -269,12 +272,16 @@ class ReplicationMechanisms:
     # IIOP routing
     # ------------------------------------------------------------------
 
-    def _handle_iiop(self, envelope: IiopEnvelope) -> None:
-        binding = self.bindings.get(envelope.target_group)
+    def _handle_iiop(self, target: str, payload: bytes) -> None:
+        """Route one delivered IIOP envelope, addressed to group ``target``
+        (read from its header); it is decoded only if some local replica
+        or the gateway takes it."""
+        binding = self.bindings.get(target)
         if binding is None:
             if self.gateway is not None:
-                self.gateway.on_unplaced_iiop(envelope, self)
+                self.gateway.on_unplaced_iiop(decode_envelope(payload), self)
             return
+        envelope = decode_envelope(payload)
         binding.delivery_position += 1
         if binding.phase is not _OPERATIONAL:
             # §5.1: before the sync point the new replica's state transfer

@@ -75,6 +75,12 @@ RETAIN_SAFE_SLACK = 128
 #: Upper bound on the per-member send queue (backpressure guard).
 MAX_QUEUE = 100_000
 
+#: A member whose candidate set grows re-announces it once JOINs have
+#: stopped growing it for ``join_interval / JOIN_SETTLE``: one JOIN per
+#: member per burst of arrivals, not one per arrival (on a large ring
+#: that would be quadratic in the members, and outlast the gather).
+JOIN_SETTLE = 8
+
 
 class MemberState(enum.Enum):
     """Ring-member protocol phase (PROTOCOL.md §5.1)."""
@@ -179,8 +185,12 @@ class TotemMember:
         # "commit", "token", "retx", "hold"): armed only by _arm, all
         # cancelled by _set_state.
         self._timers: Dict[str, TimerHandle] = {}
+        self._due: Dict[str, float] = {}    # role -> requested deadline
 
         self._last_probe = 0.0
+        # How many retransmission requests a token holds within the MTU.
+        self._max_rtr = (endpoint.mtu_payload
+                         - Token(0, 0, 0).size_bytes) // 8
         endpoint.register(DataMsg, self._on_data)
         endpoint.register(PackedDataMsg, self._on_data)
         endpoint.register(Token, self._on_token_frame)
@@ -190,7 +200,7 @@ class TotemMember:
         endpoint.register(HoldCancel, self._on_hold_cancel)
         endpoint.process.on_crash(self.shutdown)
 
-        self._enter_gather()
+        self._enter_gather("start")
 
     # ------------------------------------------------------------------
     # Public interface
@@ -262,8 +272,14 @@ class TotemMember:
              *args) -> None:
         """Schedule this phase's ``role`` timer, replacing a pending one."""
         self._disarm(role)
+        self._due[role] = self._scheduler.now + delay
         self._timers[role] = self.endpoint.process.call_after(delay, fn,
                                                               *args)
+
+    def _late_ms(self, role: str) -> float:
+        """How much later than requested the ``role`` timer now running
+        fired (a busy event loop delays every timer behind it)."""
+        return round((self._scheduler.now - self._due[role]) * 1e3, 3)
 
     def _disarm(self, role: str) -> None:
         handle = self._timers.pop(role, None)
@@ -283,7 +299,7 @@ class TotemMember:
             # Disturb both rings into a merging gather.
             self.tracer.emit("totem", "foreign", node=self.node_id,
                              sender=msg.sender)
-            self._enter_gather()
+            self._enter_gather("foreign")
             return
         if msg.seq <= self.delivered_aru or msg.seq in self._held:
             return
@@ -403,9 +419,11 @@ class TotemMember:
         # token can arrive before another member's retransmission or a
         # delayed datagram does), and asking at once would have every
         # such frame rebroadcast.
-        budget = 64
+        # The requests of every member ride one token, which must still
+        # fit one frame.
+        budget = min(64, self._max_rtr - len(token.rtr))
         for seq in range(self.delivered_aru + 1, prev_seq + 1):
-            if budget == 0:
+            if budget <= 0:
                 break
             if seq not in self._held and seq not in token.rtr:
                 token.rtr.append(seq)
@@ -626,8 +644,10 @@ class TotemMember:
         self.endpoint.broadcast(msg, msg.size_bytes)
 
     def _on_token_timeout(self) -> None:
-        self.tracer.emit("totem", "token_timeout", node=self.node_id)
-        self._enter_gather()
+        late_ms = self._late_ms("token")
+        self.tracer.emit("totem", "token_timeout", node=self.node_id,
+                         late_ms=late_ms)
+        self._enter_gather("token_timeout", late_ms)
 
     def _on_probe(self, src: str, probe: ProbeMsg) -> None:
         """A probe from a ring we are not part of means a healed partition:
@@ -638,24 +658,38 @@ class TotemMember:
             return
         self.tracer.emit("totem", "foreign", node=self.node_id,
                          sender=probe.sender)
-        self._enter_gather()
+        self._enter_gather("foreign")
 
     # ------------------------------------------------------------------
     # Membership: gather
     # ------------------------------------------------------------------
 
-    def _enter_gather(self) -> None:
+    def _enter_gather(self, cause: str, late_ms: float = 0.0,
+                      join: Optional[JoinMsg] = None) -> None:
+        """Start a gather round; ``cause`` and ``late_ms`` (how late the
+        timer that ended the old phase fired, if one did) go on the
+        ``totem.gather`` record, and ``join`` is the JOIN that caused it."""
+        left = self.state
         self._set_state(MemberState.GATHER)
         self._pending_form = None
         self._stashed_commit = None
         self._commit_retries = 0
         self._ring_kicked = False
-        self._joins = {}
-        self.tracer.emit("totem", "gather", node=self.node_id)
+        self._joins = {} if join is None else {join.sender: join}
+        self.tracer.emit("totem", "gather", node=self.node_id, cause=cause,
+                         left=left.value, late_ms=late_ms)
         self._broadcast_join()
         self._arm("join", self.config.join_interval, self._join_tick)
         self._arm("gather", self.config.gather_timeout,
                   self._on_gather_deadline)
+
+    def _candidates(self) -> Tuple[str, ...]:
+        """Who this member would form a ring with: its last installed view
+        and every member whose JOIN it holds for this gather.  The view
+        term keeps a member that went silent (killed, partitioned) a
+        candidate, so only the gather deadline can drop it."""
+        return tuple(sorted(set(self.members).union(self._joins,
+                                                     (self.node_id,))))
 
     def _make_join(self) -> JoinMsg:
         return JoinMsg(
@@ -666,6 +700,7 @@ class TotemMember:
             fresh=self.fresh,
             view_members=self.members,
             base_seen=self._base_seen,
+            candidates=self._candidates(),
         )
 
     def _broadcast_join(self) -> None:
@@ -676,6 +711,7 @@ class TotemMember:
     def _join_tick(self) -> None:
         self._broadcast_join()
         self._arm("join", self.config.join_interval, self._join_tick)
+        self._form_on_consensus()
 
     def _on_join(self, src: str, join: JoinMsg) -> None:
         if self.state is MemberState.STOPPED or src == self.node_id:
@@ -683,18 +719,71 @@ class TotemMember:
             # must not "interrupt" a recovery we started after sending it.
             return
         if self.state is not MemberState.GATHER:
+            if self._says_nothing_new(src, join):
+                # A beacon that crossed the FORM, or a member the FORM did
+                # not reach: its leader sends the FORM again — or, if the
+                # leader lost its own, the next member of the FORM does.
+                form = self._pending_form
+                if form is not None and self.node_id == (
+                        form.members[1] if src == form.leader
+                        else form.leader):
+                    self.endpoint.broadcast(form, form.size_bytes)
+                return
             # A member (re)joining disturbs the ring, or interrupts the
             # recovery of the one forming: gather anew.
-            self._enter_gather()
-        is_new = src not in self._joins
-        self._joins[src] = join
-        if is_new:
+            self._enter_gather("join", join=join)
+        elif src in self._joins:
+            self._joins[src] = join
+        else:
+            grew = src not in self.members
+            self._joins[src] = join
             self._arm("gather", self.config.gather_timeout,
                       self._on_gather_deadline)
+            if grew:                    # our candidate set grew
+                self._arm("join", self.config.join_interval / JOIN_SETTLE,
+                          self._join_tick)
+        self._form_on_consensus()
+
+    def _says_nothing_new(self, src: str, join: JoinMsg) -> bool:
+        """Whether a JOIN reaching a member past gather was already acted
+        on.  In recovery: ``src`` is in the ring being formed, and this is
+        the JOIN recorded for it or an earlier one of the same round (the
+        same but for a candidate set the recorded one grew from).  In
+        operational: ``src`` is a member, and this is exactly the JOIN
+        recorded for it, from before the ring — a re-launched process that
+        never installed a ring sends an earlier-looking JOIN, which must
+        still disturb the ring that believes it alive."""
+        recorded = self._joins.get(src)
+        if recorded is None:
+            return False
+        if self.state is MemberState.RECOVERY:
+            return (src in self._pending_form.members
+                    and replace(join, candidates=recorded.candidates)
+                    == recorded
+                    and set(join.candidates) <= set(recorded.candidates))
+        return (join == recorded and src in self.members
+                and join.ring_id_seen < self.ring_id)
+
+    def _form_on_consensus(self) -> None:
+        """At the leader of our candidate set, still gathering: once every
+        candidate's latest JOIN names exactly that set, waiting out the
+        gather deadline can teach us nothing more, so form now.  A member
+        alone forms only at the deadline, giving others time to answer."""
+        if "gather" not in self._timers:
+            return
+        mine = self._candidates()
+        if len(mine) > 1 and mine[0] == self.node_id and all(
+                node in self._joins and self._joins[node].candidates == mine
+                for node in mine):
+            self._disarm("gather")
+            self._on_gather_deadline()
 
     def _on_gather_deadline(self) -> None:
         # Await the leader's FORM — the leader too: its own copy crosses
         # the network like everyone's — and restart gather if none comes.
+        # Consensus calls this before the deadline, with the timer disarmed.
+        at_deadline = self._timers.pop("gather", None) is not None
+        late_ms = self._late_ms("gather") if at_deadline else 0.0
         self._arm("recovery", self.config.gather_timeout * 5,
                   self._on_recovery_timeout)
         candidates = sorted(self._joins)
@@ -703,7 +792,9 @@ class TotemMember:
         form = self._compute_form(candidates)
         self.tracer.emit("totem", "form", node=self.node_id,
                          ring_id=form.ring_id, members=form.members,
-                         flush_seq=form.flush_seq)
+                         flush_seq=form.flush_seq,
+                         on="deadline" if at_deadline else "consensus",
+                         late_ms=late_ms)
         self.endpoint.broadcast(form, form.size_bytes)
 
     def _compute_form(self, candidates: List[str]) -> FormMsg:
@@ -810,7 +901,9 @@ class TotemMember:
             # some flush frame was probably lost.  Repair by re-running our
             # holder rebroadcasts and keep waiting.
         elif (self.state is MemberState.GATHER
-              and self.node_id in form.members):
+              and self.node_id in form.members
+              and (self.node_id in form.fresh_members
+                   or self.delivered_aru <= form.flush_seq)):
             self._set_state(MemberState.RECOVERY)
             if self.node_id in form.fresh_members:
                 # Our pre-merge history lost the primary-component vote:
@@ -820,10 +913,18 @@ class TotemMember:
                 self.delivered_aru = 0
                 self._held.clear()
                 self._reassembler = Reassembler(observer=self._on_reassembly)
+            else:
+                # Frames past the flush (a rival FORM's holders sent them
+                # while we gathered) are the old ring's: this ring numbers
+                # those sequences anew.
+                self._held = {seq: msg for seq, msg in self._held.items()
+                              if seq <= form.flush_seq}
             self._pending_form = form
         else:
-            # A FORM without us is too late for this round: keep gathering,
-            # which will disturb the new ring into admitting us.
+            # A FORM without us is too late for this round, and one whose
+            # flush ends below what we delivered since our last JOIN would
+            # renumber what we delivered: keep gathering.  Our JOINs then
+            # disturb the new ring into admitting us, with our history.
             return
         self._arm("recovery", self.config.gather_timeout * 5,
                   self._on_recovery_timeout)
@@ -839,8 +940,10 @@ class TotemMember:
                     self._broadcast_frame(replace(held, retransmit=True))
 
     def _on_recovery_timeout(self) -> None:
-        self.tracer.emit("totem", "recovery_timeout", node=self.node_id)
-        self._enter_gather()
+        late_ms = self._late_ms("recovery")
+        self.tracer.emit("totem", "recovery_timeout", node=self.node_id,
+                         phase=self.state.value, late_ms=late_ms)
+        self._enter_gather("recovery_timeout", late_ms)
 
     def _maybe_install(self) -> None:
         form = self._pending_form

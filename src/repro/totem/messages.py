@@ -170,6 +170,11 @@ class JoinMsg:
     A join from an older ring generation whose ``delivered_aru`` exceeds
     the newest generation's base delivered into sequence numbers the newer
     lineage reassigned — its history conflicts and it must rejoin fresh.
+
+    ``candidates`` (sorted) is who the sender would form a ring with: its
+    last installed view and every member whose JOIN it holds for this
+    gather, itself included.  The gather leader forms as soon as every
+    candidate's latest JOIN names exactly the leader's own set.
     """
 
     sender: str
@@ -179,13 +184,14 @@ class JoinMsg:
     fresh: bool
     view_members: Tuple[str, ...] = ()
     base_seen: int = 0
+    candidates: Tuple[str, ...] = ()
 
     @property
     def size_bytes(self) -> int:
         # The held set is contiguous except for loss-induced holes, so the
         # wire form is a run-length range list: 8 bytes per maximal range.
         return (_JOIN_BASE + 8 * self._range_count()
-                + 16 * len(self.view_members))
+                + 16 * (len(self.view_members) + len(self.candidates)))
 
     def _range_count(self) -> int:
         if not self.held:

@@ -369,6 +369,7 @@ def _encode_join_into(buf: bytearray, msg: JoinMsg) -> None:
     buf.append(1 if msg.fresh else 0)
     _w_members(buf, msg.view_members)
     _w_u64(buf, msg.base_seen)
+    _w_members(buf, msg.candidates)
 
 
 def _decode_join(data) -> JoinMsg:
@@ -383,8 +384,9 @@ def _decode_join(data) -> JoinMsg:
     fresh = data[pos] != 0
     view_members, pos = _r_members(data, pos + 1)
     base_seen, pos = _r_u64(data, pos)
+    candidates, pos = _r_members(data, pos)
     return JoinMsg(sender, ring_id_seen, delivered_aru, frozenset(held),
-                   fresh, view_members, base_seen)
+                   fresh, view_members, base_seen, candidates)
 
 
 def _encode_form_into(buf: bytearray, msg: FormMsg) -> None:

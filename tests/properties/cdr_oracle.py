@@ -103,6 +103,7 @@ def oracle_encode(msg) -> bytes:
         out.write_boolean(msg.fresh)
         _write_members(out, msg.view_members)
         out.write_ulonglong(msg.base_seen)
+        _write_members(out, msg.candidates)
     elif isinstance(msg, FormMsg):
         out.write_octet(TAG_FORM)
         out.write_ulonglong(msg.ring_id)
@@ -223,8 +224,9 @@ def oracle_decode(data):
         fresh = inp.read_boolean()
         view_members = _read_members(inp)
         base_seen = inp.read_ulonglong()
+        candidates = _read_members(inp)
         return JoinMsg(sender, ring_id_seen, delivered_aru, held, fresh,
-                       view_members, base_seen)
+                       view_members, base_seen, candidates)
     if tag == TAG_FORM:
         ring_id = inp.read_ulonglong()
         leader = inp.read_string()

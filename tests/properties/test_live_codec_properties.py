@@ -87,6 +87,7 @@ join_msgs = st.builds(
     fresh=st.booleans(),
     view_members=st.lists(node_ids, max_size=4).map(tuple),
     base_seen=st.integers(0, 2 ** 40),
+    candidates=st.lists(node_ids, max_size=4).map(tuple),
 )
 
 form_msgs = st.builds(

@@ -9,7 +9,7 @@ import pytest
 
 from repro import EternalSystem, FTProperties, ReplicationStyle
 from repro.apps.counter import CounterServant
-from repro.core.envelope import GroupUpdate, IiopEnvelope
+from repro.core.envelope import GroupUpdate, IiopEnvelope, encode_envelope
 from repro.core.identifiers import ConnectionKey, OpKind
 from repro.core.replication import Phase
 
@@ -72,7 +72,7 @@ def test_iiop_for_unhosted_group_ignored():
     mechanisms = system.mechanisms("n1")
     envelope = IiopEnvelope(ConnectionKey("x", "ghost"), OpKind.REQUEST,
                             0, "m", b"junk")
-    mechanisms._handle_iiop(envelope)        # must not raise
+    mechanisms._on_deliver("other", encode_envelope(envelope))  # no raise
 
 
 def test_duplicate_request_filtered_per_replica():
@@ -91,8 +91,8 @@ def test_duplicate_request_filtered_per_replica():
     ))
     envelope = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 0,
                             "other", wire)
-    mechanisms._handle_iiop(envelope)
-    mechanisms._handle_iiop(envelope)        # duplicate copy
+    mechanisms._on_deliver("other", encode_envelope(envelope))
+    mechanisms._on_deliver("other", encode_envelope(envelope))  # duplicate
     system.run_for(0.01)
     assert binding.container.servant.value == 1
 
@@ -107,12 +107,12 @@ def test_recovering_binding_drops_pre_sync_and_queues_post_sync():
     binding.phase = Phase.JOINING
     envelope = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 0,
                             "other", b"bytes")
-    mechanisms._handle_iiop(envelope)
+    mechanisms._on_deliver("other", encode_envelope(envelope))
     assert not binding.enqueued              # pre-sync-point: dropped
     binding.phase = Phase.SYNCING
     envelope2 = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 1,
                              "other", b"bytes")
-    mechanisms._handle_iiop(envelope2)
+    mechanisms._on_deliver("other", encode_envelope(envelope2))
     assert list(binding.enqueued) == [(2, envelope2)]  # post-sync-point
 
 
@@ -137,7 +137,7 @@ def test_backup_logs_but_does_not_execute():
     ))
     envelope = IiopEnvelope(ConnectionKey("cli", "g"), OpKind.REQUEST, 0,
                             "other", wire)
-    mechanisms._handle_iiop(envelope)
+    mechanisms._on_deliver("other", encode_envelope(envelope))
     system.run_for(0.01)
     assert binding.log.log_length == 1
     assert binding.container.servant.value == 0

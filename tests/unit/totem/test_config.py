@@ -45,9 +45,12 @@ def build_pair(config):
 
 
 def test_burst_window_paces_large_backlogs(monkeypatch):
-    """With MAX_BURST=4, a 12-message backlog takes 3 token visits."""
+    """With MAX_BURST=4, a 12-message backlog takes 3 token visits.  The
+    window counts frames, so packing is off: packed, the 12 small
+    messages are one frame."""
     monkeypatch.setattr(member_module, "MAX_BURST", 4)
-    scheduler, members, delivered = build_pair(TotemConfig())
+    scheduler, members, delivered = build_pair(
+        TotemConfig(frame_packing=False))
     scheduler.run_until(0.05)
     for i in range(12):
         members["A"].multicast(bytes([i]))

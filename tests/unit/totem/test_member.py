@@ -745,8 +745,10 @@ EDGE_TIMERS = {
 }
 
 
-def _join_from(ring, src, dst):
-    ring.members[dst].endpoint.deliver(src, ring.members[src]._make_join())
+def _join_from(ring, src, dst, **news):
+    """Deliver ``src``'s JOIN to ``dst``, with ``news`` changing fields."""
+    join = replace(ring.members[src]._make_join(), **news)
+    ring.members[dst].endpoint.deliver(src, join)
 
 
 @pytest.mark.parametrize("edge", list(EDGE_TIMERS),
@@ -770,7 +772,9 @@ def test_no_timer_outlives_its_phase(hold, edge):
     if new is S:
         member.shutdown()
     elif new is G:
-        _join_from(ring, "C", "B")
+        # A JOIN with news: one identical to C's recorded JOIN would be
+        # admitted, not restart gather.
+        _join_from(ring, "C", "B", fresh=True)
     else:
         ring.scheduler.run_while(lambda: member.state is old, 0.5)
     assert member.state is new
@@ -971,3 +975,177 @@ def test_token_from_a_superseded_ring_is_ignored():
     leader.endpoint.deliver("B", old[0])
     assert tracer.count("totem.token") == 0
     assert leader._last_token_rot == last_rotation
+
+
+# ----------------------------------------------------------------------
+# One round per membership change: a JOIN that says nothing new is
+# admitted, and the leader forms on consensus (PROTOCOL.md §5.1)
+# ----------------------------------------------------------------------
+
+def _forms_sent(ring):
+    """Every FORM put on the wire, as (sender, ring id, members)."""
+    sent = []
+
+    def note(src, dst, payload, size):
+        if isinstance(payload, FormMsg) and dst == src:
+            sent.append((src, payload.ring_id, payload.members))
+        return False
+
+    ring.network.add_filter(note)
+    return sent
+
+
+def _hold_in_recovery(ring):
+    """Drop every commit token, so members that take the FORM stay in
+    recovery; returns the filter for removal."""
+    def drop_commits(src, dst, payload, size):
+        return _is_commit(payload)
+
+    ring.network.add_filter(drop_commits)
+    return drop_commits
+
+
+def test_identical_join_in_recovery_is_admitted_and_the_leader_resends():
+    ring = Ring()
+    tracer = _traced(ring)
+    forms = _forms_sent(ring)
+    drop_commits = _hold_in_recovery(ring)
+    ring.scheduler.run_while(
+        lambda: not all(m.state is R for m in ring.members.values()), 0.5)
+    leader, other = ring.members["A"], ring.members["C"]
+    assert forms == [("A", 1, ("A", "B", "C"))]
+    gathers = tracer.count("totem.gather")
+    # B's beacon, identical to what both recorded, crossed the FORM.
+    for member in (leader, other):
+        member.endpoint.deliver("B", member._joins["B"])
+    assert leader.state is R and other.state is R
+    assert tracer.count("totem.gather") == gathers
+    ring.run(1e-3)
+    # Only the leader answers, with the FORM it is flushing.
+    assert forms == [("A", 1, ("A", "B", "C"))] * 2
+    # A JOIN with news (B has heard of a D) still restarts gather.
+    _join_from(ring, "B", "C", candidates=("A", "B", "C", "D"))
+    assert other.state is G
+    ring.network.remove_filter(drop_commits)
+    ring.run(0.3)
+    assert ring.all_operational()
+
+
+@pytest.mark.parametrize("loser", ["C", "A"], ids=["member", "leader"])
+def test_member_that_lost_the_form_installs_in_the_same_round(loser):
+    ring = Ring()
+    tracer = _traced(ring)
+    lost = []
+
+    def drop_one_form(src, dst, payload, size):
+        if isinstance(payload, FormMsg) and dst == loser and not lost:
+            lost.append(payload)
+            return True
+        return False
+
+    ring.network.add_filter(drop_one_form)
+    ring.scheduler.run_while(lambda: not ring.all_operational(), 0.5)
+    assert lost and ring.all_operational()
+    # The loser's next beacon reached the FORM's leader (or, the leader
+    # being the loser, the FORM's next member), which sent the FORM again:
+    # no gather round after each member's first, one ring, no deadline
+    # ran out.
+    assert tracer.count("totem.gather") == 0
+    assert tracer.count("totem.recovery_timeout") == 0
+    installs = tracer.find("totem", "install")
+    assert {r.fields["ring_id"] for r in installs} == {lost[0].ring_id}
+    assert ring.scheduler.now < ring.config.join_interval \
+        + 2 * ring.config.gather_timeout
+
+
+def test_fresh_simnet_ring_installs_before_the_gather_timeout():
+    ring = Ring()
+    tracer = _traced(ring)
+    ring.scheduler.run_while(lambda: not ring.all_operational(), 0.5)
+    assert ring.scheduler.now < ring.config.gather_timeout
+    form, = tracer.find("totem", "form")
+    assert form.fields["members"] == ("A", "B", "C")
+
+
+def test_after_a_kill_gather_waits_for_the_deadline_and_drops_only_it():
+    ring = Ring(node_ids=("A", "B", "C", "D"))
+    ring.run(0.1)
+    tracer = _traced(ring)
+    ring.faults.crash("B")
+    ring.run(0.2)
+    assert ring.all_operational(["A", "C", "D"])
+    # Every survivor's view still names B, whose JOIN never comes: no
+    # consensus, so the leader forms at the deadline, without B alone.
+    form, = tracer.find("totem", "form")
+    assert form.fields["members"] == ("A", "C", "D")
+    gathered = min(_times(tracer, "gather", node="A"))
+    assert form.time - gathered >= ring.config.gather_timeout
+
+
+def test_live_member_whose_join_trails_by_a_tenth_of_a_ms_is_kept():
+    ring = Ring()
+    ring.run(0.1)
+    tracer = _traced(ring)
+
+    def delay_bs_joins(src, dst, payload, size):
+        if src == "B" and isinstance(payload, JoinMsg):
+            ring.scheduler.call_after(
+                1e-4, ring.members[dst].endpoint.deliver, src, payload)
+            return True
+        return False
+
+    ring.network.add_filter(delay_bs_joins)
+    _join_from(ring, "C", "A")          # disturbs A, and A the rest
+    ring.run(0.1)
+    assert ring.all_operational()
+    form = next(tracer.find("totem", "form"))
+    assert form.fields["members"] == ("A", "B", "C")
+    assert form.time < ring.config.gather_timeout + next(
+        tracer.find("totem", "gather")).time
+
+
+def test_a_form_never_lets_a_member_keep_or_deliver_past_its_flush():
+    """Sequences past a FORM's flush belong to the old ring and the new
+    ring numbers them anew: a member drops the old frames it holds there,
+    and refuses a FORM whose flush ends below what it has delivered."""
+    ring = Ring()
+    ring.run(0.1)
+    member = ring.members["B"]
+    aru = member.delivered_aru
+    stranger = JoinMsg("D", 0, 0, frozenset(), True, candidates=("D",))
+
+    def old_frame(seq):
+        return DataMsg(member.ring_id, seq, "A", ("A", seq), 0, 1, b"old")
+
+    member.endpoint.deliver("D", stranger)
+    member.endpoint.deliver("A", old_frame(aru + 2))     # behind a gap
+    assert member.state is G and aru + 2 in member._held
+    form = FormMsg(ring_id=member.ring_id + 1, leader="A",
+                   members=("A", "B", "C"), flush_seq=aru, base_seq=aru,
+                   holders={})
+    member.endpoint.deliver("A", form)
+    assert member.state is R and max(member._held, default=aru) <= aru
+
+    member.endpoint.deliver("D", replace(stranger, delivered_aru=1))
+    member.endpoint.deliver("A", old_frame(aru + 1))     # delivered
+    assert member.state is G and member.delivered_aru == aru + 1
+    member.endpoint.deliver("A", replace(form, ring_id=form.ring_id + 1))
+    assert member.state is G
+
+
+def test_member_relaunched_before_the_token_timeout_rejoins_with_the_ring():
+    """A process re-launched inside the token timeout sends a JOIN that
+    looks like an earlier one of its first gather; the ring, which still
+    believes it alive, must gather with it, and it must not form alone."""
+    ring = Ring()
+    ring.run(0.1)
+    tracer = _traced(ring)
+    ring.faults.crash("C")
+    ring.run(ring.config.token_timeout / 4)
+    ring.respawn("C").tracer = tracer
+    ring.run(0.3)
+    assert ring.all_operational()
+    assert {ring.members[n].view for n in "ABC"} == {ring.members["A"].view}
+    assert ring.members["A"].view.members == ("A", "B", "C")
+    assert [f.fields["members"] for f in tracer.find("totem", "form")] \
+        == [("A", "B", "C")]
