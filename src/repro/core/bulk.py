@@ -214,16 +214,9 @@ class BulkStore:
             STORE_TTL, self._expire, session_id,
         )
         self._entries[session_id] = entry
-        self.lane.tracer.emit("bulk", "stash", node=self.lane.node_id,
-                              group=group_id, transfer=session_id,
-                              pages=len(entry.pages), bytes=len(blob))
 
     def _expire(self, session_id: str) -> None:
-        entry = self._entries.pop(session_id, None)
-        if entry is not None:
-            self.lane.tracer.emit("bulk", "stash_expired",
-                                  node=self.lane.node_id,
-                                  group=entry.group_id, transfer=session_id)
+        self._entries.pop(session_id, None)
 
     def discard(self, session_id: str) -> None:
         entry = self._entries.pop(session_id, None)
@@ -241,9 +234,6 @@ class BulkStore:
             reason = ("pending" if fetch.session_id in self._pending
                       else "unknown")
             nack = BulkNack(fetch.session_id, self.lane.node_id, reason)
-            self.lane.tracer.emit("bulk", "nack", node=self.lane.node_id,
-                                  transfer=fetch.session_id, dst=src,
-                                  reason=reason)
             self.lane.unicast(fetch.requester, nack)
             return
         first = max(0, fetch.first_page)
@@ -252,10 +242,6 @@ class BulkStore:
             nack = BulkNack(fetch.session_id, self.lane.node_id, "unknown")
             self.lane.unicast(fetch.requester, nack)
             return
-        self.lane.tracer.emit("bulk", "fetch_served", node=self.lane.node_id,
-                              group=entry.group_id,
-                              transfer=fetch.session_id, dst=src,
-                              first=first, last=last)
         self._send_burst(fetch.session_id, fetch.requester, first, last)
 
     def _send_burst(self, session_id: str, dst: str,
@@ -264,16 +250,9 @@ class BulkStore:
         if entry is None:
             return                      # expired mid-serve; target retries
         burst_end = min(last, index + BURST_PAGES - 1)
-        sent_bytes = 0
         for i in range(index, burst_end + 1):
-            frame = BulkPage(session_id, self.lane.node_id, i,
-                             entry.crcs[i], entry.pages[i])
-            self.lane.unicast(dst, frame)
-            sent_bytes += frame.size_bytes
-        self.lane.tracer.emit("bulk", "pages_sent", node=self.lane.node_id,
-                              group=entry.group_id, transfer=session_id,
-                              dst=dst, count=burst_end - index + 1,
-                              bytes=sent_bytes)
+            self.lane.unicast(dst, BulkPage(session_id, self.lane.node_id, i,
+                                            entry.crcs[i], entry.pages[i]))
         if burst_end < last:
             self.lane.host.call_after(
                 BURST_INTERVAL,
@@ -318,18 +297,10 @@ class BulkSession:
         self._progress: Dict[str, int] = {}     # pages held at last watchdog
         self._retries: Dict[str, int] = {}
         self._watchdog: Any = None
-        self.retransmits = 0
-        self.restripes = 0
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        self.lane.tracer.emit(
-            "bulk", "session_start", node=self.lane.node_id,
-            group=self.group_id, transfer=self.session_id,
-            pages=self.manifest.page_count, bytes=self.manifest.total_length,
-            sponsors=len(self._sponsors),
-        )
         if not self.manifest.page_count:
             self._complete()
             return
@@ -372,11 +343,6 @@ class BulkSession:
 
     def _fetch(self, sponsor: str, indices: Sequence[int]) -> None:
         for first, last in _runs(sorted(indices)):
-            self.lane.tracer.emit(
-                "bulk", "stripe_sent", node=self.lane.node_id,
-                group=self.group_id, transfer=self.session_id,
-                sponsor=sponsor, first=first, last=last,
-            )
             self.lane.unicast(sponsor, BulkFetch(
                 self.session_id, self.lane.node_id, first, last))
 
@@ -442,14 +408,7 @@ class BulkSession:
                 if not self.active:
                     return
                 continue
-            self.retransmits += 1
-            self.lane.tracer.emit("bulk", "retransmit",
-                                  node=self.lane.node_id,
-                                  group=self.group_id,
-                                  transfer=self.session_id,
-                                  sponsor=sponsor,
-                                  outstanding=len(outstanding),
-                                  attempt=self._retries[sponsor])
+            self.lane.tracer.add("bulk.retransmit", 1)
             self._fetch(sponsor, outstanding)
         if self.active and self._missing:
             self._arm_watchdog()
@@ -462,18 +421,15 @@ class BulkSession:
         self._progress.pop(sponsor, None)
         if sponsor in self._sponsors:
             self._sponsors.remove(sponsor)
+        # Restriped over ``survivors`` unless none is left.
         self.lane.tracer.emit("bulk", "sponsor_dropped",
                               node=self.lane.node_id, group=self.group_id,
                               transfer=self.session_id, sponsor=sponsor,
-                              reason=reason)
+                              reason=reason, survivors=len(self._sponsors),
+                              missing=len(self._missing))
         if not self._sponsors:
             self._fail("sponsors_exhausted")
             return
-        self.restripes += 1
-        self.lane.tracer.emit("bulk", "restripe", node=self.lane.node_id,
-                              group=self.group_id, transfer=self.session_id,
-                              survivors=len(self._sponsors),
-                              missing=len(self._missing))
         self._stripe(self._sponsors)
 
     # -- completion ----------------------------------------------------
@@ -490,11 +446,7 @@ class BulkSession:
             # never assign unverified state — fall back to in-order.
             self._fail_now("digest_mismatch")
             return
-        self.lane.tracer.emit("bulk", "session_complete",
-                              node=self.lane.node_id, group=self.group_id,
-                              transfer=self.session_id,
-                              bytes=len(blob), retransmits=self.retransmits,
-                              restripes=self.restripes)
+        self.lane.tracer.add("bulk.session_complete", 1)
         self.lane.finish_session(self.session_id)
         self.callback(blob)
 

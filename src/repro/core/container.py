@@ -219,8 +219,6 @@ class ReplicaContainer:
         if decoded is None:
             # The ORB discarded the request (e.g. un-negotiated short key,
             # §4.2.2).  No reply will ever be produced.
-            self.tracer.emit("replica", "request_discarded",
-                             node=self.process.node_id, group=self.group_id)
             self._finish()
             return
         until = self.process.scheduler.now + decoded.duration
@@ -255,10 +253,7 @@ class ReplicaContainer:
                         on_executed: Optional[Callable[[], None]]) -> None:
         if on_executed is not None:
             on_executed()
-        delivered = self.orb.handle_reply(server_group, port, iiop_bytes)
-        if not delivered:
-            self.tracer.emit("replica", "reply_discarded_by_orb",
-                             node=self.process.node_id, group=self.group_id)
+        self.orb.handle_reply(server_group, port, iiop_bytes)
         self._finish()
 
     def _state_duration(self, payload_len: int) -> float:
@@ -288,8 +283,6 @@ class ReplicaContainer:
         app_digest = state_digest(app_state)
         duration = self._state_duration(len(app_state))
         self.quiescence.begin_operation(self.process.scheduler.now + duration)
-        self.tracer.emit("replica", "get_state", node=self.process.node_id,
-                         group=self.group_id, size=len(app_state))
         self.process.call_after(duration, self._complete_state_op,
                                 done, transfer_id, app_state, app_digest)
 

@@ -62,12 +62,7 @@ class ReplicaFaultDetector:
             if group_id in self._reported:
                 continue
             if self._is_alive(binding):
-                if self._strikes.get(group_id, 0) > 0:
-                    # A suspicion evaporated before reaching the report
-                    # threshold — a false positive of the pull monitor.
-                    self.tracer.emit("fault_detector", "refuted",
-                                     node=self.node_id, group=group_id,
-                                     strikes=self._strikes[group_id])
+                # A suspicion short of the report threshold evaporates.
                 self._strikes[group_id] = 0
                 continue
             strikes = self._strikes.get(group_id, 0) + 1

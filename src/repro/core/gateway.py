@@ -36,7 +36,6 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.core.envelope import IiopEnvelope
 from repro.core.identifiers import DuplicateFilter
-from repro.runtime.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.replication import ReplicationMechanisms
@@ -73,10 +72,8 @@ class GatewayBridge:
     suppression (see the module docstring)."""
 
     def __init__(self, resolve_ring: Callable[[str], Optional[str]],
-                 systems: Dict[str, "SystemCore"],
-                 *, tracer: Tracer = NULL_TRACER) -> None:
+                 systems: Dict[str, "SystemCore"]) -> None:
         self.resolve_ring = resolve_ring
-        self.tracer = tracer
         # The facade's own ring table (name -> sub-system), shared rather
         # than copied: a ring's port exists before the ring does.
         self._systems = systems
@@ -110,15 +107,6 @@ class GatewayBridge:
         shadow = self._filters.setdefault(target, DuplicateFilter())
         if shadow.seen_before(envelope.operation_id):
             self.duplicates += 1
-            self.tracer.emit("gateway", "duplicate", source=source,
-                             target=target, group=envelope.target_group,
-                             request_id=envelope.request_id,
-                             kind=envelope.kind.name)
             return
         self.forwarded += 1
-        self.tracer.emit("gateway", "forward", source=source, target=target,
-                         group=envelope.target_group,
-                         request_id=envelope.request_id,
-                         kind=envelope.kind.name,
-                         trace=envelope.trace_id)
         mechanisms.multicast(envelope)

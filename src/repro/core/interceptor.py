@@ -125,9 +125,7 @@ class Interceptor:
             # machinery and the retransmission safety net both key on it.
             self._open_roundtrips[(connection, wire_id)] = envelope
             trace_id = self.trace_id(connection, wire_id)
-            self.tracer.emit("interceptor", "request_fast",
-                             node=self.node_id, conn=connection.as_str(),
-                             request_id=wire_id, trace=trace_id)
+            self.tracer.add("interceptor.request_fast", 1)
             self._spans.start(
                 "rpc.roundtrip",
                 span_id=self._rpc_span_id(connection, wire_id),
@@ -148,9 +146,6 @@ class Interceptor:
             # before the replica failed.  Suppress the duplicate multicast
             # but keep awaiting the reply.
             self.suppressed_reissues += 1
-            self.tracer.emit("interceptor", "reissue_suppressed",
-                             node=self.node_id, group=self.group_id,
-                             request_id=wire_id)
             return
         trace_id = self.trace_id(connection, wire_id)
         self.tracer.emit("interceptor", "request", node=self.node_id,

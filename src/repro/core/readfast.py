@@ -111,14 +111,9 @@ class ReadFastCoordinator:
             return False
         timer = self.process.call_after(
             READ_LEASE_TIMEOUT,
-            self._fallback, connection, wire_id, "timeout",
+            self._fallback, connection, wire_id,
         )
         self._pending_fetch[(connection, wire_id)] = (timer, envelope)
-        self.tracer.emit("lease", "read_fast", node=self.node_id,
-                         group=connection.server_group,
-                         conn=connection.as_str(), request_id=wire_id,
-                         leaseholder=leaseholder,
-                         ring_id=self.totem.ring_id)
         self._send(leaseholder, request)
         return True
 
@@ -150,8 +145,7 @@ class ReadFastCoordinator:
             return None
         return min(candidates)
 
-    def _fallback(self, connection: ConnectionKey, wire_id: int,
-                  reason: str) -> None:
+    def _fallback(self, connection: ConnectionKey, wire_id: int) -> None:
         """Give up on the fast path for one read: re-issue it through the
         total order (idempotent — the read may execute twice)."""
         entry = self._pending_fetch.pop((connection, wire_id), None)
@@ -159,9 +153,7 @@ class ReadFastCoordinator:
             return
         timer, envelope = entry
         self.process.scheduler.cancel(timer)
-        self.tracer.emit("lease", "fallback", node=self.node_id,
-                         conn=connection.as_str(), request_id=wire_id,
-                         reason=reason)
+        self.tracer.add("lease.fallback", 1)
         self.mech.multicast(envelope)
 
     def _on_reply(self, src: str, msg: ReadFastReply) -> None:
@@ -175,9 +167,6 @@ class ReadFastCoordinator:
         # Deliver even when the fallback already fired: the ordered copy's
         # reply will be discarded by the ORB as already answered (reads
         # are idempotent), and answering now is strictly faster.
-        self.tracer.emit("lease", "read_reply", node=self.node_id,
-                         conn=msg.conn, request_id=msg.request_id,
-                         served_by=src)
         binding.interceptor.note_reply_delivered(connection, msg.request_id)
         data = binding.interceptor.rewrite_incoming_reply(
             connection, bytes(msg.iiop_bytes))
@@ -187,10 +176,7 @@ class ReadFastCoordinator:
 
     def _on_nack(self, src: str, msg: ReadFastNack) -> None:
         connection = ConnectionKey.from_str(msg.conn)
-        self.tracer.emit("lease", "nack", node=self.node_id,
-                         conn=msg.conn, request_id=msg.request_id,
-                         reason=msg.reason)
-        self._fallback(connection, msg.request_id, f"nack:{msg.reason}")
+        self._fallback(connection, msg.request_id)
 
     # ------------------------------------------------------------------
     # Server (leaseholder) side
@@ -199,9 +185,6 @@ class ReadFastCoordinator:
     def _on_request(self, src: str, msg: ReadFastRequest) -> None:
         refusal = self._serve_refusal(msg)
         if refusal is not None:
-            self.tracer.emit("lease", "refused", node=self.node_id,
-                             group=msg.group_id, request_id=msg.request_id,
-                             reason=refusal)
             self._send(msg.requester, ReadFastNack(
                 group_id=msg.group_id, conn=msg.conn,
                 request_id=msg.request_id, reason=refusal))
@@ -291,7 +274,7 @@ class ReadFastCoordinator:
         outstanding fetches fall back to the total order immediately."""
         self._pending_serve.clear()
         for connection, wire_id in list(self._pending_fetch):
-            self._fallback(connection, wire_id, "ring_change")
+            self._fallback(connection, wire_id)
 
     def _on_crash(self) -> None:
         for timer, _envelope in self._pending_fetch.values():

@@ -92,16 +92,16 @@ class _Source(NamedTuple):
     restore_span: str               # set_state; ends where the next begins
     assign_span: Optional[str]      # ORB/POA + infrastructure, on its own
     replay_span: Optional[str]
-    replay_event: Optional[Tuple[str, str]]
+    replay_event: Optional[str]     # "recovery" event opening the replay
 
 
 _NETWORK = _Source("recovery.total", None, "recovery.apply",
                    "recovery.assign", None, None)
 _FAILOVER = _Source("failover.total", "failover_begin", "failover.restore",
-                    None, "failover.replay", ("recovery", "failover_replay"))
+                    None, "failover.replay", "failover_replay")
 _COLD_SEED = _Source("recovery.coldboot", "cold_seed_restore",
                      "recovery.store.restore", None, "recovery.store.replay",
-                     ("store", "seed_replay"))
+                     None)
 
 
 class BoundedIdSet:
@@ -218,11 +218,6 @@ class RecoveryMechanisms:
         # or the position-keyed prune/dedup rules would conflate eras.
         binding.delivery_position = max(binding.delivery_position,
                                         stored.last_position)
-        self.tracer.emit("store", "restored", node=self.node_id,
-                         group=binding.group_id,
-                         has_checkpoint=stored.checkpoint is not None,
-                         messages=len(messages),
-                         last_position=stored.last_position)
         self.spans.end(span_id, messages=len(messages),
                        has_checkpoint=stored.checkpoint is not None)
 
@@ -284,8 +279,6 @@ class RecoveryMechanisms:
     def _arm_retry(self, binding: "ReplicaBinding", transfer_id: str) -> None:
         def retry() -> None:
             if self._still_recovering(binding, transfer_id):
-                self.tracer.emit("recovery", "retry", node=self.node_id,
-                                 group=binding.group_id)
                 self._supersede(binding, "retry")
                 self.announce_join(binding)
         self.mechanisms.process.call_after(RECOVERY_RETRY_TIMEOUT, retry)
@@ -313,9 +306,6 @@ class RecoveryMechanisms:
                     **without: bool) -> None:
         """The transfer's body could not be used (delta base diverged, bulk
         fetch failed): restart the protocol one rung further down."""
-        self.tracer.emit("recovery", f"{outcome}_reannounce",
-                         node=self.node_id, group=binding.group_id,
-                         transfer=binding.pending_transfer)
         self._supersede(binding, outcome)
         self.announce_join(binding, **without)
 
@@ -369,9 +359,6 @@ class RecoveryMechanisms:
                 or binding.group_id in self._cold_windows):
             return
         self._cold_windows.add(binding.group_id)
-        self.tracer.emit("store", "cold_window_armed", node=self.node_id,
-                         group=binding.group_id,
-                         store_position=binding.store_position)
         self.mechanisms.process.call_after(
             COLD_BOOT_WINDOW, self._cold_window_expired, binding,
         )
@@ -398,18 +385,12 @@ class RecoveryMechanisms:
         fresh[self.node_id] = binding.store_position
         winner = elect_cold_seed(fresh)
         if winner != self.node_id:
-            best_position = fresh[winner]
             # The better candidate claims the seat; our announce retry will
             # recover from it once it is operational.  (If it is dead, its
             # bid ages out and the retry re-arms the window.)
-            self.tracer.emit("store", "cold_window_lost", node=self.node_id,
-                             group=group_id, winner=winner,
-                             winner_position=best_position)
             return
         seed_id = self._new_transfer_id("seed", group_id)
-        self.tracer.emit("store", "cold_seed_claimed", node=self.node_id,
-                         group=group_id,
-                         store_position=binding.store_position)
+        self.tracer.add("store.cold_seed_claimed", 1)
         self.mechanisms.multicast(ColdSeed(
             group_id, self.node_id, seed_id, binding.store_position,
         ))
@@ -423,14 +404,9 @@ class RecoveryMechanisms:
             return
         binding = self.mechanisms.bindings.get(envelope.group_id)
         if self._has_responder(info):
-            self.tracer.emit("store", "cold_seed_stale", node=self.node_id,
-                             group=envelope.group_id, seed=envelope.node_id)
             return
         self._cold_bids.pop(envelope.group_id, None)
         self._cold_windows.discard(envelope.group_id)
-        self.tracer.emit("store", "cold_seed", node=self.node_id,
-                         group=envelope.group_id, seed=envelope.node_id,
-                         store_position=envelope.store_position)
         if info.style.is_passive:
             info.promote(envelope.node_id)
         info.mark_operational(envelope.node_id)
@@ -554,12 +530,6 @@ class RecoveryMechanisms:
             manifest = build_manifest(wire_state, PAGE_SIZE)
             wire_state = encode_manifest(manifest)
             app_manifest = True
-            self.tracer.emit("bulk", "manifest_sent", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id,
-                             pages=manifest.page_count,
-                             state_bytes=manifest.total_length,
-                             manifest_bytes=len(wire_state))
         else:
             self.tracer.add("bulk.inorder.bytes", len(wire_state))
         self.spans.start(
@@ -597,20 +567,10 @@ class RecoveryMechanisms:
         checkpoint = binding.log.checkpoint
         if (checkpoint is None
                 or checkpoint.app_digest != envelope.base_digest):
-            self.tracer.emit("delta", "full_sent", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id,
-                             reason="base_mismatch",
-                             full_bytes=len(app_state))
             return app_state, False
         delta = compute_delta(checkpoint.app_state, app_state)
         encoded = encode_delta(delta)
         if len(encoded) >= len(app_state):
-            self.tracer.emit("delta", "full_sent", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id,
-                             reason="delta_not_smaller",
-                             full_bytes=len(app_state))
             return app_state, False
         self.tracer.emit("delta", "delta_sent", node=self.node_id,
                          group=envelope.group_id,
@@ -643,9 +603,6 @@ class RecoveryMechanisms:
         if envelope.app_manifest and is_checkpoint:
             # The bulk lane never engages for checkpoints; a manifest
             # checkpoint is a protocol error from a newer/foreign sender.
-            self.tracer.emit("bulk", "manifest_ignored", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id)
             return
         # A manifest's bytes travel out-of-band, so only the target — which
         # fetches and verifies them — ever holds the full snapshot.
@@ -673,8 +630,7 @@ class RecoveryMechanisms:
             # Every node holding the binding logs the same record, so all
             # delta bases in the group stay aligned after a recovery — and
             # the next failover restores from this fresher checkpoint.
-            self._commit_checkpoint(binding, envelope, full_app,
-                                    "checkpoint_aligned")
+            self._commit_checkpoint(binding, envelope, full_app)
         self.mechanisms.notify_member_operational(
             envelope.group_id, envelope.target_node
         )
@@ -726,32 +682,15 @@ class RecoveryMechanisms:
             return envelope.app_state
         checkpoint = binding.log.checkpoint if binding is not None else None
         if checkpoint is None:
-            self.tracer.emit("delta", "fallback", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id,
-                             reason="no_base_checkpoint")
             return None
         try:
-            delta = decode_delta(envelope.app_state)
-            full_app = apply_delta(checkpoint.app_state, delta)
-        except StateTransferError as exc:
-            self.tracer.emit("delta", "fallback", node=self.node_id,
-                             group=envelope.group_id,
-                             transfer=envelope.transfer_id,
-                             reason=type(exc).__name__)
+            return apply_delta(checkpoint.app_state,
+                               decode_delta(envelope.app_state))
+        except StateTransferError:
             return None
-        self.tracer.emit("delta", "delta_applied", node=self.node_id,
-                         group=envelope.group_id,
-                         transfer=envelope.transfer_id,
-                         pages_sent=delta.pages_sent,
-                         pages_skipped=delta.pages_skipped,
-                         wire_bytes=len(envelope.app_state),
-                         full_bytes=len(full_app))
-        return full_app
 
     def _commit_checkpoint(self, binding: "ReplicaBinding",
-                           envelope: StateSet, full_app: bytes,
-                           event: str) -> None:
+                           envelope: StateSet, full_app: bytes) -> None:
         """Commit a transfer's three kinds of state as this node's
         ``CheckpointRecord``, journal it, and publish its digest — under
         the same ``<transfer>/commit`` key at every committing node (the
@@ -766,8 +705,6 @@ class RecoveryMechanisms:
             binding.store.commit_checkpoint(committed)
             binding.store_position = max(binding.store_position,
                                          committed.position, 0)
-        self.tracer.emit("recovery", event, node=self.node_id,
-                         group=envelope.group_id, app_bytes=len(full_app))
         self.tracer.emit("audit", "state_digest", node=self.node_id,
                          group=envelope.group_id,
                          transfer=f"{envelope.transfer_id}/commit",
@@ -782,8 +719,9 @@ class RecoveryMechanisms:
             # group for a fresh full checkpoint so this node regains a base.
             self._request_checkpoint_resync(envelope.group_id)
             return
-        self._commit_checkpoint(binding, envelope, full_app,
-                                "checkpoint_logged")
+        self.tracer.emit("recovery", "checkpoint_logged", node=self.node_id,
+                         group=envelope.group_id, app_bytes=len(full_app))
+        self._commit_checkpoint(binding, envelope, full_app)
         self._resync_requested.discard(envelope.group_id)
         # Warm backups synchronize to every checkpoint (§3): the same
         # install, with nothing to replay and no phase to change.
@@ -800,8 +738,6 @@ class RecoveryMechanisms:
             return
         self._resync_requested.add(group_id)
         transfer_id = self._new_transfer_id("ckpt", group_id)
-        self.tracer.emit("delta", "resync_requested", node=self.node_id,
-                         group=group_id, transfer=transfer_id)
         self.mechanisms.multicast(StateGet(
             group_id=group_id,
             transfer_id=transfer_id,
@@ -829,8 +765,7 @@ class RecoveryMechanisms:
         # A recovering replica logged nothing, and a journal tail restored
         # from disk sits at or before the GET: past this commit the log is
         # empty, so a network recovery is a failover with nothing to replay.
-        self._commit_checkpoint(binding, envelope, full_app,
-                                "checkpoint_aligned")
+        self._commit_checkpoint(binding, envelope, full_app)
         if binding.container.instantiated:
             self._install(binding, _NETWORK)
         else:
@@ -924,9 +859,10 @@ class RecoveryMechanisms:
         if source.replay_span is not None:
             self._close(binding, source.restore_span)
             self._open(binding, source.replay_span, messages=len(replayed))
-            category, event = source.replay_event
-            self.tracer.emit(category, event, node=self.node_id,
-                             group=binding.group_id, messages=len(replayed))
+        if source.replay_event is not None:
+            self.tracer.emit("recovery", source.replay_event,
+                             node=self.node_id, group=binding.group_id,
+                             messages=len(replayed))
         for envelope in replayed:
             if envelope.kind is OpKind.REQUEST:
                 binding.container.submit_request(envelope.connection,

@@ -293,9 +293,6 @@ class ReplicationMechanisms:
                 # drain journals each message at its true position.
                 binding.enqueued.append((binding.delivery_position,
                                          envelope))
-                self.tracer.emit("replication", "enqueued",
-                                 node=self.node_id,
-                                 group=envelope.target_group)
             return
         self.route_iiop(binding, envelope)
 
@@ -310,10 +307,7 @@ class ReplicationMechanisms:
         if position is None:
             position = binding.delivery_position
         if binding.infra.duplicates.seen_before(envelope.operation_id):
-            self.tracer.emit("replication", "duplicate", node=self.node_id,
-                             group=binding.group_id,
-                             request_id=envelope.request_id,
-                             kind=envelope.kind.name)
+            self.tracer.add("replication.duplicate", 1)
             return
         group = self.groups[binding.group_id]
         executes = group.executes(self.node_id)
@@ -529,10 +523,6 @@ class ReplicationMechanisms:
                        envelope.request_id)] = envelope
         for key, envelope in stale.items():
             if key in self._retransmit_seen:
-                self.tracer.emit("interceptor", "retransmit",
-                                 node=self.node_id, group=key[0],
-                                 conn=envelope.connection.as_str(),
-                                 request_id=envelope.request_id)
                 self.multicast(envelope)
         self._retransmit_seen = set(stale)
 
@@ -569,8 +559,6 @@ class ReplicationMechanisms:
         info = self.groups.get(envelope.group_id)
         if info is None or envelope.node_id not in info.roles:
             return
-        self.tracer.emit("replication", "replica_fault", node=self.node_id,
-                         group=envelope.group_id, faulty=envelope.node_id)
         promoted = info.handle_node_loss({envelope.node_id})
         if envelope.node_id == self.node_id:
             self._destroy_binding(envelope.group_id)
@@ -598,19 +586,13 @@ class ReplicationMechanisms:
             self._node_incarnations.get(envelope.node_id, 0),
         )
         if stale_members:
-            touched = False
             for info in self.groups.values():
                 if envelope.node_id not in info.roles:
                     continue
-                touched = True
                 promoted = info.handle_node_loss({envelope.node_id})
                 if promoted == self.node_id:
                     self.recovery.begin_failover(info.group_id)
                 self._sync_checkpoint_timer(info)
-            if touched:
-                self.tracer.emit("replication", "node_restart_cleanup",
-                                 node=self.node_id,
-                                 restarted=envelope.node_id)
         for fn in list(self._node_restart_listeners):
             fn(envelope)
 
@@ -680,8 +662,6 @@ class ReplicationMechanisms:
             fn(view, lost, joined)
 
     def _reset_after_history_loss(self) -> None:
-        self.tracer.emit("replication", "history_lost", node=self.node_id,
-                         groups=sorted(self.groups))
         for group_id in list(self.bindings):
             self._destroy_binding(group_id)
         self.groups.clear()
@@ -699,9 +679,6 @@ class ReplicationMechanisms:
         for info in self.groups.values():
             promoted = info.handle_node_loss(lost)
             if promoted is not None:
-                self.tracer.emit("replication", "promote",
-                                 node=self.node_id, group=info.group_id,
-                                 new_primary=promoted)
                 if promoted == self.node_id:
                     self.recovery.begin_failover(info.group_id)
                 self._sync_checkpoint_timer(info)

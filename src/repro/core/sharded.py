@@ -81,8 +81,7 @@ class ShardedCore(ObservedSystem):
         self.placement = HashRing()
         self._pinned: Dict[str, str] = {}
         self.rings: Dict[str, SystemCore] = {}
-        self.bridge = GatewayBridge(self.resolve_ring, self.rings,
-                                    tracer=self.tracer)
+        self.bridge = GatewayBridge(self.resolve_ring, self.rings)
         for index in range(rings):
             name = ring_label(index)
             self.rings[name] = build_ring(

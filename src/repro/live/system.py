@@ -55,7 +55,7 @@ LIVE_TOTEM_CONFIG = TotemConfig(
 #: (``telemetry.FLIGHT_EXCLUDE = ()``) still sees every record (counters keep
 #: counting either way; see ``Tracer.set_muted_events`` and the note in
 #: ``LiveSystem.__init__``).
-LIVE_TRACE_MUTE = frozenset({"totem.deliver", "replication.duplicate"})
+LIVE_TRACE_MUTE = frozenset({"totem.deliver"})
 
 
 class WallClockTime:
@@ -135,18 +135,16 @@ class LiveSystem(WallClockTime, SystemCore):
         # A ring of a sharded facade adopts the facade's plane and must not
         # tear it down in close(); the facade owns that lifecycle.
         self._owns_observability = shared_observability is None
-        # The two highest-volume record streams in a live run have no
-        # consumer under the default telemetry config: ``totem.deliver``
-        # and ``replication.duplicate`` are flight-excluded and ignored
-        # by the metrics registry, the auditor, and the profiler alike —
-        # yet at ~35% of all records their construction and four-way
-        # fan-out is measurable on the hot path.  Mute them at the
-        # tracer, but only while the flight recorder would drop them
-        # anyway: a narrower ``FLIGHT_EXCLUDE`` (e.g. the full-fidelity
-        # ``()``) has a consumer — report stitching reads
-        # ``totem.deliver`` for the ring_deliver stage — so those
-        # streams must keep flowing.  Counters (which the benches read)
-        # keep counting either way.
+        # The highest-volume record stream has no consumer under the
+        # default telemetry config: ``totem.deliver`` (one record per
+        # fragment per node, 38 % of all records in a fault-free second
+        # of the paper's topology) is flight-excluded and ignored by the
+        # metrics registry, the auditor, and the profiler alike.  Mute it
+        # at the tracer, but only while the flight recorder would drop it
+        # anyway: with a narrower ``FLIGHT_EXCLUDE`` (e.g. the
+        # full-fidelity ``()``) report stitching reads ``totem.deliver``
+        # for the ring_deliver stage, so the stream must keep flowing.
+        # Its counter keeps counting either way.
         excluded = set(self.telemetry.flight.exclude)
         self.tracer.set_muted_events(frozenset(
             stream for stream in LIVE_TRACE_MUTE

@@ -319,7 +319,6 @@ class UdpTransport(Transport):
             self._tracer.emit("live", "bad_frame", node=self.node_id,
                               size=len(data))
             return
-        self._tracer.add("live.codec.bytes_in", len(data))
         self.deliver(src, payload)
 
     # ------------------------------------------------------------------
@@ -382,15 +381,10 @@ class UdpTransport(Transport):
             tracer.add("live.sys.sendmmsg", result.syscalls)
             if result.eagain:
                 tracer.add("live.sys.send_eagain", result.eagain)
-                for _ in range(result.eagain):
-                    tracer.emit("live", "send_drop", node=self.node_id)
             if result.dead_peer:
                 tracer.add("live.sys.send_dead_peer", result.dead_peer)
-                for _ in range(result.dead_peer):
-                    tracer.emit("live", "send_dead_peer", node=self.node_id)
-            if result.other:
-                for _ in range(result.other):
-                    tracer.emit("live", "send_drop", node=self.node_id)
+            if result.eagain or result.other:
+                tracer.add("live.send_drop", result.eagain + result.other)
             return
         for data, addr in queue:
             self._sendto(data, addr)
@@ -404,7 +398,7 @@ class UdpTransport(Transport):
             # drops: a nonzero rate here means the sender outruns the
             # kernel buffer, a different problem than a dead peer.
             self._tracer.add("live.sys.send_eagain", 1)
-            self._tracer.emit("live", "send_drop", node=self.node_id)
+            self._tracer.add("live.send_drop", 1)
         except OSError as exc:
             if exc.errno in _DEAD_PEER_ERRNOS:
                 # Dead peer (port closed): expected noise during kill
@@ -412,10 +406,8 @@ class UdpTransport(Transport):
                 # retransmission machinery owns reliability) but count
                 # it apart from real send failures.
                 self._tracer.add("live.sys.send_dead_peer", 1)
-                self._tracer.emit("live", "send_dead_peer",
-                                  node=self.node_id)
             else:
-                self._tracer.emit("live", "send_drop", node=self.node_id)
+                self._tracer.add("live.send_drop", 1)
 
     def unicast(
         self, dst: str, payload: Any, size_bytes: int, *, oob: bool = False,

@@ -2,8 +2,8 @@
 
 :class:`BaseHost` implements everything in :class:`repro.runtime.Host`
 that does not depend on the substrate: liveness, the incarnation counter,
-the announce-epoch counter, listener bookkeeping, and the
-incarnation-guarded ``call_after``.  ``repro.simnet.process.Process`` and
+the announce-epoch counter, the installed ring id, listener bookkeeping,
+and the incarnation-guarded ``call_after``.  ``repro.simnet.process.Process`` and
 ``repro.live.node.LiveHost`` are thin subclasses.
 """
 
@@ -32,6 +32,12 @@ class BaseHost(Host):
         self._alive = True
         self._incarnation = 0
         self._announce_epoch = 0
+        #: The highest Totem ring id a member on this host installed.  It
+        #: outlives restarts, as Totem's ring sequence number lives on
+        #: stable storage: a member rebuilt after every host of its ring
+        #: went down starts from it, so the re-formed ring gets a new id
+        #: instead of reusing one that named a different ring.
+        self.installed_ring_id = 0
         self._crash_listeners: List[Callable[[], None]] = []
         self._restart_listeners: List[Callable[[], None]] = []
 

@@ -84,6 +84,8 @@ class Host(abc.ABC):
 
     node_id: str
     scheduler: Scheduler
+    #: Highest Totem ring id installed here, kept across restarts.
+    installed_ring_id: int
 
     @property
     @abc.abstractmethod

@@ -7,6 +7,10 @@ Benches and tests observe the system through a :class:`Tracer`: every layer
 emits ``(time, category, event, fields)`` records and bumps named counters.
 The Figure-6 bench, for instance, counts ``totem.frame`` events to verify that
 recovery time grows with the number of multicast frames carrying the state.
+A quantity that is only ever read as a count is a bare counter
+(:meth:`Tracer.add`), not a record: no record is built and no subscriber
+runs.  README's record inventory names the reader of every record kind and
+counter the program writes.
 
 The tracer is also the transport for the observability layer in
 :mod:`repro.obs`: span lifecycles travel as ordinary records in the ``span``

@@ -104,7 +104,6 @@ class FaultInjector:
         if not 0.0 <= rate <= 1.0:
             raise SimulationError(f"loss rate {rate!r} outside [0, 1]")
         self._loss_rate = rate
-        self._tracer.emit("fault", "loss_rate", rate=rate)
         if rate > 0.0 and not self._loss_filter_installed:
             self._network.add_filter(self._loss_drop)
             self._loss_filter_installed = True

@@ -191,15 +191,12 @@ class Network:
         if dst not in self._nodes:
             raise UnknownNode(dst)
         self._check_size(size_bytes)
-        kind = "oob_unicast" if oob else "unicast"
-        self.tracer.emit("net", kind, src=src, dst=dst, size=size_bytes)
         self.tracer.add("net.bytes", size_bytes)
         if oob:
             arrival = self._occupy_link(src, dst, size_bytes)
         else:
             arrival = self._occupy_medium(size_bytes)
         if self._dropped(src, dst, payload, size_bytes):
-            self.tracer.emit("net", "drop", src=src, dst=dst)
             return
         self.scheduler.call_at(arrival, self._deliver, src, dst, payload)
 
@@ -208,19 +205,16 @@ class Network:
         sender (multicast loopback, as Totem relies on seeing its own
         messages in the total order)."""
         self._check_size(size_bytes)
-        self.tracer.emit("net", "broadcast", src=src, size=size_bytes)
         self.tracer.add("net.bytes", size_bytes)
         arrival = self._occupy_medium(size_bytes)
         for dst in self._nodes:
             if self._dropped(src, dst, payload, size_bytes):
-                self.tracer.emit("net", "drop", src=src, dst=dst)
                 continue
             self.scheduler.call_at(arrival, self._deliver, src, dst, payload)
 
     def _deliver(self, src: str, dst: str, payload: Any) -> None:
         process = self._nodes.get(dst)
         if process is None or not process.alive:
-            self.tracer.emit("net", "dead_dst", src=src, dst=dst)
             return
         handler = self._handlers.get(dst)
         if handler is not None:

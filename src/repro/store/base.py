@@ -139,8 +139,6 @@ class GroupStore:
         self.fsync = fsync
         self.max_delta_chain = max_delta_chain
         self.page_size = page_size
-        self.tracer = tracer
-        self.node_id = node_id
         backend.tracer = tracer
         backend.node_id = node_id
         self._loaded: Optional[StoredState] = None
@@ -184,11 +182,6 @@ class GroupStore:
         self._chain_length = chain
         self._pending = dict(messages)
         self._last_position = self._loaded.last_position
-        self.tracer.emit("store", "loaded", node=self.node_id,
-                         group=self.group_id,
-                         has_checkpoint=checkpoint is not None,
-                         messages=len(ordered),
-                         last_position=self._last_position)
         return self._loaded
 
     def _rebuild_checkpoint(self, previous: Optional[CheckpointRecord],
@@ -226,7 +219,6 @@ class GroupStore:
         self.backend.append(payload, sync=self.fsync == FSYNC_ALWAYS)
         self._pending[position] = envelope_bytes
         self._last_position = max(self._last_position, position)
-        self.tracer.add("store.bytes.appended", len(payload))
 
     def commit_checkpoint(self, record: CheckpointRecord) -> None:
         """Journal a committed checkpoint.
@@ -253,14 +245,6 @@ class GroupStore:
             )
             self.backend.append(payload, sync=sync)
             self._chain_length += 1
-            self.tracer.emit("store", "checkpoint_delta", node=self.node_id,
-                             group=self.group_id,
-                             wire_bytes=len(delta_body),
-                             full_bytes=len(record.app_state))
-        else:
-            self.tracer.emit("store", "checkpoint_full", node=self.node_id,
-                             group=self.group_id,
-                             full_bytes=len(record.app_state))
         self._base_app_state = record.app_state
         self._pending = {p: raw for p, raw in self._pending.items()
                          if p > record.position}
@@ -285,8 +269,6 @@ class GroupStore:
             payloads.append(encode_message(position, raw))
         self.backend.rewrite(payloads)
         self.compactions += 1
-        self.tracer.emit("store", "compacted", node=self.node_id,
-                         group=self.group_id, records=len(payloads))
 
     def compact(self) -> bool:
         """Force a full rewrite now (CLI maintenance); returns False when
@@ -358,8 +340,6 @@ class DurableStore(ABC):
         self.tracer = tracer
         self.node_id = node_id
         for group in self._groups.values():
-            group.tracer = tracer
-            group.node_id = node_id
             group.backend.tracer = tracer
             group.backend.node_id = node_id
 

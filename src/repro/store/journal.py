@@ -33,7 +33,6 @@ The ``fsync`` policy trades durability for write latency:
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import StoreCorruptError
@@ -203,16 +202,10 @@ class JournalBackend(GroupBackend):
         self._write_manifest(names + [next_name])
         self._segments = names + [next_name]
         self._tail_bytes = 0
-        self.tracer.emit("store", "segment_rolled", node=self.node_id,
-                         group=self.group_id, segments=len(self._segments))
 
     def _fsync(self, handle) -> None:
-        started = time.perf_counter()
         os.fsync(handle.fileno())
         self.fsync_count += 1
-        self.tracer.emit("store", "fsync", node=self.node_id,
-                         group=self.group_id,
-                         seconds=time.perf_counter() - started)
 
     def append(self, payload: bytes, *, sync: bool) -> None:
         framed = frame(payload)

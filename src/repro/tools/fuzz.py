@@ -15,12 +15,11 @@ a schedule of membership events:
 * ``form_loss``: the next FORM addressed to one member (its own loopback
   copy if it leads) is dropped;
 * ``slow_joins``: one member's JOINs arrive late, by up to 2 ms, for a
-  while (a busy host, a late timer).
+  while (a busy host, a late timer);
+* ``total_failure``: every live member is killed at once (the ring re-forms
+  from restarts alone, under a ring id newer than any it installed).
 
-A kill or bounce never takes down the last live member: after a total
-failure every member is fresh and ring ids start again at 1, so two rings
-would share one configuration key (ring ids are not kept across
-restarts).  Then every fault heals and the ring gets a settling time.
+Then every fault heals and the ring gets a settling time.
 Checks:
 
 * the strict consistency auditor over the trace (members of one ring
@@ -125,15 +124,20 @@ def make_scenario(seed: int) -> Scenario:
     for _ in range(rng.randint(2, 7)):
         t += rng.uniform(0.2, 12) * gather
         kind = rng.choice(("kill", "restart", "loss", "hold_cancel_loss",
-                           "form_loss", "slow_joins", "bounce"))
+                           "form_loss", "slow_joins", "bounce",
+                           "total_failure"))
         if kind == "restart" and not down:
             kind = "kill"
-        if kind == "kill" and len(down) >= len(nodes) - 1:
+        if kind in ("kill", "bounce", "total_failure") \
+                and len(down) == len(nodes):
             kind = "restart"
         if kind == "kill":
             node = rng.choice([n for n in nodes if n not in down])
             down.append(node)
             scenario.events.append(Event(t, "kill", node))
+        elif kind == "total_failure":
+            down += [n for n in nodes if n not in down]
+            scenario.events.append(Event(t, "total_failure"))
         elif kind == "restart":
             node = down.pop(rng.randrange(len(down)))
             phase = rng.choice(("now", "gather", "form"))
@@ -223,11 +227,11 @@ class _Run:
             self.members[dst].endpoint.deliver(src, payload)
 
     def _apply(self, event: Event) -> None:
-        if event.kind in ("kill", "bounce") and not any(
-                m.node_id != event.node for m in self._live()):
-            return
         if event.kind == "kill":
             self.faults.crash(event.node)
+        elif event.kind == "total_failure":
+            for member in self._live():
+                self.faults.crash(member.node_id)
         elif event.kind == "restart":
             if event.arg == "now":
                 self._restart(event.node)

@@ -63,9 +63,8 @@ def _label(record: TraceRecord) -> str:
 
 PER_MESSAGE_EVENTS = frozenset({
     ("totem", "token"), ("totem", "frame"), ("totem", "deliver"),
-    ("totem", "retransmit"), ("net", "unicast"), ("net", "broadcast"),
     ("replica", "executed"), ("interceptor", "request"),
-    ("interceptor", "reply"), ("replication", "duplicate"),
+    ("interceptor", "reply"),
 })
 """High-frequency events usually excluded from narrative timelines."""
 

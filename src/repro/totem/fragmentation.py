@@ -15,9 +15,8 @@ from repro.errors import FragmentationError
 
 #: Reassembly-lifecycle callback: ``observer(event, msg_id, frag_count)``
 #: with event one of ``"begin"`` (first fragment of a multi-fragment
-#: message), ``"complete"`` (payload rebuilt), ``"skip"`` (joined
-#: mid-message, §5.1 fresh member).  Used by the Totem member to trace
-#: reassembly spans.
+#: message) and ``"complete"`` (payload rebuilt).  Used by the Totem member
+#: to trace reassembly spans.
 ReassemblyObserver = Callable[[str, Tuple[str, int], int], None]
 
 
@@ -106,7 +105,6 @@ class Reassembler:
                 del self._partial[msg_id]
                 if frag_index != frag_count - 1:
                     self._skipped.add(msg_id)
-                self._notify("skip", msg_id, frag_count)
                 return None
             raise FragmentationError(
                 f"out-of-order fragment {frag_index} (expected {len(parts)}) "

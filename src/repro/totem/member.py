@@ -141,7 +141,9 @@ class TotemMember:
 
         # Ring state
         self.state = MemberState.GATHER
-        self.ring_id = 0
+        # A rebuilt member starts from the newest ring its host installed,
+        # so a ring re-formed after a total failure gets a fresh id.
+        self.ring_id = endpoint.process.installed_ring_id
         self.members: Tuple[str, ...] = ()
         self.fresh = True
         self.delivered_aru = 0          # highest contiguously delivered seq
@@ -297,8 +299,6 @@ class TotemMember:
                 and msg.sender not in self.members:
             # Foreign traffic: another ring exists (a healed partition).
             # Disturb both rings into a merging gather.
-            self.tracer.emit("totem", "foreign", node=self.node_id,
-                             sender=msg.sender)
             self._enter_gather("foreign")
             return
         if msg.seq <= self.delivered_aru or msg.seq in self._held:
@@ -401,8 +401,7 @@ class TotemMember:
             held = self._held.get(seq)
             if held is not None:
                 self._broadcast_frame(replace(held, retransmit=True))
-                self.tracer.emit("totem", "retransmit", node=self.node_id,
-                                 seq=seq)
+                self.tracer.add("totem.retransmit", 1)
             else:
                 unresolved.append(seq)
         token.rtr = unresolved
@@ -572,8 +571,6 @@ class TotemMember:
         but the one bridging the lost hop are dropped as duplicates by the
         rotation-count check in _on_token_frame."""
         token, successor = self._sent_token
-        self.tracer.emit("totem", "token_retx", node=self.node_id,
-                         seq=token.seq, rotation=token.rotations)
         # Clone per retransmission: a delivered copy is mutated by its
         # receiver, and the snapshot must stay pristine for further tries.
         resend = replace(token, rtr=list(token.rtr))
@@ -591,7 +588,7 @@ class TotemMember:
 
     def _on_reassembly(self, event: str, msg_id, frag_count: int) -> None:
         """Trace multi-fragment reassembly as spans (first fragment
-        delivered -> payload rebuilt); mid-message joins count skips."""
+        delivered -> payload rebuilt)."""
         span_id = f"frag:{msg_id[0]}:{msg_id[1]}@{self.node_id}"
         if event == "begin":
             self._spans.start("totem.reassembly", span_id=span_id,
@@ -599,9 +596,6 @@ class TotemMember:
                               fragments=frag_count)
         elif event == "complete":
             self._spans.end(span_id)
-        else:
-            self.tracer.emit("totem", "reassembly_skipped",
-                             node=self.node_id, origin=msg_id[0])
 
     def _next_frame(self, seq: int):
         """Pop queued fragment(s) into the frame for one broadcast slot.
@@ -656,8 +650,6 @@ class TotemMember:
             return
         if probe.sender in self.members:
             return
-        self.tracer.emit("totem", "foreign", node=self.node_id,
-                         sender=probe.sender)
         self._enter_gather("foreign")
 
     # ------------------------------------------------------------------
@@ -1057,6 +1049,9 @@ class TotemMember:
         self._last_token_rot = -1
         self._prev_token_seq = self.delivered_aru
         self.ring_id = form.ring_id
+        process = self.endpoint.process
+        process.installed_ring_id = max(process.installed_ring_id,
+                                        form.ring_id)
         self.members = form.members
         self._ring_key = self._form_ring_key(form)
         self._base_seen = form.base_seq
@@ -1084,10 +1079,7 @@ class TotemMember:
             self._inflight.clear()
         # Partial reassemblies from members that left the ring can never
         # complete; evict them instead of leaking them forever.
-        evicted = self._reassembler.evict_absent_origins(form.members)
-        if evicted:
-            self.tracer.emit("totem", "reassembly_evicted",
-                             node=self.node_id, count=evicted)
+        self._reassembler.evict_absent_origins(form.members)
         self.tracer.emit("totem", "install", node=self.node_id,
                          ring_id=self.ring_id, members=self.members)
         if self.on_view_change is not None:

@@ -133,12 +133,22 @@ async def _durable_restart_scenario(store_dir):
 
         system.kill_node("n3")
         await system.run_for(0.3)
-        restored_before = system.tracer.counters.get("store.restored", 0)
+        loads, restored = set(), []
+
+        def note(record):
+            # n3's journal load ends without ``outcome="corrupt"``.
+            fields = record.fields
+            if (record.event == "span_start" and fields.get("node") == "n3"
+                    and fields.get("name") == "recovery.store.load"):
+                loads.add(fields["span"])
+            elif (record.event == "span_end" and fields.get("span") in loads
+                    and "outcome" not in fields):
+                restored.append(record)
+        system.tracer.subscribe(note)
         system.restart_node("n3")
         assert await system.wait_for(
             lambda: group.is_operational_on("n3"), timeout=30.0)
-        assert (system.tracer.counters.get("store.restored", 0)
-                > restored_before), \
+        assert restored, \
             "relaunched node rejoined without restoring from its journal"
         acked = driver.acked
         assert await system.wait_for(lambda: driver.acked > acked,

@@ -48,6 +48,15 @@ def _delta_records(system, event):
             if r.category == "delta" and r.event == event]
 
 
+def _xfer_bytes(system, transfer_id):
+    """``app_bytes`` of the ``set_state`` body each responder sent for
+    ``transfer_id`` (its ``recovery.xfer`` spans)."""
+    return [r.fields["app_bytes"] for r in system.tracer.records
+            if r.event == "span_start"
+            and r.fields["name"] == "recovery.xfer"
+            and r.fields["span"].startswith(f"{transfer_id}/xfer@")]
+
+
 def test_second_checkpoint_ships_delta():
     system = make_system()
     recovery, primary = _primary_recovery(system)
@@ -94,9 +103,16 @@ def test_recovery_transfer_uses_delta_against_checkpoint():
     # §5.1 protocol: the announcement names its checkpoint as delta base.
     binding.phase = Phase.JOINING
     mechanisms.recovery.announce_join(binding)
+    transfer_id = binding.pending_transfer
     assert system.wait_for(lambda: binding.operational, timeout=5.0)
     assert system.tracer.count("delta.delta_sent") >= 1
-    assert system.tracer.count("delta.delta_applied") >= 1
+    # The target rebuilt the full snapshot from a smaller delta body.
+    sent = _xfer_bytes(system, transfer_id)
+    applied = [r.fields["app_bytes"] for r in system.tracer.records
+               if (r.category, r.event)
+               == ("recovery", "recovery_set_received")
+               and r.fields["node"] == backup]
+    assert sent and applied and max(sent) < applied[-1]
     # recovered replica's state matches the primary's, byte for byte
     survivor = system.mechanisms(primary).bindings["g"].container.servant
     recovered = binding.container.servant
@@ -109,17 +125,17 @@ def test_base_digest_mismatch_falls_back_to_full():
     recovery, _ = _primary_recovery(system)
     recovery.initiate_checkpoint("g")
     system.run_for(0.3)
-    baseline_full = system.tracer.count("delta.full_sent")
+    deltas_before = system.tracer.count("delta.delta_sent")
     # A join naming a base nobody holds: the responder must ship the full
     # snapshot rather than a delta against the wrong base.
     system.mechanisms("n2").multicast(ReplicaJoin(
         group_id="g", node_id="n2", transfer_id="tid-stale-base",
         base_digest="sha256:no-such-checkpoint"))
     system.run_for(0.5)
-    assert system.tracer.count("delta.full_sent") > baseline_full
-    reasons = {r.fields["reason"]
-               for r in _delta_records(system, "full_sent")}
-    assert "base_mismatch" in reasons
+    assert _xfer_bytes(system, "tid-stale-base")
+    assert all(size >= PAYLOAD
+               for size in _xfer_bytes(system, "tid-stale-base"))
+    assert system.tracer.count("delta.delta_sent") == deltas_before
 
 
 def test_delta_disabled_by_config_sends_full_bodies():

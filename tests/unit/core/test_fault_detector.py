@@ -67,8 +67,7 @@ def test_cold_backups_never_suspected():
 
 def test_transient_suspicion_refuted_and_counted_as_false_positive():
     """A replica that stalls briefly but resumes before SUSPECT_AFTER
-    polls emits a ``refuted`` event and counts as one false positive,
-    not a report."""
+    polls is suspected, then cleared (its strikes reset), not reported."""
     deployment = deploy()
     system = deployment.system
     servant = deployment.server_group.servant_on("s1")
@@ -78,7 +77,11 @@ def test_transient_suspicion_refuted_and_counted_as_false_positive():
     system.run_for(info.fault_monitoring_interval * 1.5)
     servant._hung_for_test = False
     system.run_for(info.fault_monitoring_interval * 3)
-    assert system.tracer.count("fault_detector.refuted") >= 1
+    strikes = [r.fields["strikes"] for r in system.tracer.find(
+        "fault_detector", "suspect") if r.fields["node"] == "s1"]
+    # Counting restarted at 1 after a suspicion: the replica was seen
+    # alive in between, which refuted it.
+    assert any(later == 1 for later in strikes[1:])
     assert system.tracer.count("fault_detector.report") == 0
     first_strikes = [r for r in system.tracer.find("fault_detector",
                                                    "suspect")

@@ -194,7 +194,7 @@ def test_recv_syscall_counters_account_for_the_drain_loop(udp_pair):
         + tracer.count("live.sys.recv_eagain"))
     assert tracer.count("live.sys.recv_batches") == \
         tracer.count("live.sys.recv_eagain")
-    assert tracer.count("live.codec.bytes_in") > 0
+    assert tracer.count("live.bad_frame") == 0          # it decoded
 
 
 def test_recv_batch_record_is_sampled_one_in_32(udp_pair):
@@ -354,12 +354,14 @@ def test_empty_wakeup_counts_one_probe_and_no_datagrams(udp_pair):
 
 def test_bad_frame_still_counts_as_received_datagram(udp_pair):
     transports, tracer = udp_pair
+    delivered = []
+    transports["a"].deliver = lambda src, payload: delivered.append(src)
     sock_b = transports["b"]._sock
     sock_b.sendto(b"not a frame", transports["a"].local_addr)
     _drain(transports["a"], tracer, expect=1)
     assert tracer.count("live.sys.recv_datagrams") == 1
     assert tracer.count("live.bad_frame") == 1
-    assert tracer.count("live.codec.bytes_in") == 0
+    assert delivered == []
 
 
 def test_malformed_datagrams_do_not_tear_down_the_transport(udp_pair):
@@ -447,7 +449,6 @@ def test_send_eagain_counted_apart_from_generic_drops(udp_pair):
     transport._flush_sends()
     assert tracer.count("live.sys.sendto") == 1 + 2
     assert tracer.count("live.sys.send_dead_peer") == 2
-    assert tracer.count("live.send_dead_peer") == 2
     assert tracer.count("live.sys.send_eagain") == 1   # unchanged
     assert tracer.count("live.send_drop") == 1          # unchanged
 
@@ -482,7 +483,6 @@ def test_mmsg_send_result_classified_into_counters(udp_pair_batched):
     assert tracer.count("live.sys.sendmmsg") == 3
     assert tracer.count("live.sys.send_eagain") == 2
     assert tracer.count("live.sys.send_dead_peer") == 1
-    assert tracer.count("live.send_dead_peer") == 1
     assert tracer.count("live.send_drop") == 2 + 1
 
 

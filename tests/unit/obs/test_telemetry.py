@@ -150,8 +150,7 @@ def test_default_exclusions_drop_fanout_but_keep_causal_stream():
     tracer.emit("totem", "frame", node="s1", seq=2)
     tracer.emit("totem", "packed_frame", node="s1", seq=2, payloads=3)
     tracer.emit("totem", "install", node="s1", ring_id=4)
-    tracer.emit("net", "unicast", node="s1")
-    tracer.emit("replication", "duplicate", node="s1")
+    tracer.emit("live", "recv_batch", node="s1", n=3)
     tracer.emit("replication", "delivered", node="s1", kind="REQUEST")
     kept = [(r.category, r.event) for r in recorder.records_for("s1")]
     assert kept == [("totem", "install"), ("replication", "delivered")]

@@ -11,7 +11,7 @@ from repro.runtime.trace import Tracer
 from repro.store.base import GroupStore
 from repro.store.journal import JournalStore
 from repro.store.memory import MemoryBackend, MemoryStore
-from repro.store.records import encode_checkpoint
+from repro.store.records import encode_checkpoint, encode_message, frame
 
 
 def _ckpt(position, app_state, transfer_id=None):
@@ -195,7 +195,10 @@ def test_store_tracer_binding_reaches_backend():
     group = store.group("g")
     tracer = Tracer()
     store.bind_tracer(tracer, "n1")
-    group.append_message(1, b"m")
-    group.commit_checkpoint(_ckpt(1, b"S" * 128))
-    assert tracer.counters["store.checkpoint_full"] == 1
-    assert tracer.counters["store.compacted"] == 1
+    # A torn write at the journal's tail: the backend cuts it off on load
+    # and leaves the evidence in the bound tracer.
+    group.backend.blob += frame(encode_message(1, b"torn"))[:-2]
+    group.load()
+    assert tracer.counters["store.tail_truncated"] == 1
+    torn = next(tracer.find("store", "tail_truncated"))
+    assert (torn.fields["node"], torn.fields["group"]) == ("n1", "g")

@@ -14,6 +14,7 @@ import dataclasses
 import importlib
 import re
 import subprocess
+import typing
 from pathlib import Path
 
 import pytest
@@ -396,8 +397,10 @@ def test_ring_member_schedules_timers_only_through_arm():
 
 # ---------------------------------------------------------------------------
 # One signal plane: the telemetry poll is the one reader of live state, and
-# every series the metrics registry can hold is a row of README's signal
-# inventory naming the code or document that reads it (ROADMAP item 9(a)).
+# every series the metrics registry can hold — and every trace record kind
+# and counter the program writes — is a row of a README inventory naming
+# the code or document that reads it (ROADMAP item 9).  One checker serves
+# both inventories.
 # ---------------------------------------------------------------------------
 
 #: A registry series is created by ``counter/gauge/histogram("name", …)``
@@ -405,6 +408,33 @@ def test_ring_member_schedules_timers_only_through_arm():
 #: its literal head as a family (``f"span.{name}"`` is ``span.*``).
 SERIES_CALL = re.compile(
     r'\b(?:counter|gauge|histogram|put)\(\s*(f?)"([^"{]+)(\{?)')
+
+#: A record is written by ``emit("category", "event", …)`` and a counter
+#: by ``add("key", …)``: what a reader's text is searched without.
+RECORD_CALL = re.compile(r'\.(?:emit\(\s*"\w+",\s*"\w+"|add\(\s*"[\w.]+")')
+
+
+def series_spelling(row):
+    """How a reader names a series: itself, or its exposition name."""
+    return (f"(?:{re.escape(row)}|eternal_"
+            f"{re.escape(row.replace('.', '_'))})(?!\\w)")
+
+
+def record_spelling(row):
+    """How a reader names a record kind: ``category.event``, or the
+    quoted event name it matches records against."""
+    event = re.escape(row.partition(".")[2])
+    return f"(?:{re.escape(row)}(?!\\w)|[\"']{event}[\"'])"
+
+
+class Table(typing.NamedTuple):
+    heading: str                    # the paragraph the table follows
+    creating_call: "re.Pattern"     # stripped before a reader is searched
+    spelling: typing.Callable[[str], str]
+
+
+SIGNALS = Table("**Signal inventory.**", SERIES_CALL, series_spelling)
+RECORDS = Table("**Record inventory.**", RECORD_CALL, record_spelling)
 
 
 def created_series():
@@ -417,12 +447,84 @@ def created_series():
     return created
 
 
-def inventory():
-    """README's signal inventory as ``{series: consumer path}``, plus the
-    README text outside the table (a README row's reader is prose)."""
+def _string_constants(tree):
+    """Module-level ``NAME = "text"`` assignments."""
+    return {target.id: node.value.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def _table_column(tree, field):
+    """The strings a module-level ``NamedTuple`` table holds in ``field``
+    (``_Source(..., "failover_begin", ...)`` rows), or None."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = [node.target.id for node in cls.body
+                  if isinstance(node, ast.AnnAssign)]
+        if field not in fields:
+            continue
+        index = fields.index(field)
+        return {call.args[index].value for call in ast.walk(tree)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == cls.name
+                and len(call.args) > index
+                and isinstance(call.args[index], ast.Constant)
+                and isinstance(call.args[index].value, str)}
+    return None
+
+
+def _spelled(arg, constants, tree):
+    """The strings an ``emit`` argument can be: a literal, a module
+    constant, or a column of a module-level table."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return {arg.value}
+    if isinstance(arg, ast.Name) and arg.id in constants:
+        return {constants[arg.id]}
+    if isinstance(arg, ast.Attribute):
+        return _table_column(tree, arg.attr)
+    return None
+
+
+def written_kinds(paths):
+    """``(records, counters, unspelled)``: record kind -> file emitting it,
+    counter key -> file bumping it, and every emit whose kind no literal,
+    constant or table spells.  The tracer's own forwarding is skipped."""
+    records, counters, unspelled = {}, {}, []
+    for path in paths:
+        if path == SRC / "runtime" / "trace.py":
+            continue
+        where = str(path.relative_to(REPO_ROOT)) if path.is_relative_to(
+            REPO_ROOT) else str(path)
+        tree = ast.parse(path.read_text(), str(path))
+        constants = _string_constants(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "emit" and len(node.args) >= 2:
+                category = _spelled(node.args[0], constants, tree)
+                events = _spelled(node.args[1], constants, tree)
+                if not category or not events:
+                    unspelled.append(f"{where}:{node.lineno}")
+                    continue
+                for kind in (f"{c}.{e}" for c in category for e in events):
+                    records.setdefault(kind, where)
+            elif (node.func.attr == "add" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Constant)
+                    and "." in str(node.args[0].value)):
+                counters.setdefault(node.args[0].value, where)
+    return records, counters, unspelled
+
+
+def inventory(table):
+    """A README inventory as ``{row: consumer path}``, plus the README
+    text outside the table (a README row's reader is prose)."""
     lines = (REPO_ROOT / "README.md").read_text().splitlines()
     start = next(index for index, line in enumerate(lines)
-                 if line.startswith("**Signal inventory.**"))
+                 if line.startswith(table.heading))
     while not lines[start].startswith("|"):
         start += 1
     end = start
@@ -445,11 +547,11 @@ def family(name, rows):
                  and name.startswith(row[:-1])), None)
 
 
-def inventory_problems(created, rows, read):
-    """Every mismatch between the series the code creates and the
-    inventory: unlisted series, rows nothing creates, and rows whose
-    reader is a test, missing, or does not name the series.  ``read``
-    maps a consumer path to its text."""
+def inventory_problems(table, created, rows, read):
+    """Every mismatch between what the code creates and an inventory:
+    unlisted names, rows nothing creates, and rows whose reader is a
+    test, missing, or does not name the row.  ``read`` maps a consumer
+    path to its text."""
     problems = [f"{name} ({path}) is not in the inventory"
                 for name, path in sorted(created.items())
                 if family(name, rows) is None]
@@ -462,15 +564,33 @@ def inventory_problems(created, rows, read):
                             f"consumer")
             continue
         # The creating call is not a read: strip it before looking.
-        text = SERIES_CALL.sub("", read(consumer))
-        if row.endswith("*"):
-            spelled = re.escape(row[:-1])
-        else:
-            spelled = (f"(?:{re.escape(row)}|eternal_"
-                       f"{re.escape(row.replace('.', '_'))})(?!\\w)")
+        text = table.creating_call.sub("", read(consumer))
+        spelled = (re.escape(row[:-1]) if row.endswith("*")
+                   else table.spelling(row))
         if not re.search(rf"(?<![\w.]){spelled}", text):
             problems.append(f"{row}: {consumer} does not name it")
     return problems
+
+
+def exclusion_problems(lists, records):
+    """Entries of the record-exclusion lists that name no record kind
+    (a ``"category"`` entry needs one record kind in that category)."""
+    return [f"{name} names {entry}, which is not a record kind"
+            for name, entries in sorted(lists.items())
+            for entry in sorted(entries)
+            if entry not in records
+            and not any(kind.startswith(entry + ".") for kind in records)]
+
+
+def exclusion_lists():
+    from repro.live.system import LIVE_TRACE_MUTE
+    from repro.obs.telemetry import FLIGHT_EXCLUDE
+    from repro.tools.timeline import PER_MESSAGE_EVENTS
+
+    return {"FLIGHT_EXCLUDE": set(FLIGHT_EXCLUDE),
+            "LIVE_TRACE_MUTE": set(LIVE_TRACE_MUTE),
+            "PER_MESSAGE_EVENTS": {".".join(pair)
+                                   for pair in PER_MESSAGE_EVENTS}}
 
 
 def read_consumer(prose):
@@ -483,19 +603,81 @@ def read_consumer(prose):
 
 
 def test_every_registry_series_is_in_the_inventory_with_its_reader():
-    rows, prose = inventory()
-    assert inventory_problems(created_series(), rows,
+    rows, prose = inventory(SIGNALS)
+    assert inventory_problems(SIGNALS, created_series(), rows,
                               read_consumer(prose)) == []
 
 
 def test_an_orphan_series_fails_the_inventory_by_name():
-    rows, prose = inventory()
+    rows, prose = inventory(SIGNALS)
     created = dict(created_series(), **{"orphan.depth": "src/repro/x.py"})
     listed = dict(rows, **{"orphan.depth": "src/repro/obs/telemetry.py"})
-    assert inventory_problems(created, rows, read_consumer(prose)) == [
+    assert inventory_problems(SIGNALS, created, rows,
+                              read_consumer(prose)) == [
         "orphan.depth (src/repro/x.py) is not in the inventory"]
-    assert inventory_problems(created, listed, read_consumer(prose)) == [
+    assert inventory_problems(SIGNALS, created, listed,
+                              read_consumer(prose)) == [
         "orphan.depth: src/repro/obs/telemetry.py does not name it"]
+
+
+def source_files():
+    return sorted(SRC.rglob("*.py"))
+
+
+def test_every_record_kind_and_counter_is_in_the_inventory_with_its_reader():
+    records, counters, unspelled = written_kinds(source_files())
+    assert unspelled == []
+    rows, prose = inventory(RECORDS)
+    assert inventory_problems(RECORDS, {**counters, **records}, rows,
+                              read_consumer(prose)) == []
+
+
+def test_exclusion_lists_name_only_record_kinds():
+    records, _, _ = written_kinds(source_files())
+    assert exclusion_problems(exclusion_lists(), records) == []
+
+
+def test_an_unlisted_emit_fails_the_record_inventory_by_name(tmp_path):
+    orphan = tmp_path / "orphan.py"
+    orphan.write_text('def f(tracer):\n'
+                      '    tracer.emit("orphan", "kind", node="n")\n'
+                      '    tracer.emit("orphan", f"{tracer}")\n')
+    records, counters, unspelled = written_kinds(
+        [*source_files(), orphan])
+    rows, prose = inventory(RECORDS)
+    assert unspelled == [f"{orphan}:3"]
+    assert inventory_problems(RECORDS, {**counters, **records}, rows,
+                              read_consumer(prose)) == [
+        f"orphan.kind ({orphan}) is not in the inventory"]
+
+
+def test_a_row_nothing_emits_or_only_a_test_reads_fails_by_name():
+    records, counters, _ = written_kinds(source_files())
+    created = {**counters, **records}
+    rows, prose = inventory(RECORDS)
+    unwritten = dict(rows, **{"orphan.unread": "src/repro/obs/audit.py"})
+    assert inventory_problems(RECORDS, created, unwritten,
+                              read_consumer(prose)) == [
+        "orphan.unread is listed but nothing creates it",
+        "orphan.unread: src/repro/obs/audit.py does not name it"]
+    test_read = dict(rows, **{"replication.duplicate":
+                              "tests/unit/bench/test_counter_parity.py"})
+    assert inventory_problems(RECORDS, created, test_read,
+                              read_consumer(prose)) == [
+        "replication.duplicate: tests/unit/bench/test_counter_parity.py "
+        "reader is no consumer"]
+
+
+def test_an_exclusion_entry_naming_a_counter_fails_by_name():
+    records, counters, _ = written_kinds(source_files())
+    assert "replication.duplicate" in counters
+    lists = exclusion_lists()
+    lists["FLIGHT_EXCLUDE"].add("replication.duplicate")
+    lists["PER_MESSAGE_EVENTS"].add("net")
+    assert exclusion_problems(lists, records) == [
+        "FLIGHT_EXCLUDE names replication.duplicate, which is not a "
+        "record kind",
+        "PER_MESSAGE_EVENTS names net, which is not a record kind"]
 
 
 def test_health_renders_the_registry_and_walks_no_stack():

@@ -14,10 +14,10 @@ def test_a_seed_names_one_scenario():
     kinds = {event.kind for seed in range(40)
              for event in fuzz.make_scenario(seed).events}
     assert kinds == {"kill", "restart", "loss", "hold_cancel_loss",
-                     "form_loss", "slow_joins", "bounce"}
+                     "form_loss", "slow_joins", "bounce", "total_failure"}
 
 
-@pytest.mark.parametrize("seed", [16, 28, 71])
+@pytest.mark.parametrize("seed", [19, 35, 72])
 def test_seeds_that_catch_the_mutants_pass_as_is(seed):
     assert fuzz.run_seed(seed).findings == []
 
@@ -43,9 +43,9 @@ def _leader_arms_no_recovery_deadline(self):
 
 
 @pytest.mark.parametrize("attribute,mutant,seed,finding", [
-    ("_says_nothing_new", lambda self, src, join: False, 28, "end:"),
-    ("_candidates", _without_view_term, 16, "on consensus without live"),
-    ("_on_gather_deadline", _leader_arms_no_recovery_deadline, 71, "end:"),
+    ("_says_nothing_new", lambda self, src, join: False, 35, "end:"),
+    ("_candidates", _without_view_term, 72, "on consensus without live"),
+    ("_on_gather_deadline", _leader_arms_no_recovery_deadline, 19, "end:"),
 ], ids=["every-join-restarts", "consensus-without-view",
         "leader-without-recovery-deadline"])
 def test_mutant_is_caught(monkeypatch, attribute, mutant, seed, finding):
@@ -60,10 +60,10 @@ def test_cli_reports_the_rate_and_replays_a_failing_seed(monkeypatch,
     assert "seeds per CPU-second" in capsys.readouterr().out
     monkeypatch.setattr(TotemMember, "_says_nothing_new",
                         lambda self, src, join: False)
-    assert fuzz.fuzz(1, 30, first_seed=28) == 1
+    assert fuzz.fuzz(1, 30, first_seed=35) == 1
     out = capsys.readouterr().out
-    assert "FAIL seed 28:" in out
-    assert "replay: python -m repro fuzz --replay 28" in out
-    assert main(["fuzz", "--replay", "28"]) == 1
+    assert "FAIL seed 35:" in out
+    assert "replay: python -m repro fuzz --replay 35" in out
+    assert main(["fuzz", "--replay", "35"]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("seed 28:") and "finding: end:" in out
+    assert out.startswith("seed 35:") and "finding: end:" in out

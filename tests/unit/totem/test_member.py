@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import NotInRing, TotemError
-from repro.runtime.trace import Tracer
+from repro.obs.audit import ConsistencyAuditor
+from repro.runtime.trace import NULL_TRACER, Tracer
 from repro.simnet.endpoint import Endpoint
 from repro.simnet.faults import FaultInjector
 from repro.simnet.network import Network
@@ -22,8 +23,12 @@ from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
 class Ring:
     """A small harness around N ring members."""
 
-    def __init__(self, node_ids=("A", "B", "C"), config=None, seed=0):
+    def __init__(self, node_ids=("A", "B", "C"), config=None, seed=0,
+                 tracer=NULL_TRACER):
         self.scheduler = Scheduler()
+        self.tracer = tracer
+        if tracer is not NULL_TRACER:
+            tracer.bind_clock(lambda: self.scheduler.now)
         self.network = Network(self.scheduler)
         self.faults = FaultInjector(self.network, seed=seed)
         self.config = config or TotemConfig()
@@ -33,11 +38,11 @@ class Ring:
         for node_id in node_ids:
             self._spawn(node_id)
 
-    def _spawn(self, node_id):
-        process = Process(self.scheduler, node_id)
+    def _spawn(self, node_id, process=None):
+        process = process or Process(self.scheduler, node_id)
         endpoint = Endpoint(process, self.network)
         self.members[node_id] = TotemMember(
-            endpoint, self.config,
+            endpoint, self.config, tracer=self.tracer,
             on_deliver=lambda origin, payload, n=node_id:
                 self.delivered[n].append((origin, payload)),
             on_view_change=lambda view, n=node_id:
@@ -49,8 +54,7 @@ class Ring:
         """Re-launch a crashed node with a fresh (history-less) member."""
         process = self.network.process(node_id)
         process.restart()
-        endpoint = Endpoint(process, self.network)
-        return self._spawn(node_id)
+        return self._spawn(node_id, process)
 
     def run(self, duration):
         self.scheduler.run_until(self.scheduler.now + duration)
@@ -202,6 +206,33 @@ def test_ring_ids_increase_across_reformations():
     ring.faults.crash("C")
     ring.run(0.3)
     assert ring.members["A"].ring_id > first
+
+
+def test_ring_reformed_after_a_total_failure_is_a_new_ring():
+    """Every member down at once, then re-launched: the host keeps the
+    newest ring id it installed, so the re-formed ring is not ring 1 again
+    and the strict auditor never sees one configuration key name two
+    rings with different delivery histories."""
+    tracer = Tracer(keep_records=False)
+    auditor = ConsistencyAuditor().bind(tracer)
+    ring = Ring(("A", "B"), tracer=tracer)
+    ring.run(0.1)
+    for i in range(40):
+        ring.members["A"].multicast(f"before {i}".encode())
+    ring.run(0.2)
+    before = ring.members["A"].ring_id
+    ring.faults.crash("A")
+    ring.faults.crash("B")
+    ring.run(0.05)
+    ring.respawn("A")
+    ring.respawn("B")
+    ring.run(0.2)
+    assert ring.all_operational()
+    for i in range(40):
+        ring.members["B"].multicast(f"after {i}".encode())
+    ring.run(0.2)
+    assert ring.members["A"].ring_id == ring.members["B"].ring_id > before
+    auditor.finish(raise_on_findings=True)
 
 
 def test_shutdown_member_rejects_multicast():

@@ -116,19 +116,21 @@ def test_departed_sender_partials_evicted_at_install():
     # A partial message from a sender that then leaves the ring can never
     # complete; installation of the new ring must drop it so the
     # reassembly gauge (eternal_totem_partial_count) returns to zero.
-    ring, tracer = _traced_ring()
+    ring, _ = _traced_ring()
     ring.run(0.1)
     member = ring.members["B"]
-    member._reassembler.add(("C", 99), 0, 3, b"orphaned")
+    reassembler = member._reassembler
+    reassembler.add(("C", 99), 0, 3, b"orphaned")
     assert member.reassembly_pending == 1
+    evictions = []
+    evict = reassembler.evict_absent_origins
+    reassembler.evict_absent_origins = \
+        lambda members: evictions.append(evict(members)) or evictions[-1]
     ring.faults.crash("C")
     ring.run(0.5)
     assert ring.all_operational(["A", "B"])
     assert member.reassembly_pending == 0
-    evictions = [r for r in tracer.records
-                 if r.category == "totem" and r.event == "reassembly_evicted"
-                 and r.fields["node"] == "B"]
-    assert evictions and evictions[-1].fields["count"] == 1
+    assert evictions and evictions[-1] == 1
 
 
 def test_reassembler_evicts_only_absent_origins():
