@@ -1,18 +1,20 @@
 """Microbenchmark: CDR marshalling throughput.
 
-CDR encoding sits on every hot path — GIOP request/reply headers, state
-transfer envelopes, and (in the same layout, through the Totem codec's
-own struct helpers) every Totem frame the live runtime sends.  This
-benchmark exercises the primitive-write loop of
-:class:`repro.giop.cdr.CdrOutputStream` (alignment padding, struct
-packing) and the frame codec of :mod:`repro.totem.wire` directly, so
-regressions in either show up without running a whole deployment.
+CDR encoding sits on every hot path — GIOP request/reply bodies, the
+``any`` codec, state transfer envelopes and every Totem frame the live
+runtime sends, all written on :mod:`repro.giop.cdr`.  This benchmark
+exercises the offset-based primitives production runs (``w_*`` writers
+with alignment padding, ``r_*`` readers) and the row-built frame codec of
+:mod:`repro.totem.wire` directly, so regressions in either show up
+without running a whole deployment.
 
 Unlike the simulation benchmarks these use real repeated rounds: the
 cost being measured *is* wall-clock Python execution.
 """
 
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.giop.cdr import (r_boolean, r_double, r_long, r_octet, r_string,
+                            r_ulong, r_ulonglong, w_boolean, w_double, w_long,
+                            w_octet, w_string, w_ulong, w_ulonglong)
 from repro.totem.messages import DataMsg, PackedDataMsg, PackedPayload
 from repro.totem.wire import decode_frame_payload, encode_frame_payload_into
 
@@ -21,29 +23,44 @@ CHUNK = bytes(range(256)) * 4
 
 
 def _encode_mixed_records() -> bytes:
-    out = CdrOutputStream()
+    buf = bytearray()
     for i in range(PRIMITIVE_ROUNDS):
-        out.write_octet(i & 0xFF)           # deliberately misaligns the
-        out.write_ulong(i)                  # stream so ulong/ulonglong
-        out.write_ulonglong(i * 7)          # writes exercise padding
-        out.write_short(-i & 0x7FFF)
-        out.write_double(i * 0.5)
-        out.write_string(f"member-{i}")
-        out.write_boolean(i % 2 == 0)
-    return out.getvalue()
+        w_octet(buf, i & 0xFF)              # deliberately misaligns the
+        w_ulong(buf, i)                     # buffer so ulong/ulonglong
+        w_ulonglong(buf, i * 7)             # writes exercise padding
+        w_long(buf, -i)
+        w_double(buf, i * 0.5)
+        w_string(buf, f"member-{i}")
+        w_boolean(buf, i % 2 == 0)
+    return bytes(buf)
+
+
+def _decode_mixed_records(data: bytes) -> list:
+    pos, records = 0, []
+    for _ in range(PRIMITIVE_ROUNDS):
+        octet, pos = r_octet(data, pos)
+        ulong, pos = r_ulong(data, pos)
+        ulonglong, pos = r_ulonglong(data, pos)
+        long, pos = r_long(data, pos)
+        double, pos = r_double(data, pos)
+        string, pos = r_string(data, pos)
+        boolean, pos = r_boolean(data, pos)
+        records.append((octet, ulong, ulonglong, long, double, string,
+                        boolean))
+    assert pos == len(data)
+    return records
 
 
 def test_cdr_primitive_marshalling(benchmark):
     encoded = benchmark(_encode_mixed_records)
     # sanity: decode the first record back
-    inp = CdrInputStream(encoded)
-    assert inp.read_octet() == 0
-    assert inp.read_ulong() == 0
-    assert inp.read_ulonglong() == 0
-    assert inp.read_short() == 0
-    assert inp.read_double() == 0.0
-    assert inp.read_string() == "member-0"
-    assert inp.read_boolean() is True
+    assert _decode_mixed_records(encoded)[0] == (0, 0, 0, 0, 0.0,
+                                                 "member-0", True)
+
+
+def test_cdr_primitive_unmarshalling(benchmark):
+    records = benchmark(_decode_mixed_records, _encode_mixed_records())
+    assert records[-1][5] == f"member-{PRIMITIVE_ROUNDS - 1}"
 
 
 def test_totem_frame_round_trip(benchmark):

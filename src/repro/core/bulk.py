@@ -35,8 +35,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.core.statedelta import PAGE_SIZE, page_digests, split_pages
-from repro.errors import StateTransferError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import StateTransferError
+from repro.giop.cdr import (MALFORMED, STRING, ULONG, Row, Seq, build,
+                            encode_record)
 from repro.obs.audit import state_digest
 from repro.totem.wire import BulkFetch, BulkNack, BulkPage
 
@@ -97,17 +98,15 @@ def build_manifest(blob: bytes, page_size: int = PAGE_SIZE) -> PageManifest:
     )
 
 
+#: The body after its version octet.
+_MANIFEST = build(Row(PageManifest, ("state_digest", STRING),
+                      ("total_length", ULONG), ("page_size", ULONG),
+                      ("page_crcs", Seq(ULONG))), 1)
+
+
 def encode_manifest(manifest: PageManifest) -> bytes:
     """Serialize a manifest as the versioned CDR body of a ``StateSet``."""
-    out = CdrOutputStream()
-    out.write_octet(MANIFEST_VERSION)
-    out.write_string(manifest.state_digest)
-    out.write_ulong(manifest.total_length)
-    out.write_ulong(manifest.page_size)
-    out.write_ulong(len(manifest.page_crcs))
-    for tag in manifest.page_crcs:
-        out.write_ulong(tag)
-    return out.getvalue()
+    return encode_record(_MANIFEST, manifest, bytes((MANIFEST_VERSION,)))
 
 
 def decode_manifest(data: bytes) -> PageManifest:
@@ -118,27 +117,24 @@ def decode_manifest(data: bytes) -> PageManifest:
     fallback.
     """
     try:
-        inp = CdrInputStream(data)
-        version = inp.read_octet()
+        version = data[0]
         if version != MANIFEST_VERSION:
             raise StateTransferError(
                 f"unknown manifest body version {version}")
-        digest = inp.read_string()
-        total_length = inp.read_ulong()
-        page_size = inp.read_ulong()
-        if page_size < 1:
-            raise StateTransferError(f"bad manifest page size {page_size}")
-        count = inp.read_ulong()
-        crcs = tuple(inp.read_ulong() for _ in range(count))
-    except UnmarshalError as exc:
+        manifest = _MANIFEST.decode(data)
+    except MALFORMED as exc:
         raise StateTransferError(f"malformed manifest body: {exc}") from exc
+    total_length, page_size = manifest.total_length, manifest.page_size
+    if page_size < 1:
+        raise StateTransferError(f"bad manifest page size {page_size}")
     expected = -(-total_length // page_size) if total_length else 0
-    if count != expected:
+    if manifest.page_count != expected:
         raise StateTransferError(
-            f"manifest carries {count} page CRCs for a {total_length}-byte "
-            f"snapshot of {page_size}-byte pages (expected {expected})"
+            f"manifest carries {manifest.page_count} page CRCs for a "
+            f"{total_length}-byte snapshot of {page_size}-byte pages "
+            f"(expected {expected})"
         )
-    return PageManifest(digest, total_length, page_size, crcs)
+    return manifest
 
 
 def _runs(indices: Sequence[int]) -> List[Tuple[int, int]]:

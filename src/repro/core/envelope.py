@@ -8,12 +8,13 @@ honest transmission time — in particular a :class:`StateSet` carrying a
 large application state produces a proportionally large multicast message,
 which Totem fragments at the Ethernet MTU: the mechanism behind Figure 6.
 
-Every envelope type has one straight-line encoder and one decoder, reached
-through one table (:data:`_ROWS`: tag, class, encoder, decoder) and
-written on the offset-based CDR primitives of :mod:`repro.giop.cdr`
-(big-endian, aligned relative to the leading tag octet).  The property
-suite pins the layout to a reference written on the CDR streams
-(``tests/properties/giop_oracle.py``).
+Every envelope type is one row of :data:`ENVELOPES`, a
+:class:`repro.giop.cdr.Table`: a tag octet, then the class's fields in
+wire order (big-endian CDR, aligned relative to the tag octet), built into
+straight-line code by the codec kit.  :class:`StateSet` is the one
+hand-written row, on the same CDR primitives: its body-kind octet stands
+for two fields.  The property suite pins the layout to a reference written
+on CDR streams (``tests/properties/giop_oracle.py``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from repro.errors import MarshalError, ProtocolError, UnmarshalError
-from repro.giop.cdr import (r_double, r_longlong, r_octets,
-                            r_string, r_ulong, w_double, w_longlong,
-                            w_octets, w_string, w_ulong)
+from repro.errors import ProtocolError, UnmarshalError
+from repro.giop.cdr import (ASCII, BOOL, DOUBLE, LONGLONG, OCTETS, STRING,
+                            ULONG, Codec, EnumOctet, Row, Seq, Table, Tup,
+                            r_octets, r_string, w_octets, w_string)
 from repro.core.identifiers import (
     ConnectionKey,
     OperationId,
@@ -242,125 +243,17 @@ Envelope = Union[IiopEnvelope, GroupUpdate, ReplicaJoin, StateGet, StateSet,
                  ReplicaFault, NodeRestarted, ColdSeed]
 
 # ---------------------------------------------------------------------------
-# The codec: one encoder and one decoder per envelope type
+# The codec: one table of rows
 # ---------------------------------------------------------------------------
 #
-# The tag octet sits at offset 0, so every encoder appends to a buffer that
-# already holds it and every decoder starts reading at offset 1.
+# The tag octet sits at offset 0, so every record starts at offset 1.
 
 #: Discriminant octet -> member (a lookup, not an enum construction).
 _OP_KINDS = {kind.value: kind for kind in OpKind}
 _PURPOSES = {purpose.value: purpose for purpose in TransferPurpose}
-_STATE_BODIES = (STATE_BODY_FULL, STATE_BODY_DELTA, STATE_BODY_MANIFEST)
 
-
-def _member(table: dict, raw: int, what: str):
-    try:
-        return table[raw]
-    except KeyError:
-        raise ProtocolError(f"malformed envelope: unknown {what} {raw}") \
-            from None
-
-
-def _encode_iiop(buf: bytearray, envelope: IiopEnvelope) -> None:
-    w_string(buf, envelope.connection.client_group)
-    w_string(buf, envelope.connection.server_group)
-    buf.append(envelope.kind.value)
-    w_ulong(buf, envelope.request_id)
-    w_string(buf, envelope.sender_node)
-    w_octets(buf, envelope.iiop_bytes)
-
-
-def _decode_iiop(data) -> IiopEnvelope:
-    client_group, pos = r_string(data, 1)
-    server_group, pos = r_string(data, pos)
-    kind = _member(_OP_KINDS, data[pos], "operation kind")
-    request_id, pos = r_ulong(data, pos + 1)
-    sender_node, pos = r_string(data, pos)
-    iiop_bytes, pos = r_octets(data, pos)
-    return IiopEnvelope(ConnectionKey(client_group, server_group), kind,
-                        request_id, sender_node, iiop_bytes)
-
-
-def _encode_group_update(buf: bytearray, envelope: GroupUpdate) -> None:
-    w_string(buf, envelope.group_id)
-    w_string(buf, envelope.type_id)
-    w_string(buf, envelope.style)
-    w_double(buf, envelope.checkpoint_interval)
-    w_ulong(buf, envelope.app_version)
-    w_ulong(buf, len(envelope.members))
-    for node_id, role, operational in envelope.members:
-        w_string(buf, node_id)
-        w_string(buf, role)
-        buf.append(1 if operational else 0)
-    w_string(buf, envelope.action)
-    w_string(buf, envelope.subject_node)
-    w_double(buf, envelope.fault_monitoring_interval)
-    w_ulong(buf, envelope.max_log_messages)
-
-
-def _decode_group_update(data) -> GroupUpdate:
-    group_id, pos = r_string(data, 1)
-    type_id, pos = r_string(data, pos)
-    style, pos = r_string(data, pos)
-    checkpoint_interval, pos = r_double(data, pos)
-    app_version, pos = r_ulong(data, pos)
-    count, pos = r_ulong(data, pos)
-    members = []
-    for _ in range(count):
-        node_id, pos = r_string(data, pos)
-        role, pos = r_string(data, pos)
-        members.append((node_id, role, data[pos] != 0))
-        pos += 1
-    action, pos = r_string(data, pos)
-    subject_node, pos = r_string(data, pos)
-    fault_monitoring_interval, pos = r_double(data, pos)
-    max_log_messages, pos = r_ulong(data, pos)
-    return GroupUpdate(group_id, type_id, style, checkpoint_interval,
-                       app_version, tuple(members), action, subject_node,
-                       fault_monitoring_interval, max_log_messages)
-
-
-def _encode_replica_join(buf: bytearray, envelope: ReplicaJoin) -> None:
-    w_string(buf, envelope.group_id)
-    w_string(buf, envelope.node_id)
-    w_string(buf, envelope.transfer_id)
-    w_octets(buf, envelope.base_digest.encode("ascii"))
-    buf.append(1 if envelope.bulk_ok else 0)
-    w_longlong(buf, envelope.store_position)
-
-
-def _decode_replica_join(data) -> ReplicaJoin:
-    group_id, pos = r_string(data, 1)
-    node_id, pos = r_string(data, pos)
-    transfer_id, pos = r_string(data, pos)
-    base_digest, pos = r_octets(data, pos)
-    bulk_ok = data[pos] != 0
-    store_position, pos = r_longlong(data, pos + 1)
-    return ReplicaJoin(group_id, node_id, transfer_id,
-                       str(base_digest, "ascii"), bulk_ok, store_position)
-
-
-def _encode_state_get(buf: bytearray, envelope: StateGet) -> None:
-    w_string(buf, envelope.group_id)
-    w_string(buf, envelope.transfer_id)
-    buf.append(envelope.purpose.value)
-    w_string(buf, envelope.initiator)
-    w_string(buf, envelope.target_node)
-    w_octets(buf, envelope.base_digest.encode("ascii"))
-    buf.append(1 if envelope.bulk_ok else 0)
-
-
-def _decode_state_get(data) -> StateGet:
-    group_id, pos = r_string(data, 1)
-    transfer_id, pos = r_string(data, pos)
-    purpose = _member(_PURPOSES, data[pos], "transfer purpose")
-    initiator, pos = r_string(data, pos + 1)
-    target_node, pos = r_string(data, pos)
-    base_digest, pos = r_octets(data, pos)
-    return StateGet(group_id, transfer_id, purpose, initiator, target_node,
-                    str(base_digest, "ascii"), data[pos] != 0)
-
+# StateSet stays hand-written: its body-kind octet stands for two booleans
+# (``app_delta``, ``app_manifest``), which no field kind states.
 
 def _encode_state_set(buf: bytearray, envelope: StateSet) -> None:
     w_string(buf, envelope.group_id)
@@ -368,12 +261,8 @@ def _encode_state_set(buf: bytearray, envelope: StateSet) -> None:
     buf.append(envelope.purpose.value)
     w_string(buf, envelope.source_node)
     w_string(buf, envelope.target_node)
-    if envelope.app_manifest:
-        buf.append(STATE_BODY_MANIFEST)
-    elif envelope.app_delta:
-        buf.append(STATE_BODY_DELTA)
-    else:
-        buf.append(STATE_BODY_FULL)
+    buf.append(STATE_BODY_MANIFEST if envelope.app_manifest else
+               STATE_BODY_DELTA if envelope.app_delta else STATE_BODY_FULL)
     w_octets(buf, envelope.app_state)
     w_octets(buf, envelope.orb_state)
     w_octets(buf, envelope.infra_state)
@@ -382,11 +271,14 @@ def _encode_state_set(buf: bytearray, envelope: StateSet) -> None:
 def _decode_state_set(data) -> StateSet:
     group_id, pos = r_string(data, 1)
     transfer_id, pos = r_string(data, pos)
-    purpose = _member(_PURPOSES, data[pos], "transfer purpose")
+    purpose = _PURPOSES.get(data[pos])
+    if purpose is None:
+        raise ProtocolError(f"unknown transfer purpose {data[pos]}")
     source_node, pos = r_string(data, pos + 1)
     target_node, pos = r_string(data, pos)
     body_kind = data[pos]
-    if body_kind not in _STATE_BODIES:
+    if body_kind not in (STATE_BODY_FULL, STATE_BODY_DELTA,
+                         STATE_BODY_MANIFEST):
         raise ProtocolError(f"unknown StateSet body kind {body_kind}")
     app_state, pos = r_octets(data, pos + 1)
     orb_state, pos = r_octets(data, pos)
@@ -397,79 +289,42 @@ def _decode_state_set(data) -> StateSet:
                     app_manifest=body_kind == STATE_BODY_MANIFEST)
 
 
-def _encode_replica_fault(buf: bytearray, envelope: ReplicaFault) -> None:
-    w_string(buf, envelope.group_id)
-    w_string(buf, envelope.node_id)
-    w_string(buf, envelope.reason)
-
-
-def _decode_replica_fault(data) -> ReplicaFault:
-    group_id, pos = r_string(data, 1)
-    node_id, pos = r_string(data, pos)
-    reason, pos = r_string(data, pos)
-    return ReplicaFault(group_id, node_id, reason)
-
-
-def _encode_node_restarted(buf: bytearray, envelope: NodeRestarted) -> None:
-    w_string(buf, envelope.node_id)
-    w_ulong(buf, envelope.incarnation)
-
-
-def _decode_node_restarted(data) -> NodeRestarted:
-    node_id, pos = r_string(data, 1)
-    incarnation, pos = r_ulong(data, pos)
-    return NodeRestarted(node_id, incarnation)
-
-
-def _encode_cold_seed(buf: bytearray, envelope: ColdSeed) -> None:
-    w_string(buf, envelope.group_id)
-    w_string(buf, envelope.node_id)
-    w_string(buf, envelope.transfer_id)
-    w_longlong(buf, envelope.store_position)
-
-
-def _decode_cold_seed(data) -> ColdSeed:
-    group_id, pos = r_string(data, 1)
-    node_id, pos = r_string(data, pos)
-    transfer_id, pos = r_string(data, pos)
-    store_position, pos = r_longlong(data, pos)
-    return ColdSeed(group_id, node_id, transfer_id, store_position)
-
-
 _IIOP_TAG = 1
 
-#: One row per envelope type: (tag, class, encoder, decoder).
-_ROWS = (
-    (_IIOP_TAG, IiopEnvelope, _encode_iiop, _decode_iiop),
-    (2, GroupUpdate, _encode_group_update, _decode_group_update),
-    (5, ReplicaJoin, _encode_replica_join, _decode_replica_join),
-    (6, StateGet, _encode_state_get, _decode_state_get),
-    (7, StateSet, _encode_state_set, _decode_state_set),
-    (8, ReplicaFault, _encode_replica_fault, _decode_replica_fault),
-    (9, NodeRestarted, _encode_node_restarted, _decode_node_restarted),
-    (10, ColdSeed, _encode_cold_seed, _decode_cold_seed),
-)
+ENVELOPES = Table("envelope", None, (
+    (_IIOP_TAG, Row(IiopEnvelope,
+                    ("connection", Row(ConnectionKey,
+                                       ("client_group", STRING),
+                                       ("server_group", STRING))),
+                    ("kind", EnumOctet(OpKind, "operation kind")),
+                    ("request_id", ULONG), ("sender_node", STRING),
+                    ("iiop_bytes", OCTETS))),
+    (2, Row(GroupUpdate, ("group_id", STRING), ("type_id", STRING),
+            ("style", STRING), ("checkpoint_interval", DOUBLE),
+            ("app_version", ULONG),
+            ("members", Seq(Tup(STRING, STRING, BOOL))),
+            ("action", STRING), ("subject_node", STRING),
+            ("fault_monitoring_interval", DOUBLE),
+            ("max_log_messages", ULONG))),
+    (5, Row(ReplicaJoin, ("group_id", STRING), ("node_id", STRING),
+            ("transfer_id", STRING), ("base_digest", ASCII),
+            ("bulk_ok", BOOL), ("store_position", LONGLONG))),
+    (6, Row(StateGet, ("group_id", STRING), ("transfer_id", STRING),
+            ("purpose", EnumOctet(TransferPurpose, "transfer purpose")),
+            ("initiator", STRING), ("target_node", STRING),
+            ("base_digest", ASCII), ("bulk_ok", BOOL))),
+    (7, Codec(StateSet, _encode_state_set, _decode_state_set)),
+    (8, Row(ReplicaFault, ("group_id", STRING), ("node_id", STRING),
+            ("reason", STRING))),
+    (9, Row(NodeRestarted, ("node_id", STRING), ("incarnation", ULONG))),
+    (10, Row(ColdSeed, ("group_id", STRING), ("node_id", STRING),
+             ("transfer_id", STRING), ("store_position", LONGLONG))),
+))
 
-#: Exact class -> (tag octet, encoder).
-_ENCODERS = {cls: (bytes((tag,)), encode) for tag, cls, encode, _ in _ROWS}
-#: Tag -> decoder.
-_DECODERS = {tag: decode for tag, _, _, decode in _ROWS}
-
-
-def encode_envelope(envelope: Envelope) -> bytes:
-    """Serialize an envelope for multicast."""
-    entry = _ENCODERS.get(type(envelope))
-    if entry is None:
-        raise ProtocolError(
-            f"cannot encode envelope {type(envelope).__name__}")
-    tag, encode = entry
-    buf = bytearray(tag)
-    try:
-        encode(buf, envelope)
-    except struct.error as exc:
-        raise MarshalError(
-            f"unencodable {type(envelope).__name__} field: {exc}") from exc
-    return bytes(buf)
+#: Serialize an envelope for multicast.
+encode_envelope = ENVELOPES.encode
+#: Inverse of :func:`encode_envelope`.
+decode_envelope = ENVELOPES.decode
 
 
 def iiop_target_group(data: bytes) -> Optional[str]:
@@ -483,25 +338,8 @@ def iiop_target_group(data: bytes) -> Optional[str]:
         client_group, pos = r_string(data, 1)
         server_group, pos = r_string(data, pos)
         kind = _OP_KINDS.get(data[pos])
-    except (struct.error, IndexError, ValueError):
+    except (struct.error, IndexError, ValueError, UnmarshalError):
         return None
     if kind is None:
         return None
     return _target_group(kind, client_group, server_group)
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    """Inverse of :func:`encode_envelope`."""
-    if not data:
-        raise UnmarshalError("empty envelope")
-    decode = _DECODERS.get(data[0])
-    if decode is None:
-        raise ProtocolError(f"unknown envelope tag {data[0]}")
-    try:
-        return decode(data)
-    except (struct.error, IndexError) as exc:
-        raise UnmarshalError(
-            f"truncated envelope (tag {data[0]}): {exc}") from exc
-    except ValueError as exc:
-        # invalid text in hostile/corrupted bytes
-        raise ProtocolError(f"malformed envelope: {exc}") from exc

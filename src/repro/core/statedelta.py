@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 from zlib import crc32
 
-from repro.errors import StateTransferError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import StateTransferError
+from repro.giop.cdr import (MALFORMED, OCTETS, STRING, ULONG, Row, Seq, Tup,
+                            build, encode_record)
 from repro.obs.audit import state_digest
 
 #: Default page size: small enough that a localized mutation dirties few
@@ -135,20 +136,16 @@ def apply_delta(base: bytes, delta: StateDelta) -> bytes:
     return new
 
 
+#: The body after its version octet.
+_DELTA = build(Row(StateDelta, ("base_digest", STRING),
+                   ("new_digest", STRING), ("new_length", ULONG),
+                   ("page_size", ULONG),
+                   ("pages", Seq(Tup(ULONG, ULONG, OCTETS)))), 1)
+
+
 def encode_delta(delta: StateDelta) -> bytes:
     """Serialize a delta as the versioned CDR body of a ``StateSet``."""
-    out = CdrOutputStream()
-    out.write_octet(DELTA_BODY_VERSION)
-    out.write_string(delta.base_digest)
-    out.write_string(delta.new_digest)
-    out.write_ulong(delta.new_length)
-    out.write_ulong(delta.page_size)
-    out.write_ulong(len(delta.pages))
-    for index, tag, page in delta.pages:
-        out.write_ulong(index)
-        out.write_ulong(tag)
-        out.write_octets(page)
-    return out.getvalue()
+    return encode_record(_DELTA, delta, bytes((DELTA_BODY_VERSION,)))
 
 
 def decode_delta(data: bytes) -> StateDelta:
@@ -159,21 +156,12 @@ def decode_delta(data: bytes) -> StateDelta:
     exception type to map onto the full-transfer fallback.
     """
     try:
-        inp = CdrInputStream(data)
-        version = inp.read_octet()
+        version = data[0]
         if version != DELTA_BODY_VERSION:
             raise StateTransferError(f"unknown delta body version {version}")
-        base_digest = inp.read_string()
-        new_digest = inp.read_string()
-        new_length = inp.read_ulong()
-        page_size = inp.read_ulong()
-        if page_size < 1:
-            raise StateTransferError(f"bad delta page size {page_size}")
-        count = inp.read_ulong()
-        pages = tuple(
-            (inp.read_ulong(), inp.read_ulong(), inp.read_octets())
-            for _ in range(count)
-        )
-    except UnmarshalError as exc:
+        delta = _DELTA.decode(data)
+    except MALFORMED as exc:
         raise StateTransferError(f"malformed delta body: {exc}") from exc
-    return StateDelta(base_digest, new_digest, new_length, page_size, pages)
+    if delta.page_size < 1:
+        raise StateTransferError(f"bad delta page size {delta.page_size}")
+    return delta

@@ -10,8 +10,9 @@ object stand-ins.
 
 Layers:
 
-* :mod:`repro.giop.cdr` — Common Data Representation encoder/decoder with
-  proper alignment and both byte orders.
+* :mod:`repro.giop.cdr` — Common Data Representation primitives (proper
+  alignment, both byte orders) and the record builder every fixed-layout
+  wire and disk format is declared on.
 * :mod:`repro.giop.types` — TypeCode-lite and the CORBA ``any`` type used
   for application-level state (``typedef any State``).
 * :mod:`repro.giop.messages` — GIOP Request/Reply/etc. headers and bodies.
@@ -20,7 +21,6 @@ Layers:
 * :mod:`repro.giop.ior` — Interoperable Object References.
 """
 
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
 from repro.giop.ior import IOR
 from repro.giop.messages import (
     GIOP_MAGIC,
@@ -46,8 +46,6 @@ from repro.giop.types import Any as CorbaAny
 from repro.giop.types import TCKind, TypeCode, from_any, to_any
 
 __all__ = [
-    "CdrInputStream",
-    "CdrOutputStream",
     "TCKind",
     "TypeCode",
     "CorbaAny",

@@ -12,7 +12,8 @@ import binascii
 from dataclasses import dataclass
 
 from repro.errors import UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.giop.cdr import (OCTETS, STRING, ULONG, USHORT, Row, build,
+                            decode_encapsulation, encode_encapsulation)
 from repro.giop.service_context import CODESET_UTF8, CODESET_UTF16
 
 
@@ -28,35 +29,24 @@ class IOR:
     wchar_codeset: int = CODESET_UTF16
 
     def stringify(self) -> str:
-        """Encode to the classic ``IOR:<hex>`` form."""
-        out = CdrOutputStream()
-        out.write_boolean(out.little_endian)
-        out.write_string(self.type_id)
-        out.write_string(self.host)
-        out.write_ushort(self.port)
-        out.write_octets(self.object_key)
-        out.write_ulong(self.char_codeset)
-        out.write_ulong(self.wchar_codeset)
-        return "IOR:" + binascii.hexlify(out.getvalue()).decode("ascii")
+        """Encode to the classic ``IOR:<hex>`` form (a CDR encapsulation)."""
+        raw = encode_encapsulation(_IOR, self)
+        return "IOR:" + binascii.hexlify(raw).decode("ascii")
 
     @classmethod
     def from_string(cls, text: str) -> "IOR":
-        """Parse the ``IOR:<hex>`` form back into an :class:`IOR`."""
+        """Parse the ``IOR:<hex>`` form back into an :class:`IOR`; either
+        byte order."""
         if not text.startswith("IOR:"):
             raise UnmarshalError(f"not a stringified IOR: {text[:16]!r}")
         try:
             raw = binascii.unhexlify(text[4:])
         except (binascii.Error, ValueError) as exc:
             raise UnmarshalError(f"bad IOR hex: {exc}") from exc
-        probe = CdrInputStream(raw)
-        little = probe.read_boolean()
-        inp = CdrInputStream(raw, little_endian=little)
-        inp.read_boolean()
-        return cls(
-            type_id=inp.read_string(),
-            host=inp.read_string(),
-            port=inp.read_ushort(),
-            object_key=inp.read_octets(),
-            char_codeset=inp.read_ulong(),
-            wchar_codeset=inp.read_ulong(),
-        )
+        return decode_encapsulation(_IOR, raw)
+
+
+_IOR = build(Row(IOR, ("type_id", STRING), ("host", STRING),
+                 ("port", USHORT), ("object_key", OCTETS),
+                 ("char_codeset", ULONG), ("wchar_codeset", ULONG)),
+             1, either_order=True)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import UnmarshalError
-from repro.giop.cdr import (CdrInputStream, CdrOutputStream, r_octets,
-                            r_ulong, w_octets, w_ulong)
+from repro.giop.cdr import (BOOL, OCTETS, ULONG, Row, build,
+                            decode_encapsulation, encode_encapsulation,
+                            r_octets, r_ulong, w_octets, w_ulong)
 
 CODE_SETS_ID = 1
 """OMG-standard ServiceContext id for code-set negotiation."""
@@ -80,11 +81,8 @@ class CodeSetContext:
     wchar_data: int = CODESET_UTF16
 
     def to_service_context(self) -> ServiceContext:
-        out = CdrOutputStream()
-        out.write_boolean(out.little_endian)
-        out.write_ulong(self.char_data)
-        out.write_ulong(self.wchar_data)
-        return ServiceContext(CODE_SETS_ID, out.getvalue())
+        return ServiceContext(CODE_SETS_ID,
+                              encode_encapsulation(_CODE_SETS, self))
 
     @classmethod
     def from_service_context(cls, ctx: ServiceContext) -> "CodeSetContext":
@@ -92,11 +90,7 @@ class CodeSetContext:
             raise UnmarshalError(
                 f"not a code-set context (id={ctx.context_id:#x})"
             )
-        probe = CdrInputStream(ctx.context_data)
-        little = probe.read_boolean()
-        inp = CdrInputStream(ctx.context_data, little_endian=little)
-        inp.read_boolean()
-        return cls(char_data=inp.read_ulong(), wchar_data=inp.read_ulong())
+        return decode_encapsulation(_CODE_SETS, ctx.context_data)
 
 
 @dataclass(frozen=True)
@@ -114,12 +108,8 @@ class VendorHandshakeContext:
     short_key_token: int = 0
 
     def to_service_context(self) -> ServiceContext:
-        out = CdrOutputStream()
-        out.write_boolean(out.little_endian)
-        out.write_boolean(self.propose)
-        out.write_octets(self.object_key)
-        out.write_ulong(self.short_key_token)
-        return ServiceContext(VENDOR_HANDSHAKE_ID, out.getvalue())
+        return ServiceContext(VENDOR_HANDSHAKE_ID,
+                              encode_encapsulation(_VENDOR_HANDSHAKE, self))
 
     @classmethod
     def from_service_context(cls, ctx: ServiceContext) -> "VendorHandshakeContext":
@@ -127,15 +117,16 @@ class VendorHandshakeContext:
             raise UnmarshalError(
                 f"not a vendor handshake context (id={ctx.context_id:#x})"
             )
-        probe = CdrInputStream(ctx.context_data)
-        little = probe.read_boolean()
-        inp = CdrInputStream(ctx.context_data, little_endian=little)
-        inp.read_boolean()
-        return cls(
-            propose=inp.read_boolean(),
-            object_key=inp.read_octets(),
-            short_key_token=inp.read_ulong(),
-        )
+        return decode_encapsulation(_VENDOR_HANDSHAKE, ctx.context_data)
+
+
+#: Both contexts' data are CDR encapsulations, read in either byte order.
+_CODE_SETS = build(Row(CodeSetContext, ("char_data", ULONG),
+                       ("wchar_data", ULONG)), 1, either_order=True)
+_VENDOR_HANDSHAKE = build(Row(VendorHandshakeContext, ("propose", BOOL),
+                              ("object_key", OCTETS),
+                              ("short_key_token", ULONG)),
+                          1, either_order=True)
 
 
 def find_context(contexts: List[ServiceContext],

@@ -24,9 +24,10 @@ from typing import Any as PyAny
 from typing import Dict, Optional, Tuple
 
 from repro.errors import MarshalError, UnmarshalError
-from repro.giop.cdr import (U8, r_double, r_long, r_longlong, r_octets,
-                            r_string, r_ulong, w_double, w_long, w_longlong,
-                            w_octets, w_string, w_ulong)
+from repro.giop.cdr import (r_boolean, r_double, r_long, r_longlong,
+                            r_octet, r_octets, r_string, r_ulong, w_boolean,
+                            w_double, w_long, w_longlong, w_octet, w_octets,
+                            w_string, w_ulong)
 
 
 class TCKind(enum.IntEnum):
@@ -174,26 +175,26 @@ _SIMPLE_TYPECODES = {
 }
 
 
-def _w_typecode(buf: bytearray, tc: TypeCode, le: int) -> None:
+def _write_typecode(buf: bytearray, tc: TypeCode, le: int) -> None:
     kind = tc.kind
     w_ulong(buf, kind, le)
     if kind is TCKind.SEQUENCE:
-        _w_typecode(buf, tc.element, le)
+        _write_typecode(buf, tc.element, le)
     elif kind is TCKind.STRUCT:
         w_string(buf, tc.name, le)
         w_ulong(buf, len(tc.fields), le)
         for field_name, field_tc in tc.fields:
             w_string(buf, field_name, le)
-            _w_typecode(buf, field_tc, le)
+            _write_typecode(buf, field_tc, le)
 
 
-def _r_typecode(data, pos: int, le: int):
+def _read_typecode(data, pos: int, le: int):
     code, pos = r_ulong(data, pos, le)
     tc = _SIMPLE_TYPECODES.get(code)
     if tc is not None:
         return tc, pos
     if code == TCKind.SEQUENCE:
-        element, pos = _r_typecode(data, pos, le)
+        element, pos = _read_typecode(data, pos, le)
         if element is TC_ANY:
             return TC_SEQUENCE_ANY, pos
         return TypeCode(TCKind.SEQUENCE, element=element), pos
@@ -203,7 +204,7 @@ def _r_typecode(data, pos: int, le: int):
         fields = []
         for _ in range(count):
             field_name, pos = r_string(data, pos, le)
-            field_tc, pos = _r_typecode(data, pos, le)
+            field_tc, pos = _read_typecode(data, pos, le)
             fields.append((field_name, field_tc))
         return TypeCode(TCKind.STRUCT, name=name, fields=tuple(fields)), pos
     raise UnmarshalError(f"unknown TCKind {code}")
@@ -228,39 +229,7 @@ def _count(data, pos: int, le: int, element: Optional[TypeCode] = None):
 
 # -- values, one writer and one reader per kind ------------------------------
 
-def _w_null(buf, tc, value, le) -> None:
-    pass
-
-
-def _w_boolean(buf, tc, value, le) -> None:
-    buf.append(1 if value else 0)
-
-
-def _w_octet(buf, tc, value, le) -> None:
-    buf += U8.pack(int(value))
-
-
-def _w_long(buf, tc, value, le) -> None:
-    w_long(buf, int(value), le)
-
-
-def _w_longlong(buf, tc, value, le) -> None:
-    w_longlong(buf, int(value), le)
-
-
-def _w_double(buf, tc, value, le) -> None:
-    w_double(buf, float(value), le)
-
-
-def _w_string(buf, tc, value, le) -> None:
-    w_string(buf, value, le)
-
-
-def _w_octets(buf, tc, value, le) -> None:
-    w_octets(buf, value, le)
-
-
-def _w_sequence(buf, tc, value, le) -> None:
+def _write_sequence(buf, tc, value, le) -> None:
     w_ulong(buf, len(value), le)
     element = tc.element
     if element.kind is TCKind.ANY:
@@ -272,14 +241,14 @@ def _w_sequence(buf, tc, value, le) -> None:
             write(buf, element, item, le)
 
 
-def _w_map(buf, tc, value, le) -> None:
+def _write_map(buf, tc, value, le) -> None:
     w_ulong(buf, len(value), le)
     for key, item in value.items():
         write_any(buf, key, le)
         write_any(buf, item, le)
 
 
-def _w_struct(buf, tc, value, le) -> None:
+def _write_struct(buf, tc, value, le) -> None:
     for field_name, field_tc in tc.fields:
         try:
             field_value = value[field_name]
@@ -293,43 +262,7 @@ def _w_struct(buf, tc, value, le) -> None:
         _WRITERS[field_tc.kind](buf, field_tc, field_value, le)
 
 
-def _w_any(buf, tc, value, le) -> None:
-    write_any(buf, value, le)
-
-
-def _r_null(data, pos, tc, le):
-    return None, pos
-
-
-def _r_boolean(data, pos, tc, le):
-    return data[pos] != 0, pos + 1
-
-
-def _r_octet(data, pos, tc, le):
-    return data[pos], pos + 1
-
-
-def _r_long(data, pos, tc, le):
-    return r_long(data, pos, le)
-
-
-def _r_longlong(data, pos, tc, le):
-    return r_longlong(data, pos, le)
-
-
-def _r_double(data, pos, tc, le):
-    return r_double(data, pos, le)
-
-
-def _r_string(data, pos, tc, le):
-    return r_string(data, pos, le)
-
-
-def _r_octets(data, pos, tc, le):
-    return r_octets(data, pos, le)
-
-
-def _r_sequence(data, pos, tc, le):
+def _read_sequence(data, pos, tc, le):
     element = tc.element
     count, pos = _count(data, pos, le, element)
     items = []
@@ -346,7 +279,7 @@ def _r_sequence(data, pos, tc, le):
     return items, pos
 
 
-def _r_map(data, pos, tc, le):
+def _read_map(data, pos, tc, le):
     count, pos = _count(data, pos, le)
     result: Dict = {}
     for _ in range(count):
@@ -359,7 +292,7 @@ def _r_map(data, pos, tc, le):
     return result, pos
 
 
-def _r_struct(data, pos, tc, le):
+def _read_struct(data, pos, tc, le):
     result = {}
     for field_name, field_tc in tc.fields:
         result[field_name], pos = _READERS[field_tc.kind](data, pos,
@@ -367,24 +300,32 @@ def _r_struct(data, pos, tc, le):
     return result, pos
 
 
-def _r_any(data, pos, tc, le):
-    return read_any_value(data, pos, le)
+def _plain(write, read, convert=None):
+    """The value writer and reader of a kind without parameters: the CDR
+    primitives, ``tc`` unused."""
+    if convert is None:
+        return (lambda buf, tc, value, le: write(buf, value, le),
+                lambda data, pos, tc, le: read(data, pos, le))
+    return (lambda buf, tc, value, le: write(buf, convert(value), le),
+            lambda data, pos, tc, le: read(data, pos, le))
 
 
 #: TCKind -> (value writer, value reader).
 _ROWS = {
-    TCKind.NULL: (_w_null, _r_null),
-    TCKind.BOOLEAN: (_w_boolean, _r_boolean),
-    TCKind.OCTET: (_w_octet, _r_octet),
-    TCKind.LONG: (_w_long, _r_long),
-    TCKind.LONGLONG: (_w_longlong, _r_longlong),
-    TCKind.DOUBLE: (_w_double, _r_double),
-    TCKind.STRING: (_w_string, _r_string),
-    TCKind.OCTETS: (_w_octets, _r_octets),
-    TCKind.SEQUENCE: (_w_sequence, _r_sequence),
-    TCKind.MAP: (_w_map, _r_map),
-    TCKind.STRUCT: (_w_struct, _r_struct),
-    TCKind.ANY: (_w_any, _r_any),
+    TCKind.NULL: (lambda buf, tc, value, le: None,
+                  lambda data, pos, tc, le: (None, pos)),
+    TCKind.BOOLEAN: _plain(w_boolean, r_boolean),
+    TCKind.OCTET: _plain(w_octet, r_octet, int),
+    TCKind.LONG: _plain(w_long, r_long, int),
+    TCKind.LONGLONG: _plain(w_longlong, r_longlong, int),
+    TCKind.DOUBLE: _plain(w_double, r_double, float),
+    TCKind.STRING: _plain(w_string, r_string),
+    TCKind.OCTETS: _plain(w_octets, r_octets),
+    TCKind.SEQUENCE: (_write_sequence, _read_sequence),
+    TCKind.MAP: (_write_map, _read_map),
+    TCKind.STRUCT: (_write_struct, _read_struct),
+    TCKind.ANY: (lambda buf, tc, value, le: write_any(buf, value, le),
+                 lambda data, pos, tc, le: read_any_value(data, pos, le)),
 }
 _WRITERS = {kind: row[0] for kind, row in _ROWS.items()}
 _READERS = {kind: row[1] for kind, row in _ROWS.items()}
@@ -403,7 +344,7 @@ def write_any(buf: bytearray, value: PyAny, le: int = 0) -> None:
             value = to_any(value)
         tc = value.typecode
         value = value.value
-    _w_typecode(buf, tc, le)
+    _write_typecode(buf, tc, le)
     _WRITERS[tc.kind](buf, tc, value, le)
 
 
@@ -411,13 +352,13 @@ def read_any_value(data, pos: int = 0, le: int = 0):
     """Read one ``any`` at ``pos``; returns ``(plain value, next_pos)`` —
     what ``from_any`` of :func:`read_any`'s result would be, without
     building the :class:`Any`."""
-    tc, pos = _r_typecode(data, pos, le)
+    tc, pos = _read_typecode(data, pos, le)
     return _READERS[tc.kind](data, pos, tc, le)
 
 
 def read_any(data, pos: int = 0, le: int = 0):
     """Read one ``any`` at ``pos``; returns ``(Any, next_pos)``."""
-    tc, pos = _r_typecode(data, pos, le)
+    tc, pos = _read_typecode(data, pos, le)
     value, pos = _READERS[tc.kind](data, pos, tc, le)
     return Any(tc, value), pos
 

@@ -37,7 +37,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.obs.exporters import export_jsonl
 from repro.runtime.timers import PeriodicTimer
@@ -141,14 +141,11 @@ class FlightRecorder:
         #: The streams this recorder does not ring (:data:`FLIGHT_EXCLUDE`
         #: when it was built).
         self.exclude = FLIGHT_EXCLUDE
-        #: category -> True (skip whole category) | set of events to skip.
-        self._skip: Dict[str, Any] = {}
+        #: category -> the set of its events to skip.
+        self._skip: Dict[str, Set[str]] = {}
         for spec in self.exclude:
-            category, dot, event = spec.partition(".")
-            if not dot:
-                self._skip[category] = True
-            elif self._skip.get(category) is not True:
-                self._skip.setdefault(category, set()).add(event)
+            category, _, event = spec.partition(".")
+            self._skip.setdefault(category, set()).add(event)
         self._dump_seq = 0
         #: Completed dumps, newest last (in-memory record of every dump,
         #: with ``path`` set when ``flight_dir`` put it on disk too).
@@ -168,8 +165,8 @@ class FlightRecorder:
         obs-overhead bench can time ring admission without paying two
         clock reads on every *skipped* record too) does one dict lookup,
         one list append, and an amortized batch trim."""
-        sel = self._skip.get(record.category)
-        if sel is not None and (sel is True or record.event in sel):
+        skip = self._skip.get(record.category)
+        if skip is not None and record.event in skip:
             return
         self._admit(record)
 

@@ -9,10 +9,10 @@ can map the token back.
 
 from __future__ import annotations
 
-import struct
 from typing import Tuple
 
 from repro.errors import ProtocolError
+from repro.giop.cdr import U16, U32
 
 FULL_KEY_TAG = 0x00
 SHORT_KEY_TAG = 0x01
@@ -21,7 +21,7 @@ SHORT_KEY_TAG = 0x01
 def make_key(poa_name: str, object_id: bytes) -> bytes:
     """Build a full object key for (POA, object id)."""
     poa_bytes = poa_name.encode("utf-8")
-    return bytes([FULL_KEY_TAG]) + struct.pack(">H", len(poa_bytes)) \
+    return bytes([FULL_KEY_TAG]) + U16[0].pack(len(poa_bytes)) \
         + poa_bytes + object_id
 
 
@@ -31,7 +31,7 @@ def parse_key(key: bytes) -> Tuple[str, bytes]:
         raise ProtocolError(f"not a full object key: {key[:8]!r}")
     if len(key) < 3:
         raise ProtocolError("truncated object key")
-    (length,) = struct.unpack(">H", key[1:3])
+    length = U16[0].unpack_from(key, 1)[0]
     if len(key) < 3 + length:
         raise ProtocolError("truncated object key POA name")
     poa_name = str(key[3:3 + length], "utf-8")
@@ -40,14 +40,14 @@ def parse_key(key: bytes) -> Tuple[str, bytes]:
 
 def make_short_key(token: int) -> bytes:
     """Build the negotiated compact key for ``token``."""
-    return bytes([SHORT_KEY_TAG]) + struct.pack(">I", token)
+    return bytes([SHORT_KEY_TAG]) + U32[0].pack(token)
 
 
 def parse_short_key(key: bytes) -> int:
     """Extract the token from a short key."""
     if len(key) != 5 or key[0] != SHORT_KEY_TAG:
         raise ProtocolError(f"not a short object key: {key[:8]!r}")
-    return struct.unpack(">I", key[1:])[0]
+    return U32[0].unpack_from(key, 1)[0]
 
 
 def is_short_key(key: bytes) -> bool:

@@ -26,21 +26,22 @@ any short frame that is not the journal's last bytes, raises
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 from zlib import crc32
 
-from repro.errors import StoreCorruptError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from repro.errors import StoreCorruptError
+from repro.giop.cdr import (LONGLONG, MALFORMED, OCTETS, STRING, U32,
+                            EnumOctet, Row, build, encode_record)
 
 #: Bump on any layout change; readers reject unknown record types.
 REC_CKPT_FULL = 1
 REC_CKPT_DELTA = 2
 REC_MSG = 3
 
-_FRAME = struct.Struct("<II")
-FRAME_HEADER_SIZE = _FRAME.size
+#: ``[u32 payload_length][u32 crc32(payload)]``, little-endian.
+FRAME_HEADER_SIZE = 8
+_U32LE = U32[1]
 
 
 @dataclass(frozen=True)
@@ -66,59 +67,49 @@ class MessagePayload:
 RecordPayload = Union[CheckpointPayload, MessagePayload]
 
 
+_CHECKPOINT = build(Row(
+    CheckpointPayload,
+    ("delta", EnumOctet({REC_CKPT_FULL: False, REC_CKPT_DELTA: True},
+                        "journal record type")),
+    ("transfer_id", STRING), ("position", LONGLONG), ("app_state", OCTETS),
+    ("orb_state", OCTETS), ("infra_state", OCTETS)))
+#: The message record after its ``REC_MSG`` octet.
+_MESSAGE = build(Row(MessagePayload, ("position", LONGLONG),
+                     ("envelope_bytes", OCTETS)), 1)
+
+
 def encode_checkpoint(transfer_id: str, position: int, app_state: bytes,
                       orb_state: bytes, infra_state: bytes,
                       *, delta: bool) -> bytes:
     """Encode a checkpoint record payload (``delta`` selects whether
     ``app_state`` is an encoded :class:`StateDelta` or a full snapshot)."""
-    out = CdrOutputStream()
-    out.write_octet(REC_CKPT_DELTA if delta else REC_CKPT_FULL)
-    out.write_string(transfer_id)
-    out.write_longlong(position)
-    out.write_octets(app_state)
-    out.write_octets(orb_state)
-    out.write_octets(infra_state)
-    return out.getvalue()
+    return encode_record(_CHECKPOINT, CheckpointPayload(
+        transfer_id, position, app_state, orb_state, infra_state,
+        bool(delta)))
 
 
 def encode_message(position: int, envelope_bytes: bytes) -> bytes:
     """Encode one ordered-message record payload."""
-    out = CdrOutputStream()
-    out.write_octet(REC_MSG)
-    out.write_longlong(position)
-    out.write_octets(envelope_bytes)
-    return out.getvalue()
+    return encode_record(_MESSAGE, MessagePayload(position, envelope_bytes),
+                         bytes((REC_MSG,)))
 
 
 def decode_record(payload: bytes) -> RecordPayload:
     """Decode one framed payload; raises :class:`StoreCorruptError` on any
-    malformed body (the frame CRC already passed, so this is real damage
-    or a foreign/newer format, never a torn write)."""
+    malformed body or unknown record type (the frame CRC already passed,
+    so this is real damage or a foreign/newer format, never a torn
+    write)."""
     try:
-        inp = CdrInputStream(payload)
-        rec_type = inp.read_octet()
-        if rec_type in (REC_CKPT_FULL, REC_CKPT_DELTA):
-            return CheckpointPayload(
-                transfer_id=inp.read_string(),
-                position=inp.read_longlong(),
-                app_state=inp.read_octets(),
-                orb_state=inp.read_octets(),
-                infra_state=inp.read_octets(),
-                delta=rec_type == REC_CKPT_DELTA,
-            )
-        if rec_type == REC_MSG:
-            return MessagePayload(
-                position=inp.read_longlong(),
-                envelope_bytes=inp.read_octets(),
-            )
-    except UnmarshalError as exc:
+        if payload[0] == REC_MSG:
+            return _MESSAGE.decode(payload)
+        return _CHECKPOINT.decode(payload)
+    except MALFORMED as exc:
         raise StoreCorruptError(f"undecodable journal record: {exc}") from exc
-    raise StoreCorruptError(f"unknown journal record type {rec_type}")
 
 
 def frame(payload: bytes) -> bytes:
     """Wrap a record payload in its length+CRC frame."""
-    return _FRAME.pack(len(payload), crc32(payload)) + payload
+    return _U32LE.pack(len(payload)) + _U32LE.pack(crc32(payload)) + payload
 
 
 def iter_frames(blob: bytes, *,
@@ -143,7 +134,8 @@ def iter_frames(blob: bytes, *,
             raise StoreCorruptError(
                 f"short frame header at offset {offset} of a sealed segment"
             )
-        length, tag = _FRAME.unpack(header)
+        length = _U32LE.unpack_from(header, 0)[0]
+        tag = _U32LE.unpack_from(header, 4)[0]
         start = offset + FRAME_HEADER_SIZE
         payload = blob[start:start + length]
         if len(payload) < length:

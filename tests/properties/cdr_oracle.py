@@ -1,20 +1,243 @@
-"""Reference CDR codec for Totem frames: the property-test oracle.
+"""Reference CDR codecs: the property-test oracle.
 
-An independent encoder and decoder for all thirteen frame types of
-:mod:`repro.totem.wire`, written on :mod:`repro.giop.cdr`'s general
-streams rather than on the codec's own struct helpers.  The live codec
-must produce exactly these bytes and decode them back to the original
-frame (``test_live_codec_properties.py``), which pins the wire layout
-to CDR without the codec importing the GIOP layer.
+Two parts, neither sharing a line with the production codec kit
+(:mod:`repro.giop.cdr`'s primitives and record builder):
+
+* :class:`CdrOutputStream` / :class:`CdrInputStream` — general CDR
+  streams that align and byte-swap field by field.  ``giop_oracle.py``
+  writes its GIOP, ``any`` and envelope references on them too.
+* :func:`oracle_encode` / :func:`oracle_decode` — an independent encoder
+  and decoder for all thirteen frame types of :mod:`repro.totem.wire`.
+  The live codec must produce exactly these bytes and decode them back to
+  the original frame (``test_live_codec_properties.py``).
 """
 
-from repro.errors import ProtocolError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+import struct
+
+from repro.errors import MarshalError, ProtocolError, UnmarshalError
 from repro.totem.messages import (DataMsg, FormMsg, HoldCancel, JoinMsg,
                                   PackedDataMsg, PackedPayload, ProbeMsg,
                                   Token)
 from repro.totem.wire import (BulkFetch, BulkNack, BulkPage, ReadFastNack,
                               ReadFastReply, ReadFastRequest)
+
+
+_PAD = b"\x00"
+
+#: Padding strings by gap length (CDR boundaries are at most 8).
+_PADDING = tuple(_PAD * n for n in range(8))
+
+#: Per-primitive ``struct.Struct`` objects, both byte orders.
+_STRUCTS = {
+    order + fmt: struct.Struct(order + fmt)
+    for order in ("<", ">")
+    for fmt in ("B", "h", "H", "i", "I", "q", "Q", "f", "d")
+}
+
+
+class CdrOutputStream:
+    """Appends CDR-encoded values to a growing byte buffer."""
+
+    def __init__(self, little_endian: bool = False) -> None:
+        self.little_endian = little_endian
+        self._buf = bytearray()
+        self._fmt = "<" if little_endian else ">"
+
+    # -- low level ------------------------------------------------------
+
+    def align(self, boundary: int) -> None:
+        remainder = len(self._buf) % boundary
+        if remainder:
+            self._buf += _PADDING[boundary - remainder]
+
+    def write_raw(self, data: bytes) -> None:
+        self._buf += data
+
+    def _pack(self, fmt: str, boundary: int, value) -> None:
+        try:
+            packed = _STRUCTS[self._fmt + fmt].pack(value)
+        except struct.error as exc:
+            raise MarshalError(f"cannot pack {value!r} as {fmt!r}: {exc}") from exc
+        remainder = len(self._buf) % boundary
+        if remainder:
+            # Single append per primitive: pad and payload joined once.
+            packed = _PADDING[boundary - remainder] + packed
+        self._buf += packed
+
+    # -- primitives -----------------------------------------------------
+
+    def write_octet(self, value: int) -> None:
+        self._pack("B", 1, value)
+
+    def write_boolean(self, value: bool) -> None:
+        self._pack("B", 1, 1 if value else 0)
+
+    def write_short(self, value: int) -> None:
+        self._pack("h", 2, value)
+
+    def write_ushort(self, value: int) -> None:
+        self._pack("H", 2, value)
+
+    def write_long(self, value: int) -> None:
+        self._pack("i", 4, value)
+
+    def write_ulong(self, value: int) -> None:
+        self._pack("I", 4, value)
+
+    def write_longlong(self, value: int) -> None:
+        self._pack("q", 8, value)
+
+    def write_ulonglong(self, value: int) -> None:
+        self._pack("Q", 8, value)
+
+    def write_float(self, value: float) -> None:
+        self._pack("f", 4, value)
+
+    def write_double(self, value: float) -> None:
+        self._pack("d", 8, value)
+
+    # -- composites ------------------------------------------------------
+
+    def write_string(self, value: str) -> None:
+        """CDR string: ulong length (including NUL), UTF-8 bytes, NUL."""
+        encoded = value.encode("utf-8")
+        self.write_ulong(len(encoded) + 1)
+        self.write_raw(encoded + b"\x00")
+
+    def write_octets(self, value: bytes) -> None:
+        """sequence<octet>: ulong length then raw bytes."""
+        self.write_ulong(len(value))
+        self.write_raw(value)
+
+    def write_encapsulation(self, inner: "CdrOutputStream") -> None:
+        """An encapsulation: octet-sequence wrapping a nested CDR stream
+        whose first octet records the nested stream's endianness."""
+        payload = bytes([1 if inner.little_endian else 0]) + inner.getvalue()
+        self.write_octets(payload)
+
+    def getvalue(self) -> bytes:
+        return bytes(self._buf)
+
+    def __len__(self) -> int:
+        return len(self._buf)
+
+
+class CdrInputStream:
+    """Reads CDR-encoded values from a byte buffer.
+
+    Accepts ``bytes``, ``bytearray`` or ``memoryview``: the decode hot
+    path hands in a ``memoryview`` of the received datagram, and
+    :meth:`read_raw` / :meth:`read_octets` then return sub-views instead
+    of copied slices — payload bytes are never duplicated on the way up
+    the stack (the view pins the ~MTU-sized datagram buffer, which is
+    immutable and bounded).
+
+    ``offset_base`` supports encapsulations: alignment inside an
+    encapsulation is relative to the encapsulation's own start.
+    """
+
+    def __init__(self, data, little_endian: bool = False) -> None:
+        self._data = data
+        self._pos = 0
+        self.little_endian = little_endian
+        self._fmt = "<" if little_endian else ">"
+
+    # -- low level ------------------------------------------------------
+
+    @property
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
+    def align(self, boundary: int) -> None:
+        remainder = self._pos % boundary
+        if remainder:
+            self._pos += boundary - remainder
+
+    def read_raw(self, count: int) -> bytes:
+        if self._pos + count > len(self._data):
+            raise UnmarshalError(
+                f"truncated CDR stream: need {count} bytes at offset "
+                f"{self._pos}, have {len(self._data) - self._pos}"
+            )
+        value = self._data[self._pos:self._pos + count]
+        self._pos += count
+        return value
+
+    def _unpack(self, fmt: str, boundary: int, size: int):
+        # Unpack straight out of the backing buffer (no intermediate
+        # slice object per primitive — this is the decode hot path).
+        pos = self._pos
+        remainder = pos % boundary
+        if remainder:
+            pos += boundary - remainder
+        if pos + size > len(self._data):
+            raise UnmarshalError(
+                f"truncated CDR stream: need {size} bytes at offset "
+                f"{pos}, have {len(self._data) - pos}"
+            )
+        self._pos = pos + size
+        try:
+            return _STRUCTS[self._fmt + fmt].unpack_from(self._data, pos)[0]
+        except struct.error as exc:  # pragma: no cover - guarded above
+            raise UnmarshalError(str(exc)) from exc
+
+    # -- primitives -----------------------------------------------------
+
+    def read_octet(self) -> int:
+        return self._unpack("B", 1, 1)
+
+    def read_boolean(self) -> bool:
+        return bool(self._unpack("B", 1, 1))
+
+    def read_short(self) -> int:
+        return self._unpack("h", 2, 2)
+
+    def read_ushort(self) -> int:
+        return self._unpack("H", 2, 2)
+
+    def read_long(self) -> int:
+        return self._unpack("i", 4, 4)
+
+    def read_ulong(self) -> int:
+        return self._unpack("I", 4, 4)
+
+    def read_longlong(self) -> int:
+        return self._unpack("q", 8, 8)
+
+    def read_ulonglong(self) -> int:
+        return self._unpack("Q", 8, 8)
+
+    def read_float(self) -> float:
+        return self._unpack("f", 4, 4)
+
+    def read_double(self) -> float:
+        return self._unpack("d", 8, 8)
+
+    # -- composites ------------------------------------------------------
+
+    def read_string(self) -> str:
+        length = self.read_ulong()
+        if length == 0:
+            raise UnmarshalError("CDR string length 0 (must include NUL)")
+        raw = self.read_raw(length)
+        if raw[-1] != 0:
+            raise UnmarshalError("CDR string missing NUL terminator")
+        try:
+            # str(buffer, encoding) decodes bytes and memoryview alike.
+            return str(raw[:-1], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnmarshalError(f"invalid UTF-8 in CDR string: {exc}") from exc
+
+    def read_octets(self) -> bytes:
+        length = self.read_ulong()
+        return self.read_raw(length)
+
+    def read_encapsulation(self) -> "CdrInputStream":
+        payload = self.read_octets()
+        if not payload:
+            raise UnmarshalError("empty CDR encapsulation")
+        return CdrInputStream(payload[1:], little_endian=bool(payload[0]))
+
 
 WIRE_VERSION = 2
 

@@ -1,10 +1,10 @@
 """Reference CDR codecs for GIOP messages, ``any`` values and multicast
 envelopes: the property-test oracle.
 
-Field-by-field encoders and decoders written on :mod:`repro.giop.cdr`'s
-general streams (:class:`CdrOutputStream` / :class:`CdrInputStream`)
-rather than on the straight-line codecs' offset helpers.  The production
-codecs in :mod:`repro.giop.messages`, :mod:`repro.giop.types` and
+Field-by-field encoders and decoders written on the general CDR streams
+of ``cdr_oracle.py`` (:class:`CdrOutputStream` / :class:`CdrInputStream`)
+rather than on the codec kit's primitives and record builder.  The
+production codecs in :mod:`repro.giop.messages`, :mod:`repro.giop.types` and
 :mod:`repro.core.envelope` must produce exactly these bytes, and each
 side must decode the other's (``test_giop_oracle_properties.py``) — which
 pins the wire layout to CDR without the production code sharing a line
@@ -24,7 +24,6 @@ from repro.core.envelope import (
 )
 from repro.core.identifiers import ConnectionKey, OpKind
 from repro.errors import MarshalError, ProtocolError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
 from repro.giop.messages import (
     GIOP_MAGIC,
     GIOP_VERSION,
@@ -37,6 +36,7 @@ from repro.giop.messages import (
 )
 from repro.giop.service_context import ServiceContext
 from repro.giop.types import Any, TCKind, TypeCode, from_any, to_any
+from tests.properties.cdr_oracle import CdrInputStream, CdrOutputStream
 
 # ---------------------------------------------------------------------------
 # any

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
 from repro.giop.types import decode_any, encode_any, from_any, to_any
+from tests.properties.cdr_oracle import CdrInputStream, CdrOutputStream
 
 # Scalars that survive an exact Any round-trip.
 scalars = st.one_of(

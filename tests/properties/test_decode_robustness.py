@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bulk import build_manifest, decode_manifest, encode_manifest
 from repro.core.envelope import decode_envelope, encode_envelope, IiopEnvelope
 from repro.core.identifiers import ConnectionKey, OpKind
-from repro.errors import ReproError
+from repro.core.statedelta import compute_delta, decode_delta, encode_delta
+from repro.errors import ReproError, StateTransferError, StoreCorruptError
 from repro.giop.ior import IOR
 from repro.giop.messages import (
     RequestMessage,
@@ -20,7 +22,10 @@ from repro.giop.messages import (
     encode_message,
     peek_request_id,
 )
+from repro.giop.service_context import (CodeSetContext, ServiceContext,
+                                        VendorHandshakeContext)
 from repro.giop.types import decode_any
+from repro.store import records
 
 
 @given(st.binary(max_size=300))
@@ -107,3 +112,93 @@ def test_truncated_giop_contained(cut):
     data = _VALID_WIRE[:max(0, len(_VALID_WIRE) - cut)]
     with pytest.raises(ReproError):
         decode_message(data)
+
+
+# ---------------------------------------------------------------------------
+# The formats no oracle checks: journal records, delta and manifest bodies,
+# the IOR and the service contexts.  Each decoder raises only its own
+# error, on hostile bytes and on every truncation of a valid encoding.
+# ---------------------------------------------------------------------------
+
+_BASE = bytes(range(256)) * 8
+_NEW = _BASE[:700] + b"\xff" * 40 + _BASE[740:] + b"tail"
+
+
+def _ior_from_bytes(data):
+    return IOR.from_string("IOR:" + data.hex())
+
+
+def _code_sets(data):
+    return CodeSetContext.from_service_context(
+        ServiceContext(CodeSetContext().to_service_context().context_id,
+                       data))
+
+
+def _vendor_handshake(data):
+    return VendorHandshakeContext.from_service_context(
+        ServiceContext(VendorHandshakeContext(True).to_service_context()
+                       .context_id, data))
+
+
+#: (decoder, the one error it may raise, valid encodings).
+_RECORD_DECODERS = {
+    "journal record": (records.decode_record, StoreCorruptError, [
+        records.encode_checkpoint("t-1", 42, b"app" * 20, b"orb", b"infra",
+                                  delta=False),
+        records.encode_checkpoint("t-2", 43, b"\x01delta", b"", b"if",
+                                  delta=True),
+        records.encode_message(7, b"\x01envelope"),
+    ]),
+    "delta body": (decode_delta, StateTransferError, [
+        encode_delta(compute_delta(_BASE, _NEW, page_size=256)),
+    ]),
+    "manifest body": (decode_manifest, StateTransferError, [
+        encode_manifest(build_manifest(_NEW, page_size=256)),
+    ]),
+    "IOR": (_ior_from_bytes, ReproError, [
+        bytes.fromhex(IOR("IDL:Store:1.0", "node-1", 2809, b"\x00key")
+                      .stringify()[4:]),
+    ]),
+    "code-set context": (_code_sets, ReproError, [
+        CodeSetContext().to_service_context().context_data,
+    ]),
+    "vendor handshake context": (_vendor_handshake, ReproError, [
+        VendorHandshakeContext(True, b"\x00key", 9).to_service_context()
+        .context_data,
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_DECODERS))
+@given(data=st.binary(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_record_decoders_raise_only_their_error_on_hostile_bytes(name, data):
+    decode, error, _ = _RECORD_DECODERS[name]
+    try:
+        decode(data)
+    except error:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_DECODERS))
+def test_record_decoders_reject_every_truncation(name):
+    decode, error, valid = _RECORD_DECODERS[name]
+    for encoded in valid:
+        decode(encoded)
+        for cut in range(len(encoded)):
+            with pytest.raises(error):
+                decode(encoded[:cut])
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_DECODERS))
+@given(data=st.data(), value=st.integers(0, 255))
+@settings(max_examples=200, deadline=None)
+def test_record_decoders_raise_only_their_error_on_mutation(name, data,
+                                                            value):
+    decode, error, valid = _RECORD_DECODERS[name]
+    mutated = bytearray(data.draw(st.sampled_from(valid)))
+    mutated[data.draw(st.integers(0, len(mutated) - 1))] = value
+    try:
+        decode(bytes(mutated))
+    except error:
+        pass

@@ -1,9 +1,10 @@
-"""Unit tests for CDR marshalling."""
+"""Unit tests for the reference CDR streams the property oracles are
+written on (``tests/properties/cdr_oracle.py``)."""
 
 import pytest
 
 from repro.errors import MarshalError, UnmarshalError
-from repro.giop.cdr import CdrInputStream, CdrOutputStream
+from tests.properties.cdr_oracle import CdrInputStream, CdrOutputStream
 
 
 def roundtrip(write, read, value, little_endian=False):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import UnmarshalError
-from repro.giop.cdr import CdrOutputStream
 from repro.giop.service_context import (
     CODE_SETS_ID,
     CODESET_UTF8,
@@ -16,6 +15,7 @@ from repro.giop.service_context import (
     read_service_contexts,
     write_service_contexts,
 )
+from tests.properties.cdr_oracle import CdrOutputStream
 
 
 def test_context_list_roundtrip():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import MarshalError, UnmarshalError
-from repro.giop.cdr import CdrOutputStream
 from repro.giop.types import (
     Any,
     TCKind,
@@ -17,6 +16,7 @@ from repro.giop.types import (
     to_any,
     write_any,
 )
+from tests.properties.cdr_oracle import CdrOutputStream
 
 
 @pytest.mark.parametrize("value", [

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import NetworkError
+from repro.giop.cdr import STRING, Row
 from repro.runtime.timers import PeriodicTimer
-from repro.totem.wire import register_wire_type
+from repro.totem.wire import FRAMES
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,11 @@ class PingSub(Ping):
     pass
 
 
-# The live transport's binary codec carries only registered frame types;
-# give the conformance payloads extension codecs (exact class preserved,
-# which the MRO-dispatch assertions below depend on).
+# The live transport's binary codec carries only tabled frame types; give
+# the conformance payloads extension rows (exact class preserved, which
+# the MRO-dispatch assertions below depend on).
 for _tag, _cls in ((64, Ping), (65, Pong), (66, PingSub)):
-    register_wire_type(
-        _tag, _cls,
-        lambda obj: obj.value.encode("utf-8"),
-        lambda body, c=_cls: c(str(body, "utf-8")),
-    )
+    FRAMES.add(_tag, Row(_cls, ("value", STRING)))
 
 
 class SimHarness:

@@ -204,22 +204,67 @@ def test_every_registered_ring_frame_has_a_wire_tag_and_a_fuzz_strategy():
 
     registered = registered_payload_classes()
     assert len(registered) >= 13
-    tags = [tag for tag, _, _, _ in wire._ROWS]
+    tags = [tag for tag, _ in wire.FRAMES.rows]
     assert len(set(tags)) == len(tags)
-    tabled = {cls for _, cls, _, _ in wire._ROWS}
+    tabled = {codec.cls for _, codec in wire.FRAMES.rows}
     assert sorted(cls.__name__ for cls in registered
                   if cls not in tabled) == []
     assert sorted(cls.__name__ for cls in registered
                   if cls not in FRAME_STRATEGIES) == []
-    # The codec owns its layout: CDR is pinned by the property test's
-    # oracle, not by importing the GIOP marshaller.
-    imported = {node.module if isinstance(node, ast.ImportFrom) else alias.name
-                for node in ast.walk(ast.parse(
-                    (SRC / "totem" / "wire.py").read_text()))
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    assert sorted(name for name in imported
-                  if name and name.startswith("repro.giop")) == []
+
+
+# ---------------------------------------------------------------------------
+# One codec kit: the CDR primitives and the record builder exist once, in
+# repro.giop.cdr, and the oracles that check them share none of it.
+# ---------------------------------------------------------------------------
+
+#: A CDR read/write primitive, by name: ``r_ulong``, ``_w_u32``, ...
+CDR_PRIMITIVE = re.compile(r"_*[rw]_\w+")
+#: A ``struct`` format of CDR scalars in an explicit byte order.
+CDR_SCALARS = re.compile(r"[<>!][BbHhIiQqfd?]+")
+STRUCT_CALLS = {"Struct", "pack", "unpack", "pack_into", "unpack_from"}
+
+
+def cdr_primitive_definitions(path):
+    """Functions named like a CDR primitive, and ``struct`` calls on a
+    format of CDR scalars, that ``path`` defines."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.FunctionDef)
+                and CDR_PRIMITIVE.fullmatch(node.name)):
+            found.append(f"def {node.name}")
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) in STRUCT_CALLS
+              and getattr(node.func.value, "id", None) == "struct"
+              and node.args and isinstance(node.args[0], ast.Constant)
+              and CDR_SCALARS.fullmatch(str(node.args[0].value))):
+            found.append(f"struct.{node.func.attr}({node.args[0].value!r})")
+    return found
+
+
+def test_only_the_codec_kit_defines_cdr_primitives():
+    kit = SRC / "giop" / "cdr.py"
+    assert cdr_primitive_definitions(kit)       # the check sees them
+    offenders = {str(path.relative_to(SRC)): found
+                 for path in sorted(SRC.rglob("*.py")) if path != kit
+                 for found in [cdr_primitive_definitions(path)] if found}
+    assert offenders == {}
+
+
+def test_the_oracles_share_no_code_with_the_codec_kit():
+    # No primitive, kind or builder of repro.giop.cdr may reach the
+    # references the codecs are checked against.
+    for oracle in ("cdr_oracle.py", "giop_oracle.py"):
+        tree = ast.parse((REPO_ROOT / "tests" / "properties" / oracle)
+                         .read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {node.module} | {f"{node.module}.{alias.name}"
+                                             for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert "repro.giop.cdr" not in imported, oracle
 
 
 # ---------------------------------------------------------------------------
