@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import EternalConfig
-from repro.core.identifiers import ConnectionKey
+from repro.core.identifiers import ConnectionKey, invocation_trace_id
 from repro.core.quiescence import QuiescenceMonitor
 from repro.errors import StateTransferError
 from repro.ftcorba.checkpointable import (
@@ -234,9 +234,11 @@ class ReplicaContainer:
             return
         reply_bytes = self.orb.execute_request(decoded)
         self.operations_executed += 1
+        request = decoded.request
         self.tracer.emit("replica", "executed", node=self.process.node_id,
-                         group=self.group_id,
-                         operation=decoded.request.operation)
+                         group=self.group_id, operation=request.operation,
+                         trace=invocation_trace_id(connection,
+                                                   request.request_id))
         if reply_bytes is not None:
             self.on_reply_produced(connection, reply_bytes)
         self._finish()

@@ -148,13 +148,10 @@ class Interceptor:
             self.suppressed_reissues += 1
             return
         trace_id = self.trace_id(connection, wire_id)
-        self.tracer.emit("interceptor", "request", node=self.node_id,
-                         conn=connection.as_str(), request_id=wire_id,
-                         trace=trace_id)
         if response_expected:
             # One round-trip span per two-way invocation: capture here,
             # closed when the matching reply is delivered back to this
-            # replica (note_reply_delivered).
+            # replica (note_reply_delivered).  Its start is the send.
             self._spans.start(
                 "rpc.roundtrip",
                 span_id=self._rpc_span_id(connection, wire_id),
@@ -162,6 +159,11 @@ class Interceptor:
                 conn=connection.as_str(), request_id=wire_id,
                 operation=operation, trace=trace_id,
             )
+        else:
+            # A oneway send opens no span: this record is its send.
+            self.tracer.emit("interceptor", "request", node=self.node_id,
+                             conn=connection.as_str(), request_id=wire_id,
+                             trace=trace_id)
         self._send(envelope)
 
     def capture_server_reply(self, connection: ConnectionKey,

@@ -50,13 +50,6 @@ LIVE_TOTEM_CONFIG = TotemConfig(
     probe_interval=0.5,
 )
 
-#: Record streams muted at the tracer in live runs — but only while the
-#: flight recorder also excludes them, so a full-fidelity recorder
-#: (``telemetry.FLIGHT_EXCLUDE = ()``) still sees every record (counters keep
-#: counting either way; see ``Tracer.set_muted_events`` and the note in
-#: ``LiveSystem.__init__``).
-LIVE_TRACE_MUTE = frozenset({"totem.deliver"})
-
 
 class WallClockTime:
     """Letting wall-clock time pass on a deployment's ``loop``: a single
@@ -135,21 +128,6 @@ class LiveSystem(WallClockTime, SystemCore):
         # A ring of a sharded facade adopts the facade's plane and must not
         # tear it down in close(); the facade owns that lifecycle.
         self._owns_observability = shared_observability is None
-        # The highest-volume record stream has no consumer under the
-        # default telemetry config: ``totem.deliver`` (one record per
-        # fragment per node, 38 % of all records in a fault-free second
-        # of the paper's topology) is flight-excluded and ignored by the
-        # metrics registry, the auditor, and the profiler alike.  Mute it
-        # at the tracer, but only while the flight recorder would drop it
-        # anyway: with a narrower ``FLIGHT_EXCLUDE`` (e.g. the
-        # full-fidelity ``()``) report stitching reads ``totem.deliver``
-        # for the ring_deliver stage, so the stream must keep flowing.
-        # Its counter keeps counting either way.
-        excluded = set(self.telemetry.flight.exclude)
-        self.tracer.set_muted_events(frozenset(
-            stream for stream in LIVE_TRACE_MUTE
-            if stream in excluded
-            or stream.partition(".")[0] in excluded))
         self.nodes: Dict[str, LiveNode] = {
             node_id: LiveNode(self, node_id) for node_id in node_ids
         }

@@ -173,7 +173,7 @@ class ConsistencyAuditor:
         """
         if tracer.open_spans is not None:
             self._preexisting_spans = frozenset(tracer.open_spans)
-        tracer.subscribe(self.observe)
+        tracer.subscribe(self.observe, kinds=self.KINDS)
         return self
 
     @classmethod
@@ -222,8 +222,21 @@ class ConsistencyAuditor:
     # Streaming checks
     # ------------------------------------------------------------------
 
+    #: The record kinds :meth:`observe` reads, one per branch.
+    KINDS = (SPAN_CATEGORY,
+             "audit.state_digest", "audit.order_digest",
+             "replication.delivered", "replication.binding_created",
+             "replication.binding_destroyed",
+             "recovery.sync_point", "recovery.failover_begin",
+             "recovery.cold_seed_restore", "recovery.recovered",
+             "recovery.checkpoint_logged",
+             "replica.executed", "replica.set_state",
+             "totem.install", "totem.gather",
+             "lease.read_served")
+
     def observe(self, record: TraceRecord) -> None:
-        """Consume one trace record (subscriber entry point)."""
+        """Consume one trace record (subscriber entry point; bound to
+        :attr:`KINDS`, and fed every record by :meth:`from_records`)."""
         self.records_scanned += 1
         category = record.category
         if category == SPAN_CATEGORY:

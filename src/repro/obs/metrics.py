@@ -239,14 +239,19 @@ class MetricsRegistry:
 
     # -- tracer binding ----------------------------------------------------
 
+    #: The record kinds :meth:`observe_record` reads, one per branch.
+    KINDS = ("span", "totem.token", "totem.packed_frame", "live.recv_batch",
+             "delta.delta_sent")
+
     def bind(self, tracer: Tracer) -> None:
         """Subscribe to a tracer: every completed span becomes a duration
         sample in histogram ``span.<name>`` labelled by the span's
         ``node``, ``group`` and ``ring`` attrs."""
-        tracer.subscribe(self.observe_record)
+        tracer.subscribe(self.observe_record, kinds=self.KINDS)
 
     def observe_record(self, record: TraceRecord) -> None:
-        """Live trace subscriber (installed by :meth:`bind`).
+        """Live trace subscriber (installed by :meth:`bind`) for
+        :attr:`KINDS`.
 
         Each branch feeds a series something outside the tests reads (the
         README's observability section lists them with their readers)."""

@@ -199,7 +199,7 @@ class SpanResourceProfiler:
             if self.config.alloc_trace and not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._started_tracemalloc = True
-            tracer.subscribe(self.observe_record)
+            tracer.subscribe(self.observe_record, kinds=(SPAN_CATEGORY,))
         return self
 
     def release(self) -> None:
@@ -211,13 +211,11 @@ class SpanResourceProfiler:
     # -- hot path ----------------------------------------------------------
 
     def observe_record(self, record: TraceRecord) -> None:
-        """Live trace subscriber (installed by :meth:`attach`): one
-        category compare per record, then span bookkeeping for span
-        records only.  Kept as a two-level dispatch so the overhead bench
-        can probe :meth:`observe_span` — the real per-span cost — without
-        its own instrumentation drowning in the per-record early-outs."""
-        if record.category == SPAN_CATEGORY:
-            self.observe_span(record)
+        """Live trace subscriber (installed by :meth:`attach`, which
+        subscribes it to span records only).  Kept as a two-level
+        dispatch so the overhead bench can probe :meth:`observe_span` —
+        the real per-span cost — on its own."""
+        self.observe_span(record)
 
     def observe_span(self, record: TraceRecord) -> None:
         """Per-span-event bookkeeping (the profiler's actual hot path).

@@ -268,8 +268,11 @@ def stitch_invocations(
                  fields.get("node", "?"))
         elif category == "span" and event == "span_start":
             if fields.get("name") == "rpc.roundtrip":
+                # A two-way send: its round-trip span starts at the send.
                 trace = fields.get("trace")
                 span_id = fields.get("span")
+                note(trace, "client_send", record.time,
+                     fields.get("node", "?"))
                 if trace and span_id:
                     rpc_spans[span_id] = (trace, fields.get("node", "?"))
                     if "operation" in fields:

@@ -37,7 +37,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.exporters import export_jsonl
 from repro.runtime.timers import PeriodicTimer
@@ -62,21 +62,25 @@ FLIGHT_CAPACITY = 512
 #: are exactly the streams whose content is reconstructible from records
 #: the ring keeps: ``totem.deliver`` (per-fragment fan-out, one record per
 #: fragment per node; the envelope-level ``replication.delivered`` records
-#: carry the causal content and the trace id), ``live.recv_batch`` (a
-#: 1-in-32 sample of socket wakeups in the live runtime; the
-#: ``live.sys.recv_batch_size`` histogram keeps the distribution), and the
-#: ring's own mechanics — ``totem.token`` (one record per token visit per
-#: node), ``totem.frame`` and ``totem.packed_frame`` (one per data frame
-#: sent).  In a fault-free second of the paper's topology (simnet,
+#: carry the causal content and the trace id), ``interceptor.reply`` (a
+#: replica's reply leaves at the execution that produced it, whose
+#: ``replica.executed`` record names the same node, instant and trace id,
+#: and the trace id spells the connection and request id),
+#: ``live.recv_batch`` (a 1-in-32 sample of socket wakeups in the live
+#: runtime; the ``live.sys.recv_batch_size`` histogram keeps the
+#: distribution), and the ring's own mechanics — ``totem.token`` (one
+#: record per token visit per node), ``totem.frame`` and
+#: ``totem.packed_frame`` (one per data frame sent).  In a fault-free
+#: second of the paper's topology (simnet,
 #: ``bench.deployments.build_client_server``) ``totem.deliver`` is 38 % of
 #: all records and the ring mechanics 22 % more.  The metrics registry
 #: still folds the mechanics' timing into the token-interarrival and
 #: frame-packing histograms, and the ring keeps its membership changes
 #: (``totem.gather``/``install``) and every envelope-level record.
 #: ``()`` gives full wire fidelity at roughly double the hot-path cost.
-FLIGHT_EXCLUDE: Tuple[str, ...] = ("totem.deliver", "totem.token",
-                                   "totem.frame", "totem.packed_frame",
-                                   "live.recv_batch")
+FLIGHT_EXCLUDE: Tuple[str, ...] = ("totem.deliver", "interceptor.reply",
+                                   "totem.token", "totem.frame",
+                                   "totem.packed_frame", "live.recv_batch")
 
 #: Samples the metrics history keeps per series.
 HISTORY_CAPACITY = 256
@@ -141,11 +145,6 @@ class FlightRecorder:
         #: The streams this recorder does not ring (:data:`FLIGHT_EXCLUDE`
         #: when it was built).
         self.exclude = FLIGHT_EXCLUDE
-        #: category -> the set of its events to skip.
-        self._skip: Dict[str, Set[str]] = {}
-        for spec in self.exclude:
-            category, _, event = spec.partition(".")
-            self._skip.setdefault(category, set()).add(event)
         self._dump_seq = 0
         #: Completed dumps, newest last (in-memory record of every dump,
         #: with ``path`` set when ``flight_dir`` put it on disk too).
@@ -157,21 +156,18 @@ class FlightRecorder:
             ring = self._rings[lane] = []
         return ring
 
-    def note(self, record: TraceRecord) -> None:
-        """Tracer subscriber: ring the record, auto-dump on a crash.
-
-        Runs for every record the system emits, so the dispatcher does
-        only the exclusion check; :meth:`_admit` (separately so the
-        obs-overhead bench can time ring admission without paying two
-        clock reads on every *skipped* record too) does one dict lookup,
-        one list append, and an amortized batch trim."""
-        skip = self._skip.get(record.category)
-        if skip is not None and record.event in skip:
-            return
-        self._admit(record)
+    def attach(self, tracer) -> None:
+        """Subscribe to ``tracer``: ring every record of a kind
+        :attr:`exclude` does not name, and dump a node's ring when the
+        node crashes.  The tracer does the exclusion (an excluded kind no
+        one else reads is never even built), so :meth:`_admit` — which
+        the obs-overhead bench times in situ — is only the admission."""
+        tracer.subscribe(self._admit, skip=self.exclude)
+        tracer.subscribe(self._dump_on_crash, kinds=("fault.crash",))
 
     def _admit(self, record: TraceRecord) -> None:
-        """Ring one admitted record (the per-record hot path)."""
+        """Ring one admitted record (the per-record hot path): one dict
+        lookup, one list append, and an amortized batch trim."""
         lane = record.fields.get("node")
         try:
             tape = self._rings[lane]
@@ -180,9 +176,10 @@ class FlightRecorder:
         tape.append(record)
         if len(tape) >= self._trim_at:
             del tape[:-self._capacity]
-        if record.category == "fault" and record.event == "crash":
-            self.dump(node=GLOBAL_LANE if lane is None else str(lane),
-                      reason="crash")
+
+    def _dump_on_crash(self, record: TraceRecord) -> None:
+        self.dump(node=self._lane_name(record.fields.get("node")),
+                  reason="crash")
 
     def record_finding(self, finding) -> None:
         """Ring an audit finding (as a synthetic ``audit.finding`` record)
@@ -331,7 +328,7 @@ class TelemetryPlane:
         self.flight = FlightRecorder(config, clock)
         self.history = MetricsHistory(metrics, HISTORY_CAPACITY)
         if config.enabled:
-            tracer.subscribe(self.flight.note)
+            self.flight.attach(tracer)
 
     @property
     def enabled(self) -> bool:

@@ -71,6 +71,14 @@ class Scheduler(Clock):
         if handle is not None:
             handle.cancel()
 
+    def move(self, handle: TimerHandle, time: float) -> bool:
+        """Run ``handle``'s callback at the later absolute ``time``
+        instead, keeping the callback as it is (a host's incarnation guard
+        included).  False when this substrate cannot move it, and the
+        caller cancels it and schedules afresh: the simulator moves
+        lazily, an asyncio timer cannot move."""
+        return False
+
 
 class Host(abc.ABC):
     """One crashable process-like unit identified by ``node_id``.

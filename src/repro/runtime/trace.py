@@ -17,17 +17,20 @@ The tracer is also the transport for the observability layer in
 category (see :mod:`repro.obs.spans`), so exporters, the metrics registry,
 and the timeline tools all read one stream.
 
-Filtering semantics (see :meth:`Tracer.emit`): **counters always
-update**; a muted ``category.event`` stream (:meth:`Tracer.set_muted_events`)
-produces no record for any consumer — retention and subscribers alike —
-while its counter keeps counting.
+Routing (see :meth:`Tracer.emit`): **counters always update**; a record
+is built only when a subscriber reads its kind or the tracer retains
+records.  Each subscriber declares the kinds it reads, or the kinds it
+skips (:meth:`Tracer.subscribe`), and each ``(category, event)`` has one
+cached route: its counter key, the subscribers that read it, and whether
+it is retained.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator,
+                    List, Optional, Set, Tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,20 +55,35 @@ class TraceRecord:
         return f"[{self.time:.6f}] {self.category}.{self.event} {kv}"
 
 
+Subscriber = Callable[[TraceRecord], None]
+
+#: One kind's route: its counter key, the subscribers that read it, and
+#: whether the tracer retains its records.
+Route = Tuple[str, Tuple[Subscriber, ...], bool]
+
+
+def _names(entries: FrozenSet[str], category: str, key: str) -> bool:
+    """Whether ``entries`` (``"category"`` or ``"category.event"``
+    spellings) cover the kind ``key`` of ``category``."""
+    return category in entries or key in entries
+
+
 class Tracer:
     """Collects trace records and counters.
 
     Record retention can be disabled entirely for long benches with
-    ``keep_records=False`` — subscribers still see every (unmuted) record
-    live; counters always update.
+    ``keep_records=False`` — subscribers still see every record of the
+    kinds they read; counters always update.
     """
 
     def __init__(self, *, keep_records: bool = True) -> None:
         self.records: List[TraceRecord] = []
         self.counters: Counter = Counter()
         self._keep_records = keep_records
-        self._muted: frozenset = frozenset()
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
+        #: (subscriber, kinds it reads or None for all, kinds it skips)
+        self._subscribers: List[Tuple[Subscriber, Optional[FrozenSet[str]],
+                                      FrozenSet[str]]] = []
+        self._routes: Dict[Tuple[str, str], Route] = {}
         self._now: Callable[[], float] = lambda: 0.0
         #: Span ids currently open on this trace stream; maintained by
         #: :class:`repro.obs.spans.SpanEmitter` so that cross-component
@@ -76,40 +94,52 @@ class Tracer:
         """Attach the simulation clock so records carry simulated time."""
         self._now = now
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
-        """Register a live callback invoked for every emitted record.
+    def subscribe(self, fn: Subscriber, *,
+                  kinds: Optional[Iterable[str]] = None,
+                  skip: Iterable[str] = ()) -> None:
+        """Register a live callback for the records it reads.
 
-        Subscribers see the same filtered stream retention does: muted
-        events are delivered to no one.
+        ``kinds`` names the kinds ``fn`` reads and ``skip`` the kinds it
+        does not, each entry ``"category"`` or ``"category.event"`` (as
+        ``telemetry.FLIGHT_EXCLUDE`` is spelled); with neither, ``fn``
+        reads every kind.  Subscribers run in subscription order.
         """
-        self._subscribers.append(fn)
+        self._subscribers.append(
+            (fn, None if kinds is None else frozenset(kinds), frozenset(skip)))
+        self._routes.clear()
 
-    def set_muted_events(self, events) -> None:
-        """Mute individual ``category.event`` record streams: no record
-        is created, retained, or delivered to subscribers; the counter
-        keeps counting.  Built for provably consumer-less high-volume events on the live hot
-        path, where building and fanning out a record that every
-        subscriber ignores is pure overhead."""
-        self._muted = frozenset(events)
+    def _route(self, category: str, event: str) -> Route:
+        """The cached route of one record kind (built on first use)."""
+        route = self._routes.get((category, event))
+        if route is None:
+            key = f"{category}.{event}"
+            readers = tuple(
+                fn for fn, kinds, skip in self._subscribers
+                if (kinds is None or _names(kinds, category, key))
+                and not _names(skip, category, key))
+            route = self._routes[category, event] = (
+                key, readers, self._keep_records)
+        return route
 
     def emit(self, category: str, event: str, **fields: Any) -> None:
         """Record an event and bump its counter (``category.event``).
 
-        The counter updates unconditionally.  The record itself is produced
-        only if the event is not muted, and is then both retained (when
-        ``keep_records``) and fanned out to every subscriber — the mute
-        applies uniformly to retention and subscription.
+        The counter updates unconditionally.  The record itself is built
+        only if the tracer retains records or a subscriber reads its
+        kind; it is then retained (when ``keep_records``) and handed to
+        each subscriber that reads the kind.
         """
-        key = f"{category}.{event}"
+        route = self._routes.get((category, event))
+        if route is None:
+            route = self._route(category, event)
+        key, readers, keep = route
         self.counters[key] += 1
-        if key in self._muted:
-            return
-        if not self._keep_records and not self._subscribers:
+        if not (readers or keep):
             return
         record = TraceRecord(self._now(), category, event, fields)
-        if self._keep_records:
+        if keep:
             self.records.append(record)
-        for fn in self._subscribers:
+        for fn in readers:
             fn(record)
 
     def scoped(self, **extra: Any) -> "ScopedTracer":
@@ -150,7 +180,8 @@ class ScopedTracer:
     """A delegating view of a :class:`Tracer` that stamps extra fields.
 
     ``emit`` injects the scope fields via ``setdefault`` — an explicit
-    field from the emitting component always wins — and everything else
+    field from the emitting component always wins, and a kind no one
+    reads gets none, since it builds no record — and everything else
     (subscription, counters, retained records, span bookkeeping, clock
     binding) is the parent's, so one shared stream serves all scopes.
     Scoped counters still land in the parent's flat namespace: per-scope
@@ -173,9 +204,13 @@ class ScopedTracer:
         return dict(self._extra)
 
     def emit(self, category: str, event: str, **fields: Any) -> None:
-        for key, value in self._extra.items():
-            fields.setdefault(key, value)
-        self._parent.emit(category, event, **fields)
+        parent = self._parent
+        _, readers, keep = (parent._routes.get((category, event))
+                            or parent._route(category, event))
+        if readers or keep:
+            for key, value in self._extra.items():
+                fields.setdefault(key, value)
+        parent.emit(category, event, **fields)
 
     def scoped(self, **extra: Any) -> "ScopedTracer":
         merged = dict(self._extra)
@@ -206,7 +241,9 @@ class NullTracer(Tracer):
     def add(self, key: str, amount: int) -> None:
         """Discard the counter bump."""
 
-    def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
+    def subscribe(self, fn: Subscriber, *,
+                  kinds: Optional[Iterable[str]] = None,
+                  skip: Iterable[str] = ()) -> None:
         """Ignore the subscription: a null tracer never emits records."""
 
 

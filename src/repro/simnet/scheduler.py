@@ -4,6 +4,15 @@ A single :class:`Scheduler` owns simulated time.  Components schedule
 callbacks with :meth:`Scheduler.call_at` / :meth:`Scheduler.call_after` and
 the simulation advances by executing callbacks in timestamp order.  Ties are
 broken by insertion order, which makes every run deterministic.
+
+The queue is a heap of ``(time, seq, event)`` tuples, so every comparison
+the heap makes runs in C (``seq`` is unique, so the event itself is never
+compared).  A pending event moves to a later deadline
+(:meth:`Scheduler.move`) without a new heap entry: its entry keeps its
+slot, and when the slot comes up the event is pushed again at its current
+key.  A move draws a fresh sequence number, so the key an event finally
+runs at is exactly the one a cancel plus a fresh ``call_at`` would have
+given it, and every other event's number is unchanged.
 """
 
 from __future__ import annotations
@@ -16,12 +25,22 @@ from repro.errors import ClockError, SimulationError
 from repro.runtime.interfaces import Scheduler as SchedulerInterface
 from repro.runtime.interfaces import TimerHandle
 
+_heappop = heapq.heappop
+_heappush = heapq.heappush
+_heapreplace = heapq.heapreplace
+
+#: ``Event.seq`` once the event has left the queue (run or dropped).
+_GONE = -1
+
 
 class Event:
     """A scheduled callback.  Returned by ``call_at``/``call_after``.
 
     Holding on to the event allows cancellation via :meth:`cancel` or
-    :meth:`Scheduler.cancel`.
+    :meth:`Scheduler.cancel`, and a later deadline via
+    :meth:`Scheduler.move`.  ``time`` and ``seq`` are the key it runs at;
+    the heap entry that holds it may carry an earlier key (see the module
+    docstring).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -37,8 +56,10 @@ class Event:
         """Mark the event so the scheduler skips it."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    @property
+    def pending(self) -> bool:
+        """True while the callback is still to run."""
+        return not self.cancelled and self.seq != _GONE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -62,7 +83,7 @@ class Scheduler(SchedulerInterface):
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._executed = 0
 
@@ -90,8 +111,9 @@ class Scheduler(SchedulerInterface):
             raise ClockError(
                 f"cannot schedule at t={time:.9f}, now is t={self._now:.9f}"
             )
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        _heappush(self._heap, (time, seq, event))
         return event
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -105,21 +127,52 @@ class Scheduler(SchedulerInterface):
         if event is not None:
             event.cancel()
 
+    def move(self, event: Event, time: float) -> bool:
+        """Run ``event`` at ``time`` instead, as if it had been cancelled
+        and its callback scheduled afresh at ``time``.
+
+        Lazy: the event keeps its heap entry.  It applies to an event
+        still in the queue — pending, or cancelled but not yet reached,
+        which the move revives — and to a deadline no earlier than its
+        current one.  Otherwise it returns False and changes nothing.
+        """
+        if event.seq == _GONE or time < event.time:
+            return False
+        event.time = time
+        event.seq = next(self._seq)
+        event.cancelled = False
+        return True
+
+    def _settle_head(self) -> Optional[float]:
+        """Drop cancelled entries and re-slot moved ones from the top of
+        the heap; return the time of the next event to run (None when
+        there is none)."""
+        heap = self._heap
+        while heap:
+            time, seq, event = heap[0]
+            if event.cancelled:
+                _heappop(heap)
+                event.seq = _GONE
+            elif event.seq != seq:
+                _heapreplace(heap, (event.time, event.seq, event))
+            else:
+                return time
+        return None
+
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._executed += 1
-            event.fn(*event.args)
-            return True
-        return False
+        if self._settle_head() is None:
+            return False
+        time, _, event = _heappop(self._heap)
+        event.seq = _GONE
+        self._now = time
+        self._executed += 1
+        event.fn(*event.args)
+        return True
 
     def run(self, max_events: int = 10_000_000) -> None:
         """Run until no events remain (or ``max_events``, a runaway guard)."""
@@ -133,13 +186,8 @@ class Scheduler(SchedulerInterface):
         if time < self._now:
             raise ClockError(f"run_until({time}) is in the past (now={self._now})")
         for _ in range(max_events):
-            if not self._heap:
-                break
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if head.time > time:
+            head = self._settle_head()
+            if head is None or head > time:
                 break
             self.step()
         else:
@@ -162,7 +210,8 @@ class Scheduler(SchedulerInterface):
         for _ in range(max_events):
             if not predicate():
                 return True
-            if not self._heap or self._heap[0].time > deadline:
+            head = self._settle_head()
+            if head is None or head > deadline:
                 self._now = max(self._now, deadline)
                 return not predicate()
             self.step()
@@ -170,4 +219,4 @@ class Scheduler(SchedulerInterface):
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)

@@ -184,7 +184,7 @@ class _Run:
         self._dropping_cancels_until = -1.0
         self._form_losses: List[str] = []
         self._slow: Dict[str, Tuple[float, float]] = {}  # node -> delay, end
-        self.tracer.subscribe(self._observe)
+        self.tracer.subscribe(self._observe, kinds=self.KINDS)
         self.network.add_filter(self._drop)
         for node in scenario.nodes:
             self._spawn(Process(self.scheduler, node, tracer=self.tracer))
@@ -269,9 +269,10 @@ class _Run:
 
     # -- checks ---------------------------------------------------------
 
+    #: The record kinds :meth:`_observe` reads.
+    KINDS = ("totem.gather", "totem.form", "totem.install")
+
     def _observe(self, record) -> None:
-        if record.category != "totem":
-            return
         if self._awaiting and record.event in ("gather", "form"):
             due = [node for node, event in self._awaiting
                    if event == record.event]

@@ -188,6 +188,10 @@ class TotemMember:
         # cancelled by _set_state.
         self._timers: Dict[str, TimerHandle] = {}
         self._due: Dict[str, float] = {}    # role -> requested deadline
+        # role -> (handle, fn, args) of its latest arm, disarmed or not:
+        # what _arm may move instead of scheduling afresh.
+        self._last_arm: Dict[str, Tuple[TimerHandle, Callable[..., None],
+                                        tuple]] = {}
 
         self._last_probe = 0.0
         # How many retransmission requests a token holds within the MTU.
@@ -272,11 +276,25 @@ class TotemMember:
 
     def _arm(self, role: str, delay: float, fn: Callable[..., None],
              *args) -> None:
-        """Schedule this phase's ``role`` timer, replacing a pending one."""
-        self._disarm(role)
-        self._due[role] = self._scheduler.now + delay
-        self._timers[role] = self.endpoint.process.call_after(delay, fn,
-                                                              *args)
+        """Schedule this phase's ``role`` timer, replacing a pending one.
+
+        Re-armed with the same argument-less callback to a deadline no
+        earlier than the last one, the role's last timer moves there —
+        disarmed or not, while its scheduler still holds it — which
+        runs exactly as a cancel and a fresh schedule would (see
+        ``Scheduler.move``); the token, retransmission, join and gather
+        timers re-arm this way on every visit or JOIN."""
+        due = self._scheduler.now + delay
+        last = self._last_arm.get(role)
+        if (last is not None and not args and not last[2] and last[1] == fn
+                and self._scheduler.move(last[0], due)):
+            handle = last[0]
+        else:
+            self._disarm(role)
+            handle = self.endpoint.process.call_after(delay, fn, *args)
+            self._last_arm[role] = (handle, fn, args)
+        self._timers[role] = handle
+        self._due[role] = due
 
     def _late_ms(self, role: str) -> float:
         """How much later than requested the ``role`` timer now running

@@ -131,8 +131,6 @@ def invocation_records(trace="op:c1->store#7"):
         clock["now"] = t
 
     span_id = f"rpc:{trace}"
-    tracer.emit("interceptor", "request", node="c1", trace=trace,
-                operation="echo")
     tracer.emit("span", "span_start", span=span_id, name="rpc.roundtrip",
                 node="c1", trace=trace, operation="echo")
     at(0.002)

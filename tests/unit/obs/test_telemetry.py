@@ -36,7 +36,7 @@ def make_recorder(*, exclude=None, capacity=None, **overrides):
                                   lambda: clock["now"])
     tracer = Tracer()
     tracer.bind_clock(lambda: clock["now"])
-    tracer.subscribe(recorder.note)
+    recorder.attach(tracer)
     return recorder, tracer, clock
 
 
@@ -144,6 +144,7 @@ def test_default_exclusions_drop_fanout_but_keep_causal_stream():
     tracer.emit("totem", "install", node="s1", ring_id=4)
     tracer.emit("live", "recv_batch", node="s1", n=3)
     tracer.emit("replication", "delivered", node="s1", kind="REQUEST")
+    tracer.emit("interceptor", "reply", node="s1", trace="op:c->s#1")
     kept = [(r.category, r.event) for r in recorder.records_for("s1")]
     assert kept == [("totem", "install"), ("replication", "delivered")]
 

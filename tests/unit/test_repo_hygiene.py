@@ -564,9 +564,9 @@ def written_kinds(paths):
     return records, counters, unspelled
 
 
-def inventory(table):
-    """A README inventory as ``{row: consumer path}``, plus the README
-    text outside the table (a README row's reader is prose)."""
+def inventory_cells(table):
+    """A README inventory as ``{row: its last cell}``, plus the README
+    text outside the table."""
     lines = (REPO_ROOT / "README.md").read_text().splitlines()
     start = next(index for index, line in enumerate(lines)
                  if line.startswith(table.heading))
@@ -575,13 +575,24 @@ def inventory(table):
     end = start
     while lines[end].startswith("|"):
         end += 1
-    rows = {}
+    cells = {}
     for line in lines[start:end]:
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if cells[0].startswith("`"):
-            consumer = re.search(r"`([\w./-]+\.(?:py|md))`", cells[-1])
-            rows[cells[0].strip("`")] = consumer.group(1) if consumer else ""
-    return rows, "\n".join(lines[:start] + lines[end:])
+        row = [cell.strip() for cell in line.strip("|").split("|")]
+        if row[0].startswith("`"):
+            cells[row[0].strip("`")] = row[-1]
+    return cells, "\n".join(lines[:start] + lines[end:])
+
+
+def inventory(table):
+    """A README inventory as ``{row: consumer path}`` (the first path its
+    reader cell names), plus the README text outside the table (a README
+    row's reader is prose)."""
+    cells, prose = inventory_cells(table)
+    rows = {}
+    for row, cell in cells.items():
+        consumer = re.search(r"`([\w./-]+\.(?:py|md))`", cell)
+        rows[row] = consumer.group(1) if consumer else ""
+    return rows, prose
 
 
 def family(name, rows):
@@ -628,12 +639,20 @@ def exclusion_problems(lists, records):
 
 
 def exclusion_lists():
-    from repro.live.system import LIVE_TRACE_MUTE
+    """Every list of record kinds the program spells out: the flight
+    recorder's exclusions, the timeline's per-message kinds, and the
+    kinds each declared subscriber reads (a misspelt one would never
+    reach its reader)."""
+    from repro.obs.audit import ConsistencyAuditor
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.telemetry import FLIGHT_EXCLUDE
+    from repro.tools.fuzz import _Run
     from repro.tools.timeline import PER_MESSAGE_EVENTS
 
     return {"FLIGHT_EXCLUDE": set(FLIGHT_EXCLUDE),
-            "LIVE_TRACE_MUTE": set(LIVE_TRACE_MUTE),
+            "ConsistencyAuditor.KINDS": set(ConsistencyAuditor.KINDS),
+            "MetricsRegistry.KINDS": set(MetricsRegistry.KINDS),
+            "fuzz._Run.KINDS": set(_Run.KINDS),
             "PER_MESSAGE_EVENTS": {".".join(pair)
                                    for pair in PER_MESSAGE_EVENTS}}
 
@@ -723,6 +742,53 @@ def test_an_exclusion_entry_naming_a_counter_fails_by_name():
         "FLIGHT_EXCLUDE names replication.duplicate, which is not a "
         "record kind",
         "PER_MESSAGE_EVENTS names net, which is not a record kind"]
+
+
+def declared_readers():
+    """Subscriber source file -> the record kinds it subscribes to."""
+    from repro.obs.audit import ConsistencyAuditor
+    from repro.obs.metrics import MetricsRegistry
+
+    return {"src/repro/obs/audit.py": ConsistencyAuditor.KINDS,
+            "src/repro/obs/metrics.py": MetricsRegistry.KINDS}
+
+
+def reader_problems(declared, cells, records):
+    """Both ways between the kinds a subscriber declares (a
+    ``"category"`` entry covers each record kind of it) and the rows
+    whose reader cell names the subscriber's file."""
+    problems = []
+    for path, entries in sorted(declared.items()):
+        reads = {kind for kind in records
+                 if kind in entries or kind.partition(".")[0] in entries}
+        listed = {row for row, cell in cells.items() if f"`{path}`" in cell}
+        problems += [f"{kind}: {path} subscribes to it, README does not "
+                     f"list it as a reader" for kind in sorted(reads - listed)]
+        problems += [f"{kind}: README lists {path} as a reader, which "
+                     f"does not subscribe to it"
+                     for kind in sorted(listed - reads)]
+    return problems
+
+
+def test_declared_subscriber_kinds_match_the_record_inventory():
+    records, _, _ = written_kinds(source_files())
+    cells, _ = inventory_cells(RECORDS)
+    assert reader_problems(declared_readers(), cells, records) == []
+
+
+def test_a_declared_kind_the_inventory_misses_fails_by_name():
+    records, _, _ = written_kinds(source_files())
+    cells, _ = inventory_cells(RECORDS)
+    declared = declared_readers()
+    audit, metrics = "src/repro/obs/audit.py", "src/repro/obs/metrics.py"
+    declared[audit] = (*declared[audit], "fault.crash")
+    declared[metrics] = tuple(kind for kind in declared[metrics]
+                              if kind != "totem.token")
+    assert reader_problems(declared, cells, records) == [
+        f"fault.crash: {audit} subscribes to it, README does not list it "
+        f"as a reader",
+        f"totem.token: README lists {metrics} as a reader, which does not "
+        f"subscribe to it"]
 
 
 def test_health_renders_the_registry_and_walks_no_stack():

@@ -743,10 +743,14 @@ def test_default_config_ring_never_parks_and_never_cancels():
 
 
 def _watch_timers(ring, node_id):
-    """Record every timer ``node_id``'s host hands out from now on; the
-    returned function lists the callbacks of those still pending."""
-    process = ring.members[node_id].endpoint.process
-    handed_out = []
+    """Record every timer ``node_id``'s host hands out from now on, and
+    each role's latest timer (the one its member may still move or
+    revive); the returned function lists the callbacks of those still
+    pending.  A moved timer keeps its handle and its callback."""
+    member = ring.members[node_id]
+    process = member.endpoint.process
+    handed_out = [(handle, fn.__name__)
+                  for handle, fn, _ in member._last_arm.values()]
     schedule = process.call_after
 
     def call_after(delay, fn, *args):
@@ -756,8 +760,7 @@ def _watch_timers(ring, node_id):
 
     process.call_after = call_after
     return lambda: sorted(name for handle, name in handed_out
-                          if not handle.cancelled
-                          and handle in ring.scheduler._heap)
+                          if handle.pending)
 
 
 G, R, O, S = (MemberState.GATHER, MemberState.RECOVERY,
